@@ -40,6 +40,23 @@ def _parse_levels(text):
     return lo, hi
 
 
+def _nonnegative_int(text, cap=None):
+    """argparse type: an int >= 0, and <= cap when a cap is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0 or (cap is not None and value > cap):
+        bound = "an int >= 0" if cap is None else f"an int in 0..{cap}"
+        raise argparse.ArgumentTypeError(f"{value} is out of range; expected {bound}")
+    return value
+
+
+def _brute_length(text):
+    """argparse type: a path length brute force can enumerate."""
+    return _nonnegative_int(text, paths.BRUTE_FORCE_CAP)
+
+
 def _level_series(cli_family, j, order):
     if cli_family == "primal":
         if j < 0:
@@ -366,7 +383,7 @@ def build_parser():
     p = sub.add_parser("table", help="emit level-series coefficient tables")
     p.add_argument("--family", choices=sorted(_CLI_FAMILIES), default="primal")
     p.add_argument("--levels", type=_parse_levels, default=(0, 3), metavar="A..B")
-    p.add_argument("--order", type=int, default=14)
+    p.add_argument("--order", type=_nonnegative_int, default=14)
     p.add_argument(
         "--format",
         choices=("tsv", "record"),
@@ -376,8 +393,8 @@ def build_parser():
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the cross-validation matrix")
-    p.add_argument("--max-brute-length", type=int, default=14)
-    p.add_argument("--order", type=int, default=32)
+    p.add_argument("--max-brute-length", type=_brute_length, default=14)
+    p.add_argument("--order", type=_nonnegative_int, default=32)
     p.add_argument(
         "--family",
         choices=sorted(_CLI_FAMILIES),
@@ -393,13 +410,13 @@ def build_parser():
 
     p = sub.add_parser("paths", help="list enumerated path words")
     p.add_argument("--family", choices=sorted(_CLI_FAMILIES), default="primal")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_brute_length, required=True)
     p.add_argument("--end-level", type=int, default=None)
     p.add_argument("--render", action="store_true", help="include ASCII renderings")
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("stats-red", help="red-edge statistics per semilength")
-    p.add_argument("--order", type=int, default=30, help="largest semilength n")
+    p.add_argument("--order", type=_nonnegative_int, default=30, help="largest semilength n")
     p.set_defaults(func=cmd_stats_red)
 
     p = sub.add_parser("oeis", help="compare against an embedded reference prefix")
@@ -411,8 +428,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "paths" and not 0 <= args.length <= paths.BRUTE_FORCE_CAP:
-        parser.error(f"--length must be in 0..{paths.BRUTE_FORCE_CAP}")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, AssertionError) as exc:

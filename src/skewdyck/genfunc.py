@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .series import (
     ExactnessError,
@@ -56,6 +57,36 @@ PRIMAL_CLASSES = ("f", "g", "h", "total")
 DUAL_CLASSES = ("a", "b", "c", "total")
 
 
+def _sqrt_quadratic(order, a, b):
+    """Coefficients of sqrt(1 + a z^2 + b z^4) in z, up to z^order.
+
+    ``a`` and ``b`` are polynomials in w given as integer coefficient lists.
+    Differentiating c^2 = 1 + a x + b x^2 (x = z^2) gives
+    2(1 + a x + b x^2) c' = (a + 2b x) c, whose x^n coefficient is the
+    recurrence stated on :class:`KernelBundle`.  Both kernel roots have
+    integer coefficients, so its division is exact.  Returns order + 1
+    integer coefficient lists: c_n sits in the slot of z^{2n}, the odd
+    slots hold zero.
+    """
+    out = [[0]] * (order + 1)
+    prev, cur = [], [1]
+    out[0] = cur
+    for n in range(order // 2):
+        nxt = [0] * (max(len(a) + len(cur), len(b) + len(prev)) - 1)
+        for i, ai in enumerate(a):
+            for k, ck in enumerate(cur):
+                nxt[i + k] -= (2 * n - 1) * ai * ck
+        for i, bi in enumerate(b):
+            for k, ck in enumerate(prev):
+                nxt[i + k] -= 2 * (n - 2) * bi * ck
+        den = 2 * (n + 1)
+        if any(v % den for v in nxt):
+            raise ExactnessError(f"root coefficient of z^{2 * n + 2} is not an integer")
+        prev, cur = cur, [v // den for v in nxt]
+        out[2 * n + 2] = cur
+    return out
+
+
 @dataclass(frozen=True)
 class KernelBundle:
     """The square root W and the kernel half-roots P = z r1, Q = z r2.
@@ -64,31 +95,53 @@ class KernelBundle:
       W^2 = 1 - 6z^2 + 5z^4,  P*Q = z^2(2 - z^2),  P + Q = 1 + z^2.
     The w-refined analogues satisfy W_w^2 = (1 - z^2 w)(1 - (4+w)z^2) and
     P_w = (1 + w z^2 + W_w)/2.
+
+    Both roots are square roots of 1 + a x + b x^2 in x = z^2, with a = -6,
+    b = 5 for W and a = -(4+2w), b = w(4+w) for W_w.  Their coefficients c_n
+    in x follow the linear recurrence (the roots are D-finite)
+
+      2(n+1) c_{n+1} = -a(2n-1) c_n - 2b(n-2) c_{n-1},   c_0 = 1,
+
+    so a bundle of order N costs O(N) steps in integers (in integer
+    polynomials of degree <= N/2 for W_w) instead of the O(N^2) ring
+    operations of :func:`~skewdyck.series.sqrt_one`.  ``sqrt_one`` stays the
+    test oracle that pins W, P, Q, Ww and Pw coefficient for coefficient.
+
+    The w-refined half (Ww, Pw) is built on first access and then kept on
+    the instance; only the red-marked constructors, ``dual_blue_g0`` and
+    the identity checks read it.
     """
 
     order: int
     W: Series
     P: Series
     Q: Series
-    Ww: Series
-    Pw: Series
+
+    @cached_property
+    def Ww(self):
+        coeffs = _sqrt_quadratic(self.order, (-4, -2), (0, 4, 1))
+        return Series([WPoly(c) for c in coeffs], WPOLY)
+
+    @cached_property
+    def Pw(self):
+        one = Series.one(self.order, WPOLY)
+        return (one + shift_up(one, 2) * W_VAR + self.Ww) * Fraction(1, 2)
 
 
 def kernel_bundle(order=DEFAULT_ORDER):
+    """The :class:`KernelBundle` truncated at z^order; order must be >= 0.
+
+    W, P and Q are built here from the recurrence on :class:`KernelBundle`;
+    Ww and Pw only when first read.
+    """
+    if order < 0:
+        raise ValueError(f"kernel_bundle needs order >= 0, got {order}")
+    W = Series([c[0] for c in _sqrt_quadratic(order, (-6,), (5,))], RATIONAL)
     one = Series.one(order, RATIONAL)
-    z2 = shift_up(Series.one(order, RATIONAL), 2)
-    z4 = shift_up(one, 4)
-    W = sqrt_one(one - 6 * z2 + 5 * z4)
+    z2 = shift_up(one, 2)
     P = (one + z2 + W) * Fraction(1, 2)
     Q = (one + z2 - W) * Fraction(1, 2)
-
-    onew = Series.one(order, WPOLY)
-    z2w = shift_up(onew, 2)
-    w = W_VAR
-    under = (onew - z2w * w) * (onew - z2w * (4 + w))
-    Ww = sqrt_one(under)
-    Pw = (onew + z2w * w + Ww) * Fraction(1, 2)
-    return KernelBundle(order=order, W=W, P=P, Q=Q, Ww=Ww, Pw=Pw)
+    return KernelBundle(order=order, W=W, P=P, Q=Q)
 
 
 def _fit(s, order):
@@ -448,20 +501,24 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
     root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.
     """
+    if cls not in ("f", "g", "h", "total"):
+        raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
     if bundle is None:
         bundle = kernel_bundle(order + 2)
+    boundary = negative_boundary_series(order=bundle.order, bundle=bundle)
+    if cls == "total":
+        parts = [_negative_class_series(j, c, bundle, boundary) for c in ("f", "g", "h")]
+        return _fit(parts[0] + parts[1] + parts[2], order)
+    return _fit(_negative_class_series(j, cls, bundle, boundary), order)
+
+
+def _negative_class_series(j, cls, bundle, boundary):
+    """One class of :func:`negative_level_series` at the bundle's order."""
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     z2 = shift_up(one, 2)
-    f0, g0, h0 = negative_boundary_series(order=n, bundle=bundle)
-    if cls == "total":
-        parts = [
-            negative_level_series(j, c, order=n, bundle=bundle) for c in ("f", "g", "h")
-        ]
-        return _fit(parts[0] + parts[1] + parts[2], order)
-    if cls not in ("f", "g", "h"):
-        raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
+    f0, g0, h0 = boundary
     if j >= 0:
         s = f0 + g0 + h0
         nums = {
@@ -469,7 +526,7 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
             "g": -mul(z2, s),
             "h": -mul(z2, g0 + h0),
         }
-        return _fit(extract_u(ULinearRational((nums[cls],), -bundle.P, z), j), order)
+        return extract_u(ULinearRational((nums[cls],), -bundle.P, z), j)
 
     s1 = div(z, bundle.P)  # the bad root, = Q/(z(2-z^2))
     den0 = bundle.P
@@ -503,4 +560,4 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
             mul(s1, z2) - mul(shift_up(z, 2), fg) + mul(z, gh),
             z2,
         )
-    return _fit(extract_u(ULinearRational(nums, den0, den1), -j), order)
+    return extract_u(ULinearRational(nums, den0, den1), -j)

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "skewdyck.cli"]
 
 
@@ -88,6 +90,24 @@ def test_paths_render():
 def test_paths_length_cap_usage_error():
     res = run_cli("paths", "--length", "99")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table", "--order", "-1"),
+        ("table", "--order", "x"),
+        ("stats-red", "--order", "-1"),
+        ("verify", "--order", "-1"),
+        ("verify", "--max-brute-length", "-1"),
+        ("verify", "--max-brute-length", "17"),
+    ],
+)
+def test_out_of_range_ints_usage_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
 
 
 def test_stats_red():

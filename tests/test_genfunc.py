@@ -124,6 +124,63 @@ def test_kernel_bundle_identities():
     assert b.Ww * b.Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4))
 
 
+def _sqrt_one_bundle(order):
+    """W, P, Q, Ww and Pw built with the O(N^2) square root, as an oracle."""
+    from skewdyck.series import RATIONAL, WPOLY, W_VAR, Series, shift_up, sqrt_one
+
+    one = Series.one(order, RATIONAL)
+    z2 = shift_up(one, 2)
+    W = sqrt_one(one - 6 * z2 + 5 * shift_up(one, 4))
+    onew = Series.one(order, WPOLY)
+    z2w = shift_up(onew, 2)
+    Ww = sqrt_one((onew - z2w * W_VAR) * (onew - z2w * (4 + W_VAR)))
+    return {
+        "W": W,
+        "P": (one + z2 + W) * Fraction(1, 2),
+        "Q": (one + z2 - W) * Fraction(1, 2),
+        "Ww": Ww,
+        "Pw": (onew + z2w * W_VAR + Ww) * Fraction(1, 2),
+    }
+
+
+@pytest.mark.parametrize("order", list(range(13)) + [40, 81])
+def test_kernel_bundle_matches_sqrt_one_oracle(order):
+    b = genfunc.kernel_bundle(order)
+    assert b.order == order
+    for name, want in _sqrt_one_bundle(order).items():
+        assert getattr(b, name) == want, name
+
+
+def test_kernel_bundle_rejects_negative_order():
+    with pytest.raises(ValueError):
+        genfunc.kernel_bundle(-1)
+
+
+def test_rational_constructors_leave_w_half_unbuilt():
+    b = genfunc.kernel_bundle(20)
+    genfunc.primal_level_series(2, order=16, bundle=b)
+    genfunc.dual_level_series(1, order=16, bundle=b)
+    genfunc.negative_level_series(-2, order=16, bundle=b)
+    genfunc.negative_level_series(1, order=16, bundle=b)
+    assert "Ww" not in b.__dict__ and "Pw" not in b.__dict__
+    genfunc.red_level_series(0, order=16, bundle=b)
+    assert "Ww" in b.__dict__ and "Pw" in b.__dict__
+
+
+@pytest.mark.parametrize("j", [-2, 0, 3])
+def test_negative_total_builds_boundary_once(monkeypatch, j):
+    calls = []
+    real = genfunc.negative_boundary_series
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genfunc, "negative_boundary_series", counting)
+    genfunc.negative_level_series(j, "total", order=10)
+    assert len(calls) == 1
+
+
 # -- red (w-marked) series ------------------------------------------------
 
 

@@ -46,7 +46,6 @@ from .genfunc import (
 )
 from .formulas import (
     dual_coeff_explicit,
-    lambda_coeff,
     mu_coeff,
     primal_coeff_explicit,
     red_coeff_explicit,

@@ -19,12 +19,15 @@ import sys
 from fractions import Fraction
 
 from . import dp, formulas, genfunc, paths, refs
+from .series import WPOLY, W_VAR, Check, Series, first_mismatch
 
-# CLI family names; "primal" is the floored primal family
+# CLI family -> (paths family, name of its level-series constructor in
+# genfunc); "primal" is the floored primal family.  Names, not functions, so
+# that a patched or traced ``genfunc`` attribute is what gets called.
 _CLI_FAMILIES = {
-    "primal": paths.BOUNDED,
-    "dual": paths.DUAL,
-    "unbounded": paths.UNBOUNDED,
+    "primal": (paths.BOUNDED, "primal_level_series"),
+    "dual": (paths.DUAL, "dual_level_series"),
+    "unbounded": (paths.UNBOUNDED, "negative_level_series"),
 }
 
 
@@ -58,15 +61,7 @@ def _brute_length(text):
 
 
 def _level_series(cli_family, j, order):
-    if cli_family == "primal":
-        if j < 0:
-            raise argparse.ArgumentTypeError("primal levels must be nonnegative")
-        return genfunc.primal_level_series(j, order=order)
-    if cli_family == "dual":
-        if j < 0:
-            raise argparse.ArgumentTypeError("dual levels must be nonnegative")
-        return genfunc.dual_level_series(j, order=order)
-    return genfunc.negative_level_series(j, order=order)
+    return getattr(genfunc, _CLI_FAMILIES[cli_family][1])(j, order=order)
 
 
 def _int_coeff(s, n):
@@ -79,11 +74,8 @@ def _int_coeff(s, n):
 def cmd_table(args, out):
     lo, hi = args.levels
     rows = []
-    # the series constructors need a few terms of headroom; columns are
-    # still truncated to the requested order
-    internal_order = max(args.order, 8)
     for j in range(lo, hi + 1):
-        s = _level_series(args.family, j, internal_order)
+        s = _level_series(args.family, j, args.order)
         rows.append((j, [_int_coeff(s, n) for n in range(args.order + 1)]))
     if args.format == "tsv":
         header = ["j"] + [str(n) for n in range(args.order + 1)]
@@ -99,169 +91,108 @@ def cmd_table(args, out):
 
 # --- verify -------------------------------------------------------------------
 
-
-class _Report:
-    def __init__(self, out):
-        self.out = out
-        self.failed = False
-
-    def record(self, check_id, ok, detail=""):
-        status = "PASS" if ok else "FAIL"
-        suffix = f" {detail}" if detail else ""
-        self.out.write(f"{status} {check_id}{suffix}\n")
-        if not ok:
-            self.failed = True
+# CLI family -> (explicit formula in formulas, its summation range)
+_EXPLICIT = {
+    "primal": ("primal_coeff_explicit", "2m+j"),
+    "dual": ("dual_coeff_explicit", "j+2N"),
+}
 
 
-def _check_brute_dp(report, cli_family, max_length):
-    family = _CLI_FAMILIES[cli_family]
-    brute = paths.count_table(family, max_length)
-    table = dp.dp_table(family, max_length)
-    keys = set(brute.entries) | set(table.entries)
-    for key in sorted(keys):
-        if brute.entries.get(key, 0) != table.entries.get(key, 0):
-            n, j, cls, k = key
-            report.record(
-                f"brute-dp:{cli_family}",
-                False,
-                f"first mismatch at (n={n}, j={j}, cls={cls}, k={k}): "
-                f"brute {brute.entries.get(key, 0)} != dp {table.entries.get(key, 0)}",
-            )
-            return
-    report.record(f"brute-dp:{cli_family}", True, f"(lengths <= {max_length})")
+def _check_brute_dp(cli_family, max_length):
+    family = _CLI_FAMILIES[cli_family][0]
+    brute = paths.count_table(family, max_length).entries
+    table = dp.dp_table(family, max_length).entries
+    bad = first_mismatch(
+        ("(n={}, j={}, cls={}, k={})".format(*key), brute.get(key, 0), table.get(key, 0))
+        for key in sorted(set(brute) | set(table))
+    )
+    name = f"brute-dp:{cli_family}"
+    if bad:
+        return Check(name, False, "first mismatch at %s: brute %s != dp %s" % bad)
+    return Check(name, True, f"(lengths <= {max_length})")
 
 
-def _check_dp_closed(report, cli_family, order, fault=False):
-    family = _CLI_FAMILIES[cli_family]
-    table = dp.dp_table(family, order, with_color_marker=False)
+def _check_dp_closed(cli_family, order, fault=False):
+    table = dp.dp_table(_CLI_FAMILIES[cli_family][0], order, with_color_marker=False)
     # levels beyond the truncation order contribute nothing at this order
-    jmax = min(8, order)
-    if cli_family == "primal":
-        levels = range(0, jmax + 1)
-        series_of = lambda j: genfunc.primal_level_series(j, order=order)
-    elif cli_family == "dual":
-        levels = range(0, jmax + 1)
-        series_of = lambda j: genfunc.dual_level_series(j, order=order)
+    if cli_family == "unbounded":
+        levels = range(-min(6, order), min(6, order) + 1)
     else:
-        jneg = min(6, order)
-        levels = range(-jneg, jneg + 1)
-        series_of = lambda j: genfunc.negative_level_series(j, order=order)
-    for j in levels:
-        s = series_of(j)
-        for n in range(order + 1):
-            want = table.count(n, j)
-            got = _int_coeff(s, n)
-            if fault and cli_family == "primal" and j == 0 and n == 4:
-                got += 1  # test mode: deliberately corrupted coefficient
-            if got != want:
-                report.record(
-                    f"dp-closed:{cli_family}",
-                    False,
-                    f"first mismatch at j={j} z^{n}: closed {got} != dp {want}",
-                )
-                return
-    report.record(f"dp-closed:{cli_family}", True, f"(|j| in {levels.start}..{levels.stop - 1}, order {order})")
+        levels = range(0, min(8, order) + 1)
+
+    def coefficients():  # a generator, so no level is built past a mismatch
+        for j in levels:
+            s = _level_series(cli_family, j, order)
+            for n in range(order + 1):
+                want = table.count(n, j)
+                got = _int_coeff(s, n)
+                if fault and cli_family == "primal" and j == 0 and n == 4:
+                    got += 1  # test mode: deliberately corrupted coefficient
+                yield f"j={j} z^{n}", got, want
+
+    bad = first_mismatch(coefficients())
+    name = f"dp-closed:{cli_family}"
+    if bad:
+        return Check(name, False, "first mismatch at %s: closed %s != dp %s" % bad)
+    return Check(name, True, f"(|j| in {levels.start}..{levels.stop - 1}, order {order})")
 
 
-def _check_closed_explicit(report, cli_family, order):
-    if cli_family == "primal":
-        for j in range(0, 9):
-            if 2 + j > order:
-                break
-            s = genfunc.primal_level_series(j, order=order)
-            m = 1
-            while 2 * m + j <= order:
-                got = formulas.primal_coeff_explicit(j, m)
-                want = _int_coeff(s, 2 * m + j)
-                if got != want:
-                    report.record(
-                        "closed-explicit:primal",
-                        False,
-                        f"first mismatch at j={j} z^{2 * m + j}: explicit {got} != closed {want}",
-                    )
-                    return
-                m += 1
-        report.record("closed-explicit:primal", True, f"(j <= 8, 2m+j <= {order})")
-    else:
-        for j in range(0, 9):
-            if j + 2 > order:
-                break
-            s = genfunc.dual_level_series(j, order=order)
-            N = 1
-            while j + 2 * N <= order:
-                got = formulas.dual_coeff_explicit(j, N)
-                want = _int_coeff(s, j + 2 * N)
-                if got != want:
-                    report.record(
-                        "closed-explicit:dual",
-                        False,
-                        f"first mismatch at j={j} z^{j + 2 * N}: explicit {got} != closed {want}",
-                    )
-                    return
-                N += 1
-        report.record("closed-explicit:dual", True, f"(j <= 8, j+2N <= {order})")
+def _check_closed_explicit(cli_family, order):
+    formula, span = _EXPLICIT[cli_family]
+    explicit = getattr(formulas, formula)
+
+    def coefficients():
+        for j in range(0, min(8, order - 2) + 1):
+            s = _level_series(cli_family, j, order)
+            for m in range(1, (order - j) // 2 + 1):
+                yield f"j={j} z^{2 * m + j}", explicit(j, m), _int_coeff(s, 2 * m + j)
+
+    bad = first_mismatch(coefficients())
+    name = f"closed-explicit:{cli_family}"
+    if bad:
+        return Check(name, False, "first mismatch at %s: explicit %s != closed %s" % bad)
+    return Check(name, True, f"(j <= 8, {span} <= {order})")
 
 
-def _check_closed_explicit_red(report, order):
+def _check_closed_explicit_red(order):
     max_n = max(order // 2, 1)
     sx = genfunc.even_to_x(genfunc.red_level_series(0, order=2 * max_n + 4))
-    for n in range(1, max_n + 1):
-        got = formulas.red_coeff_explicit(n)
-        want = sx.coeff(n)
-        if got != want:
-            report.record(
-                "closed-explicit:red",
-                False,
-                f"first mismatch at x^{n}: explicit {got} != closed {want}",
-            )
-            return
-    report.record("closed-explicit:red", True, f"(n <= {max_n})")
+    bad = first_mismatch(
+        (f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)
+    )
+    name = "closed-explicit:red"
+    if bad:
+        return Check(name, False, "first mismatch at %s: explicit %s != closed %s" % bad)
+    return Check(name, True, f"(n <= {max_n})")
 
 
-def _check_kernel_identities(report, order):
+def _check_kernel_identities(order):
     b = genfunc.kernel_bundle(max(order, 8))
+    n = b.order
     probs = []
-    if b.W * b.W != _poly123(b, (1, 0, -6, 0, 5)):
+    if b.W * b.W != Series.from_dict({0: 1, 2: -6, 4: 5}, n):
         probs.append("W^2 != 1-6z^2+5z^4")
-    if b.P * b.Q != _poly123(b, (0, 0, 2, 0, -1)):
+    if b.P * b.Q != Series.from_dict({2: 2, 4: -1}, n):
         probs.append("P*Q != z^2(2-z^2)")
-    from .series import W_VAR, Series
-
-    ww2 = b.Ww * b.Ww
-    one = Series.one(b.order, ww2.ring)
-    z = Series.z(b.order, ww2.ring)
-    w = W_VAR
-    lhs = (one - z * z * w) * (one - (z * z) * (w + 4))
-    if ww2 != lhs:
+    left, right = (Series.from_dict({0: 1, 2: -c}, n, WPOLY) for c in (W_VAR, W_VAR + 4))
+    if b.Ww * b.Ww != left * right:
         probs.append("Ww^2 != (1-z^2 w)(1-(4+w)z^2)")
     for chk in genfunc.substitution_identity_check(order=min(order, 20)):
         if not chk.ok:
             probs.append(f"substitution({chk.name})")
-    report.record(
+    return Check(
         "kernel-identities",
         not probs,
         "; ".join(probs) if probs else "(W^2, P*Q, Ww^2, substitution)",
     )
 
 
-def _poly123(bundle, coeffs):
-    from .series import RATIONAL, Series
-
-    z = Series.z(bundle.order, RATIONAL)
-    out = Series.zero(bundle.order, RATIONAL)
-    power = Series.one(bundle.order, RATIONAL)
-    for c in coeffs:
-        out = out + power * Fraction(c)
-        power = power * z
-    return out
-
-
-def _check_reference(report, seq_id):
+def _check_reference(seq_id):
     expected = refs.get_sequence(seq_id)
     computed = _compute_reference(seq_id)
     ok = tuple(computed) == tuple(expected)
     detail = f"({len(expected)} terms)" if ok else f"expected {expected}, computed {tuple(computed)}"
-    report.record(f"reference:{seq_id}", ok, detail)
+    return Check(f"reference:{seq_id}", ok, detail)
 
 
 def _compute_reference(seq_id):
@@ -274,59 +205,62 @@ def _compute_reference(seq_id):
     return [_int_coeff(s, 2 * n) for n in range(n_terms)]
 
 
-def _check_reversal_duality(report, max_length):
+def _check_reversal_duality(max_length):
     limit = min(max_length, 10)
     for n in range(limit + 1):
         primal_words = paths.enumerate_paths(paths.BOUNDED, n, end_level=0)
-        images = set()
-        for word in primal_words:
-            dual_word = paths.reverse_dual(word)
-            if not paths.is_valid(dual_word) or dual_word.end_level != 0:
-                report.record(
-                    "reversal-duality",
-                    False,
-                    f"image of {word.word() or '(empty)'} invalid at length {n}",
-                )
-                return
-            images.add(dual_word.steps)
+        images = [paths.reverse_dual(word) for word in primal_words]
+        bad = first_mismatch(
+            (word.word() or "(empty)", paths.is_valid(image) and image.end_level == 0, True)
+            for word, image in zip(primal_words, images)
+        )
+        if bad:
+            return Check("reversal-duality", False, f"image of {bad[0]} invalid at length {n}")
         dual_words = paths.enumerate_paths(paths.DUAL, n, end_level=0)
-        if images != {w.steps for w in dual_words}:
-            report.record("reversal-duality", False, f"not a bijection at length {n}")
-            return
-    report.record("reversal-duality", True, f"(lengths <= {limit})")
+        if {image.steps for image in images} != {w.steps for w in dual_words}:
+            return Check("reversal-duality", False, f"not a bijection at length {n}")
+    return Check("reversal-duality", True, f"(lengths <= {limit})")
+
+
+def _verify_checks(args):
+    """The verify matrix as a generator of :class:`Check` records, each run
+    only when the generator reaches it."""
+    families = [fam for fam in _CLI_FAMILIES if fam in (args.family or _CLI_FAMILIES)]
+    for fam in families:
+        yield _check_brute_dp(fam, args.max_brute_length)
+    for fam in families:
+        order = min(args.order, genfunc.DEFAULT_NEGATIVE_ORDER) if fam == "unbounded" else args.order
+        yield _check_dp_closed(fam, order, fault=args.inject_fault)
+    if "primal" in families:
+        yield _check_closed_explicit("primal", args.order)
+        yield _check_closed_explicit_red(args.order)
+    if "dual" in families:
+        yield _check_closed_explicit("dual", args.order)
+    yield _check_kernel_identities(args.order)
+    if "primal" in families or "unbounded" in families:
+        yield _check_reference("A002212")
+    if "unbounded" in families:
+        yield _check_reference("A033321")
+    if "primal" in families:
+        yield _check_reversal_duality(args.max_brute_length)
 
 
 def cmd_verify(args, out):
-    report = _Report(out)
-    families = args.family or ["primal", "dual", "unbounded"]
-    for fam in ("primal", "dual", "unbounded"):
-        if fam in families:
-            _check_brute_dp(report, fam, args.max_brute_length)
-    for fam in ("primal", "dual", "unbounded"):
-        if fam in families:
-            order = min(args.order, genfunc.DEFAULT_NEGATIVE_ORDER) if fam == "unbounded" else args.order
-            _check_dp_closed(report, fam, order, fault=args.inject_fault)
-    if "primal" in families:
-        _check_closed_explicit(report, "primal", args.order)
-        _check_closed_explicit_red(report, args.order)
-    if "dual" in families:
-        _check_closed_explicit(report, "dual", args.order)
-    _check_kernel_identities(report, args.order)
-    if "primal" in families or "unbounded" in families:
-        _check_reference(report, "A002212")
-    if "unbounded" in families:
-        _check_reference(report, "A033321")
-    if "primal" in families:
-        _check_reversal_duality(report, args.max_brute_length)
-    out.write("OVERALL FAIL\n" if report.failed else "OVERALL PASS\n")
-    return 1 if report.failed else 0
+    checks = []
+    for check in _verify_checks(args):
+        suffix = f" {check.detail}" if check.detail else ""
+        out.write(f"{'PASS' if check.ok else 'FAIL'} {check.name}{suffix}\n")
+        checks.append(check)
+    ok = all(check.ok for check in checks)
+    out.write("OVERALL PASS\n" if ok else "OVERALL FAIL\n")
+    return 0 if ok else 1
 
 
 # --- paths --------------------------------------------------------------------
 
 
 def cmd_paths(args, out):
-    family = _CLI_FAMILIES[args.family]
+    family = _CLI_FAMILIES[args.family][0]
     words = paths.enumerate_paths(family, args.length, end_level=args.end_level)
     for word in words:
         text = word.word() or "(empty)"
@@ -428,6 +362,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "table" and args.family != "unbounded" and args.levels[0] < 0:
+        parser.error(f"{args.family} levels must be nonnegative")
     try:
         return args.func(args, sys.stdout)
     except (ValueError, AssertionError) as exc:

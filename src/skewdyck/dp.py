@@ -9,9 +9,8 @@ finished table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .paths import CountTable, family_spec
+from .series import Check, first_mismatch
 
 
 def dp_table(family, max_length, with_color_marker=True):
@@ -54,13 +53,6 @@ def _step_of_class(spec, cls):
     return spec.steps[spec.classes.index(cls)]
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 def _arrays(table, cls, levels, max_length):
     return {
         j: [table.count(n, j, cls=cls) for n in range(max_length + 1)]
@@ -71,23 +63,13 @@ def _arrays(table, cls, levels, max_length):
 def check_recursions(family, table, max_length):
     """Verify the level-coupled recursions coefficientwise on the table.
 
-    Returns a list of :class:`RecursionCheck`; a violation is report
-    content, not an exception.
+    Returns one :class:`~skewdyck.series.Check` per recursion instance; a
+    violation is report content, not an exception.
     """
-    spec = family_spec(family)
-    checks = []
+    eqs = []  # (name, lhs, rhs, highest power of z compared)
 
     def shift(arr):  # multiply a coefficient array by z
         return [0] + arr[:-1]
-
-    def eq(name, lhs, rhs, upto):
-        for n in range(upto + 1):
-            if lhs[n] != rhs[n]:
-                checks.append(
-                    RecursionCheck(name, False, f"first mismatch at z^{n}: {lhs[n]} != {rhs[n]}")
-                )
-                return
-        checks.append(RecursionCheck(name, True))
 
     def addv(*arrays):
         return [sum(vals) for vals in zip(*arrays)]
@@ -98,48 +80,57 @@ def check_recursions(family, table, max_length):
         g = _arrays(table, "g", levels, max_length)
         h = _arrays(table, "h", levels, max_length)
         seed = [1] + [0] * max_length
-        eq("f_0 = 1", f[0], seed, max_length)
+        eqs.append(("f_0 = 1", f[0], seed, max_length))
         for i in range(0, max_length):
-            eq(f"f_{i + 1} = z f_{i} + z g_{i}", f[i + 1], addv(shift(f[i]), shift(g[i])), max_length)
-            eq(
-                f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
-                g[i],
-                addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
-                max_length - 1,
-            )
-            eq(
-                f"h_{i} = z h_{i + 1} + z g_{i + 1}",
-                h[i],
-                addv(shift(h[i + 1]), shift(g[i + 1])),
-                max_length - 1,
-            )
+            eqs += [
+                (
+                    f"f_{i + 1} = z f_{i} + z g_{i}",
+                    f[i + 1],
+                    addv(shift(f[i]), shift(g[i])),
+                    max_length,
+                ),
+                (
+                    f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
+                    g[i],
+                    addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
+                    max_length - 1,
+                ),
+                (
+                    f"h_{i} = z h_{i + 1} + z g_{i + 1}",
+                    h[i],
+                    addv(shift(h[i + 1]), shift(g[i + 1])),
+                    max_length - 1,
+                ),
+            ]
     elif family == "dual":
         levels = range(0, max_length + 2)
         a = _arrays(table, "a", levels, max_length)
         b = _arrays(table, "b", levels, max_length)
         c = _arrays(table, "c", levels, max_length)
         seed = [1] + [0] * max_length
-        eq("a_0 = 1", a[0], seed, max_length)
-        eq("c_0 = 0", c[0], [0] * (max_length + 1), max_length)
+        eqs.append(("a_0 = 1", a[0], seed, max_length))
+        eqs.append(("c_0 = 0", c[0], [0] * (max_length + 1), max_length))
         for i in range(0, max_length):
-            eq(
-                f"a_{i + 1} = z a_{i} + z b_{i} + z c_{i}",
-                a[i + 1],
-                addv(shift(a[i]), shift(b[i]), shift(c[i])),
-                max_length,
-            )
-            eq(
-                f"b_{i} = z a_{i + 1} + z b_{i + 1}",
-                b[i],
-                addv(shift(a[i + 1]), shift(b[i + 1])),
-                max_length - 1,
-            )
-            eq(
-                f"c_{i + 1} = z a_{i} + z c_{i}",
-                c[i + 1],
-                addv(shift(a[i]), shift(c[i])),
-                max_length,
-            )
+            eqs += [
+                (
+                    f"a_{i + 1} = z a_{i} + z b_{i} + z c_{i}",
+                    a[i + 1],
+                    addv(shift(a[i]), shift(b[i]), shift(c[i])),
+                    max_length,
+                ),
+                (
+                    f"b_{i} = z a_{i + 1} + z b_{i + 1}",
+                    b[i],
+                    addv(shift(a[i + 1]), shift(b[i + 1])),
+                    max_length - 1,
+                ),
+                (
+                    f"c_{i + 1} = z a_{i} + z c_{i}",
+                    c[i + 1],
+                    addv(shift(a[i]), shift(c[i])),
+                    max_length,
+                ),
+            ]
     elif family == "unbounded":
         levels = range(-max_length - 1, max_length + 2)
         f = _arrays(table, "f", levels, max_length)
@@ -147,24 +138,31 @@ def check_recursions(family, table, max_length):
         h = _arrays(table, "h", levels, max_length)
         for i in range(-max_length, max_length):
             seed = [1 if (i == 0 and n == 0) else 0 for n in range(max_length + 1)]
-            eq(
-                f"f_{i} = [i=0] + z f_{i - 1} + z g_{i - 1}",
-                f[i],
-                addv(seed, shift(f[i - 1]), shift(g[i - 1])),
-                max_length,
-            )
-            eq(
-                f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
-                g[i],
-                addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
-                max_length - 1,
-            )
-            eq(
-                f"h_{i} = z g_{i + 1} + z h_{i + 1}",
-                h[i],
-                addv(shift(g[i + 1]), shift(h[i + 1])),
-                max_length - 1,
-            )
+            eqs += [
+                (
+                    f"f_{i} = [i=0] + z f_{i - 1} + z g_{i - 1}",
+                    f[i],
+                    addv(seed, shift(f[i - 1]), shift(g[i - 1])),
+                    max_length,
+                ),
+                (
+                    f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
+                    g[i],
+                    addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
+                    max_length - 1,
+                ),
+                (
+                    f"h_{i} = z g_{i + 1} + z h_{i + 1}",
+                    h[i],
+                    addv(shift(g[i + 1]), shift(h[i + 1])),
+                    max_length - 1,
+                ),
+            ]
     else:
         raise ValueError(f"unknown family {family!r}")
+    checks = []
+    for name, lhs, rhs, upto in eqs:
+        bad = first_mismatch(zip(range(upto + 1), lhs, rhs))
+        detail = "first mismatch at z^%s: %s != %s" % bad if bad else ""
+        checks.append(Check(name, bad is None, detail))
     return checks

@@ -7,9 +7,10 @@ kernel-method closed forms in :mod:`.genfunc` coefficient by coefficient.
 
 Conventions
 -----------
-* Negative upper index: C(-m, k) = (-1)^k * C(m+k-1, k).  This is the unique
-  convention under which ``lambda_coeff`` agrees with its series oracle
-  [v^k]((1+v)^2 (1+2v)(1-v) / (2+v)^{j+1}).
+* Negative upper index: C(-m, k) = (-1)^k * C(m+k-1, k), so that C(-j, k)
+  is [v^k](1+v)^{-j}.  ``kappa_coeff`` expands 1/(1+2v)^j with it, and the
+  test suite pins it against the series oracle
+  [v^k]((1+v)^2 (1-v) / (1+2v)^j).
 * ``dual_coeff_explicit`` sums k = 0..N inclusive.  The k = N term
   multiplies trinomial(N-1; 0) = 1 by mu_{j;N}, which is nonzero whenever
   N <= j+3, so it cannot be dropped; the equality test against the series
@@ -76,23 +77,6 @@ def trinomial(n, middle, k):
 
 
 # --- primal level coefficients ------------------------------------------------
-
-_LAMBDA_TERMS = ((-9, 1), (27, 0), (-29, -1), (13, -2), (-2, -3))
-
-
-def lambda_coeff(j, k):
-    """The five-term rational weight lambda_{j;k}.
-
-    Equals [v^k]((1+v)^2 (1+2v)(1-v) / (2+v)^{j+1}).
-    """
-    if k < 0:
-        return Fraction(0)
-    total = Fraction(0)
-    for c, d in _LAMBDA_TERMS:
-        # exponents of 2 run j+1+k, j+k, j-1+k, j-2+k, j-3+k and may be negative
-        total += c * binom(-j - d, k) * Fraction(2) ** (-(j + d + k))
-    return total
-
 
 def kappa_coeff(j, k):
     """Integer weight kappa_{j;k} = [v^k]((1+v)^2 (1-v) / (1+2v)^j).

@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 
 from .series import (
+    Check,
     ExactnessError,
     RATIONAL,
     Series,
@@ -40,8 +42,8 @@ from .series import (
     compose,
     div,
     extract_u,
+    first_mismatch,
     inv,
-    mul,
     shift_divide,
     shift_up,
     specialize_w,
@@ -245,46 +247,26 @@ def red_axis_x(order=DEFAULT_ORDER, bundle=None):
     return even_to_x(red_level_series(0, order=order, bundle=bundle))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
 def substitution_identity_check(order=20):
     """Verify S(0) = 1 + v under x = v/(1 + (2+w)v + v^2), both weights.
 
-    Returns two IdentityCheck records: one for middle weight 2+w (marked
-    red edges) and one for the w := 1 specialization (middle weight 3).
+    Returns two :class:`~skewdyck.series.Check` records: one for middle
+    weight 2+w (marked red edges) and one for the w := 1 specialization
+    (middle weight 3).
     """
-    checks = []
     s0 = red_axis_x(order=2 * order).truncate(order)
-
-    one = Series.one(order, WPOLY)
-    v = Series.z(order, WPOLY)
-    xw = mul(v, inv(one + v * (2 + W_VAR) + v * v))
-    got = compose(s0, xw)
-    want = one + v
-    checks.append(_compare("substitution weight 2+w", got, want))
-
-    s0r = specialize_w(s0, 1)
-    oner = Series.one(order, RATIONAL)
-    vr = Series.z(order, RATIONAL)
-    x3 = mul(vr, inv(oner + 3 * vr + vr * vr))
-    gotr = compose(s0r, x3)
-    checks.append(_compare("substitution weight 3", gotr, oner + vr))
+    checks = []
+    for name, s, middle in (
+        ("substitution weight 2+w", s0, 2 + W_VAR),
+        ("substitution weight 3", specialize_w(s0, 1), 3),
+    ):
+        one = Series.one(order, s.ring)
+        v = Series.z(order, s.ring)
+        got = compose(s, v * inv(one + v * middle + v * v))
+        bad = first_mismatch(zip(range(order + 1), got.coeffs, (one + v).coeffs))
+        detail = "first mismatch at order %s: %s != %s" % bad if bad else ""
+        checks.append(Check(name, bad is None, detail))
     return checks
-
-
-def _compare(name, got, want):
-    n = min(got.order, want.order)
-    for k in range(n + 1):
-        if got.coeffs[k] != want.coeffs[k]:
-            return IdentityCheck(
-                name, False, f"first mismatch at order {k}: {got.coeffs[k]} != {want.coeffs[k]}"
-            )
-    return IdentityCheck(name, True)
 
 
 def average_red_series(order=DEFAULT_ORDER):
@@ -330,12 +312,12 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     if k == 1:
         return _fit(div((one - 2 * x - R) * Fraction(1, 2), R), order)
     if k == 2:
-        return _fit(shift_up(inv(mul(one - 4 * x, R)), 3), order)
+        return _fit(shift_up(inv((one - 4 * x) * R), 3), order)
     if k == 3:
-        return _fit(shift_up(div(one - 2 * x, mul((one - 4 * x) ** 2, R)), 4), order)
+        return _fit(shift_up(div(one - 2 * x, (one - 4 * x) ** 2 * R), 4), order)
     if k == 4:
         return _fit(
-            shift_up(div(one - 4 * x + 5 * x * x, mul((one - 4 * x) ** 3, R)), 5), order
+            shift_up(div(one - 4 * x + 5 * x * x, (one - 4 * x) ** 3 * R), 5), order
         )
     raise ValueError("closed slice forms are only available for k <= 4")
 
@@ -363,7 +345,8 @@ def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     if j < 0:
         raise ValueError("dual paths never end below the axis")
     if bundle is None:
-        bundle = kernel_bundle(order + (j + 2 if cls == "total" else 0))
+        # S^(j+1) = Q^(j+1)/z^(2j+2) needs 2j + 2 orders of headroom
+        bundle = kernel_bundle(max(order, j) + j + 2 if cls == "total" else order)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
@@ -381,7 +364,7 @@ def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     if cls == "total":
         front = div((3 * one - 3 * z2 - bundle.W) * Fraction(1, 2), 2 * one - z2)
         s_pow = shift_divide(bundle.Q ** (j + 1), 2 * (j + 1))  # S^(j+1), S = Q/z^2
-        lifted = mul(front.truncate(s_pow.order), s_pow)
+        lifted = front.truncate(s_pow.order) * s_pow
         return _fit(Series([0] * j + list(lifted.coeffs), RATIONAL), order)
     raise ValueError(f"unknown dual class {cls!r}; expected one of {DUAL_CLASSES}")
 
@@ -446,12 +429,12 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     f0 = div(shift_divide(bundle.Q, 2), two_less)
     if cls == "f0":
         return _fit(f0, order)
-    denh = mul(bundle.Q, z2 - one) + one - 2 * z2
+    denh = bundle.Q * (z2 - one) + one - 2 * z2
     h0 = div(shift_up(f0, 4), denh)
     if cls == "h0":
         return _fit(h0, order)
     if cls == "g0":
-        return _fit(div(mul(z2, f0) + h0, one - z2), order)
+        return _fit(div(z2 * f0 + h0, one - z2), order)
     if cls == "sum":
         num = (one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W) * Fraction(1, 2)
         return _fit(div(shift_divide(num, 4), two_less), order)
@@ -478,14 +461,14 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     z2 = shift_up(one, 2)
-    denh = mul(bundle.Q, z2 - one) + one - 2 * z2
+    denh = bundle.Q * (z2 - one) + one - 2 * z2
     rho_h = div(shift_up(one, 4), denh)
     rho_g = div(z2 + rho_h, one - z2)
     s_bad = div(z, bundle.P)
-    coef = mul(z2, s_bad) * 2 + mul(z2, mul(rho_g + rho_h, s_bad)) - z
-    rhs = 2 * mul(z, mul(s_bad, s_bad)) - s_bad
+    coef = (z2 * s_bad) * 2 + z2 * ((rho_g + rho_h) * s_bad) - z
+    rhs = 2 * (z * (s_bad * s_bad)) - s_bad
     f0 = div(shift_divide(rhs, 1), shift_divide(coef, 1))
-    return _fit(f0, order), _fit(mul(rho_g, f0), order), _fit(mul(rho_h, f0), order)
+    return _fit(f0, order), _fit(rho_g * f0, order), _fit(rho_h * f0, order)
 
 
 def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
@@ -506,58 +489,61 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     if bundle is None:
         bundle = kernel_bundle(order + 2)
     boundary = negative_boundary_series(order=bundle.order, bundle=bundle)
-    if cls == "total":
-        parts = [_negative_class_series(j, c, bundle, boundary) for c in ("f", "g", "h")]
-        return _fit(parts[0] + parts[1] + parts[2], order)
-    return _fit(_negative_class_series(j, cls, bundle, boundary), order)
+    n = bundle.order
+    z = Series.z(n, RATIONAL)
+    if j >= 0:
+        s1 = None
+        den0, den1 = -bundle.P, z
+    else:
+        s1 = div(z, bundle.P)  # the bad root, = Q/(z(2-z^2))
+        den0, den1 = _dual_linear(bundle)
+    # the classes share one denominator, so the total adds their numerators
+    classes = ("f", "g", "h") if cls == "total" else (cls,)
+    nums = [_negative_numerator(j, c, bundle, boundary, s1) for c in classes]
+    zero = Series.zero(n, RATIONAL)
+    num = [sum(parts, zero) for parts in zip_longest(*nums, fillvalue=zero)]
+    return _fit(extract_u(ULinearRational(num, den0, den1), abs(j)), order)
 
 
-def _negative_class_series(j, cls, bundle, boundary):
-    """One class of :func:`negative_level_series` at the bundle's order."""
+def _negative_numerator(j, cls, bundle, boundary, s1):
+    """Numerator parts of one class of :func:`negative_level_series`, over
+    the denominator of level j's sign; ``s1`` is the bad root (j < 0)."""
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     z2 = shift_up(one, 2)
     f0, g0, h0 = boundary
     if j >= 0:
-        s = f0 + g0 + h0
-        nums = {
-            "f": mul(z2, s) - f0,
-            "g": -mul(z2, s),
-            "h": -mul(z2, g0 + h0),
-        }
-        return extract_u(ULinearRational((nums[cls],), -bundle.P, z), j)
+        if cls == "h":
+            return (-(z2 * (g0 + h0)),)
+        z2s = z2 * (f0 + g0 + h0)
+        return (z2s - f0,) if cls == "f" else (-z2s,)
 
-    s1 = div(z, bundle.P)  # the bad root, = Q/(z(2-z^2))
-    den0 = bundle.P
-    den1 = -(z * (2 * one - z * z))
     fg = f0 + g0
     gh = g0 - h0
     if cls == "f":
-        nums = (
-            one + 2 * mul(z2, f0) + mul(z2, g0) + mul(z2, h0) - 2 * mul(z, s1),
+        return (
+            one + 2 * (z2 * f0) + z2 * g0 + z2 * h0 - 2 * (z * s1),
             z * Fraction(-2),
         )
-    elif cls == "g":
+    if cls == "g":
         x0 = (
-            mul(mul(s1, s1), z2)
-            - mul(s1, z)
-            - mul(s1, mul(shift_up(z, 2), fg))
-            + mul(s1, mul(z, gh))
-            + mul(z2, f0)
+            (s1 * s1) * z2
+            - s1 * z
+            - s1 * (shift_up(z, 2) * fg)
+            + s1 * (z * gh)
+            + z2 * f0
             - g0
-            + mul(z2, h0)
+            + z2 * h0
         )
-        x1 = mul(s1, z2) - z - mul(shift_up(z, 2), fg) + mul(z, gh)
-        nums = (-x0, -x1, -z2)
-    else:  # cls == "h"
-        nums = (
-            mul(mul(s1, s1), z2)
-            - mul(s1, mul(shift_up(z, 2), fg))
-            + mul(s1, mul(z, gh))
-            + h0
-            - mul(z2, g0),
-            mul(s1, z2) - mul(shift_up(z, 2), fg) + mul(z, gh),
-            z2,
-        )
-    return extract_u(ULinearRational(nums, den0, den1), -j)
+        x1 = s1 * z2 - z - shift_up(z, 2) * fg + z * gh
+        return (-x0, -x1, -z2)
+    return (  # cls == "h"
+        (s1 * s1) * z2
+        - s1 * (shift_up(z, 2) * fg)
+        + s1 * (z * gh)
+        + h0
+        - z2 * g0,
+        s1 * z2 - shift_up(z, 2) * fg + z * gh,
+        z2,
+    )

@@ -12,6 +12,7 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -33,6 +34,25 @@ class NonUnitError(SeriesError):
 class ExactnessError(SeriesError):
     """An operation that must be exact (z-power division, identity check)
     found a nonzero remainder.  Usually signals a transcribed-formula bug."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """The outcome of one cross-check; a failure is report content, not an
+    exception, and its detail names the first mismatch."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+def first_mismatch(triples):
+    """The first ``(where, got, want)`` with ``got != want``, or None.
+
+    Consumes ``triples`` lazily: whatever a generator would build after the
+    first mismatch is never built.
+    """
+    return next((t for t in triples if t[1] != t[2]), None)
 
 
 def _frac(x):
@@ -225,9 +245,8 @@ class Series:
 
     @classmethod
     def z(cls, order, ring=RATIONAL):
-        if order < 1:
-            raise SeriesError("need order >= 1 to represent z")
-        return cls([0, 1] + [0] * (order - 1), ring)
+        """z truncated at z^order (the zero series when order is 0)."""
+        return cls.from_dict({1: 1}, order, ring)
 
     @classmethod
     def from_dict(cls, powers, order, ring=RATIONAL):
@@ -315,14 +334,6 @@ class Series:
         return f"Series([{shown}{tail}], order={self.order}, ring={self.ring})"
 
 
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
 def inv(b):
     """Multiplicative inverse of a series with invertible constant term."""
     if not _is_unit(b.coeffs[0], b.ring):
@@ -408,22 +419,6 @@ def compose(f, g):
     for k in range(n - 1, -1, -1):
         result = result * g + Series([f.coeffs[k]] + [0] * n, f.ring)
     return result
-
-
-def reversion(g):
-    """Compositional inverse h with g(h(z)) = z to truncation."""
-    if g.coeffs[0]:
-        raise SeriesError("reversion requires g(0) = 0")
-    if not _is_unit(g.coeffs[1] if g.order >= 1 else 0, g.ring):
-        raise NonUnitError("reversion requires an invertible linear coefficient")
-    n = g.order
-    g1_inv = _invert(g.coeffs[1], g.ring)
-    h = [_coerce_coeff(0, g.ring), g1_inv]
-    for m in range(2, n + 1):
-        partial = Series(h + [0] * (m + 1 - len(h)), g.ring)
-        defect = compose(g.truncate(m), partial).coeffs[m]
-        h.append(-(defect * g1_inv))
-    return Series(h + [0] * (n + 1 - len(h)), g.ring)
 
 
 class ULinearRational:

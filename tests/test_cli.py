@@ -5,6 +5,11 @@ import sys
 
 import pytest
 
+from skewdyck import cli, formulas, genfunc, paths, refs
+from skewdyck.dp import dp_table
+from skewdyck.paths import DUAL, PathWord
+from skewdyck.series import Series
+
 CLI = [sys.executable, "-m", "skewdyck.cli"]
 
 
@@ -110,6 +115,40 @@ def test_out_of_range_ints_usage_error(args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("family", ["primal", "dual"])
+def test_table_negative_floored_levels_usage_error(family):
+    res = run_cli("table", "--family", family, "--levels=-1..2")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"{family} levels must be nonnegative" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_table_dual_levels_above_order():
+    res = run_cli("table", "--family", "dual", "--levels", "0..15", "--order", "14")
+    assert res.returncode == 0
+    rows = {
+        int(line.split("\t")[0]): [int(v) for v in line.split("\t")[1:]]
+        for line in res.stdout.splitlines()[1:]
+    }
+    table = dp_table(DUAL, 14, with_color_marker=False)
+    assert rows == {j: [table.count(n, j) for n in range(15)] for j in range(16)}
+
+
+def test_verify_order_zero():
+    res = run_cli("verify", "--order", "0")
+    assert res.returncode == 0
+    lines = res.stdout.splitlines()
+    assert sum(1 for l in lines if l.startswith("PASS ")) == 13
+    assert lines[-1] == "OVERALL PASS"
+
+
+def test_stats_red_order_zero():
+    res = run_cli("stats-red", "--order", "0")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[1:] == ["0\t1\t0\t0\t-"]
+
+
 def test_stats_red():
     res = run_cli("stats-red", "--order", "4")
     assert res.returncode == 0
@@ -187,3 +226,115 @@ def test_determinism():
 
 def test_usage_error_no_command():
     assert run_cli().returncode == 2
+
+
+def _bump_series(fn, hit, power):
+    """Wrap a series constructor: add 1 at z^power when hit(args)."""
+
+    def faulty(*args, **kwargs):
+        s = fn(*args, **kwargs)
+        if hit(*args, **kwargs):
+            s = s + Series.from_dict({power: 1}, s.order, s.ring)
+        return s
+
+    return faulty
+
+
+def _bump_value(fn, at):
+    """Wrap an explicit-formula function: add 1 to its value at args == at."""
+    return lambda *args: fn(*args) + (1 if args == at else 0)
+
+
+def _bump_table(fn, key):
+    """Wrap ``count_table``: add 1 to one entry of the brute-force table."""
+
+    def faulty(family, max_length, *rest):
+        table = fn(family, max_length, *rest)
+        table.entries[key] = table.entries.get(key, 0) + 1
+        return table
+
+    return faulty
+
+
+def _break_image(fn, word, image):
+    """Wrap ``reverse_dual``: map the given primal word to ``image`` steps."""
+    return lambda w: PathWord(image, DUAL) if w.word() == word else fn(w)
+
+
+_FAULTS = {
+    "closed-explicit:primal": (
+        formulas, "primal_coeff_explicit", lambda fn: _bump_value(fn, (2, 3)), ["primal"],
+        "FAIL closed-explicit:primal first mismatch at j=2 z^8: explicit 38 != closed 37",
+    ),
+    "closed-explicit:dual": (
+        formulas, "dual_coeff_explicit", lambda fn: _bump_value(fn, (1, 2)), ["dual"],
+        "FAIL closed-explicit:dual first mismatch at j=1 z^5: explicit 11 != closed 10",
+    ),
+    "closed-explicit:red": (
+        formulas, "red_coeff_explicit", lambda fn: _bump_value(fn, (3,)), ["primal"],
+        "FAIL closed-explicit:red first mismatch at x^3: "
+        "explicit 6 + 4*w + w^2 != closed 5 + 4*w + w^2",
+    ),
+    "brute-dp:dual": (
+        paths, "count_table", lambda fn: _bump_table(fn, (4, 2, "a", 0)), ["dual"],
+        "FAIL brute-dp:dual first mismatch at (n=4, j=2, cls=a, k=0): brute 3 != dp 2",
+    ),
+    "dp-closed:dual": (
+        genfunc, "dual_level_series",
+        lambda fn: _bump_series(fn, lambda j, **kw: j == 2, 5), ["dual"],
+        "FAIL dp-closed:dual first mismatch at j=2 z^5: closed 1 != dp 0",
+    ),
+    "dp-closed:unbounded": (
+        genfunc, "negative_level_series",
+        lambda fn: _bump_series(fn, lambda j, **kw: j == -1, 3), ["unbounded"],
+        "FAIL dp-closed:unbounded first mismatch at j=-1 z^3: closed 5 != dp 4",
+    ),
+    "reference:A002212": (
+        genfunc, "primal_level_series",
+        lambda fn: _bump_series(fn, lambda j, **kw: j == 0, 4), ["unbounded"],
+        "FAIL reference:A002212 expected " + str(refs.A002212)
+        + ", computed " + str((1, 1, 4) + refs.A002212[3:]),
+    ),
+    "reference:A033321": (
+        genfunc, "negative_axis_series",
+        lambda fn: _bump_series(fn, lambda cls, **kw: cls == "sum", 6), ["unbounded"],
+        "FAIL reference:A033321 expected " + str(refs.A033321_PREFIX)
+        + ", computed " + str((1, 2, 6, 22) + refs.A033321_PREFIX[4:]),
+    ),
+    "reversal-duality:image": (
+        paths, "reverse_dual", lambda fn: _break_image(fn, "UUDD", ("u",)), ["primal"],
+        "FAIL reversal-duality image of UUDD invalid at length 4",
+    ),
+    "reversal-duality:bijection": (
+        paths, "reverse_dual", lambda fn: _break_image(fn, "UUDD", tuple("udud")), ["primal"],
+        "FAIL reversal-duality not a bijection at length 4",
+    ),
+    "kernel-identities": (
+        genfunc, "red_axis_x",
+        lambda fn: _bump_series(fn, lambda **kw: True, 2), ["dual"],
+        "FAIL kernel-identities substitution(substitution weight 2+w); "
+        "substitution(substitution weight 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_FAULTS))
+def test_verify_fail_lines(check, monkeypatch, capsys):
+    module, attr, wrap, families, line = _FAULTS[check]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    argv = ["verify", "--order", "8", "--max-brute-length", "6"]
+    for family in families:
+        argv += ["--family", family]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [line]
+    assert lines[-1] == "OVERALL FAIL"
+
+
+def test_verify_inject_fault_line(capsys):
+    argv = ["verify", "--order", "8", "--max-brute-length", "6", "--family", "primal"]
+    assert cli.main(argv + ["--inject-fault"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [
+        "FAIL dp-closed:primal first mismatch at j=0 z^4: closed 4 != dp 3"
+    ]

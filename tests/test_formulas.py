@@ -1,7 +1,5 @@
 """Tests for the explicit trinomial-coefficient formulas."""
 
-from fractions import Fraction
-
 import pytest
 
 from skewdyck import genfunc
@@ -9,7 +7,6 @@ from skewdyck.formulas import (
     binom,
     dual_coeff_explicit,
     kappa_coeff,
-    lambda_coeff,
     mu_coeff,
     primal_coeff_explicit,
     red_coeff_explicit,
@@ -52,24 +49,6 @@ class TestTrinomial:
 
 def _rational_poly(coeffs, order):
     return Series.from_dict(dict(enumerate(coeffs)), order, RATIONAL)
-
-
-@pytest.mark.parametrize("j", range(9))
-def test_lambda_matches_series_oracle(j):
-    order = 22
-    num = _rational_poly((1, 3, 1, -3, -2), order)  # (1+v)^2 (1+2v)(1-v)
-    den = Series.one(order, RATIONAL)
-    base = _rational_poly((2, 1), order)
-    for _ in range(j + 1):
-        den = den * base
-    oracle = div(num, den)
-    for k in range(21):
-        assert lambda_coeff(j, k) == oracle.coeff(k), (j, k)
-
-
-def test_lambda_edge_cases():
-    assert lambda_coeff(0, 0) == Fraction(1, 2)
-    assert lambda_coeff(3, -1) == 0
 
 
 @pytest.mark.parametrize("j", range(9))

@@ -181,6 +181,35 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("j", [-2, 3])
+def test_negative_total_extracts_once(monkeypatch, j):
+    calls = []
+    real = genfunc.extract_u
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genfunc, "extract_u", counting)
+    genfunc.negative_level_series(j, "total", order=10)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 8])
+def test_level_series_at_small_orders_match_dp(order):
+    families = (
+        (BOUNDED, genfunc.primal_level_series, range(0, order + 4)),
+        (DUAL, genfunc.dual_level_series, range(0, order + 4)),
+        (UNBOUNDED, genfunc.negative_level_series, range(-order - 3, order + 4)),
+    )
+    for family, level_series, levels in families:
+        table = dp_table(family, order, with_color_marker=False)
+        for j in levels:
+            s = level_series(j, order=order)
+            assert s.order == order, (family, j)
+            assert list(s.coeffs) == [table.count(n, j) for n in range(order + 1)], (family, j)
+
+
 # -- red (w-marked) series ------------------------------------------------
 
 

@@ -20,8 +20,8 @@ from skewdyck.series import (
     compose,
     div,
     extract_u,
+    first_mismatch,
     inv,
-    reversion,
     shift_divide,
     shift_up,
     specialize_w,
@@ -165,17 +165,6 @@ def test_compose_linear(f):
     assert compose(f, g) == f
 
 
-def test_reversion_roundtrip():
-    # g = z + z^2 + 3z^3; g(h(z)) = z
-    g = Series([0, 1, 1, 3, 0, 0, 0])
-    h = reversion(g)
-    assert compose(g, h) == Series.z(6)
-    with pytest.raises(SeriesError):
-        reversion(Series.one(4))
-    with pytest.raises(NonUnitError):
-        reversion(Series([0, 0, 1, 0]))
-
-
 def test_extract_u_matches_geometric_expansion():
     # 1/(1 - z*u): [u^j] should be z^j
     order = 8
@@ -215,3 +204,23 @@ def test_w_homomorphisms():
     assert back.ring == WPOLY and back.coeff(2) == WPoly.const(3)
     with pytest.raises(RingMismatchError):
         specialize_w(Series.one(2, RATIONAL), 1)
+
+
+def test_z_at_order_zero_is_zero():
+    assert Series.z(0) == Series.zero(0)
+    assert Series.z(0, WPOLY) == Series.zero(0, WPOLY)
+    assert Series.z(2) == Series([0, 1, 0])
+
+
+def test_first_mismatch_stops_at_the_first():
+    seen = []
+
+    def triples():
+        for n in range(10):
+            seen.append(n)
+            yield n, n * n, n * n + (n >= 3)
+
+    assert first_mismatch(triples()) == (3, 9, 10)
+    assert seen == [0, 1, 2, 3]
+    assert first_mismatch((n, n, n) for n in range(5)) is None
+

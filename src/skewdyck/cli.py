@@ -156,7 +156,7 @@ def _check_closed_explicit(cli_family, order):
 
 def _check_closed_explicit_red(order):
     max_n = max(order // 2, 1)
-    sx = genfunc.even_to_x(genfunc.red_level_series(0, order=2 * max_n + 4))
+    sx = genfunc.red_axis_x(order=2 * max_n)
     bad = first_mismatch(
         (f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)
     )

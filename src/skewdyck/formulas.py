@@ -38,19 +38,20 @@ def binom(n, k):
     return (-1) ** k * math.comb(-n + k - 1, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _trinomial_row(n, middle):
-    """Coefficient tuple of (1 + middle*t + t^2)^n, length 2n+1."""
-    if n == 0:
-        return (_one_like(middle),)
-    prev = _trinomial_row(n - 1, middle)
-    one = _one_like(middle)
-    base = (one, middle, one)
-    out = [_zero_like(middle)] * (2 * n + 1)
-    for i, p in enumerate(prev):
-        for j, b in enumerate(base):
-            out[i + j] = out[i + j] + p * b
-    return tuple(out)
+    """Coefficient tuple of (1 + middle*t + t^2)^n, length 2n+1.
+
+    T = (1 + m t + t^2)^n satisfies (1 + m t + t^2) T' = n (m + 2t) T, whose
+    t^k coefficient gives (k+1) a_{k+1} = m (n-k) a_k + (2n-k+1) a_{k-1}
+    with a_0 = 1.  A row thus costs O(n) ring operations and needs no
+    other row, so a cold row neither recurses nor fills the cache.
+    """
+    out = [_zero_like(middle), _one_like(middle)]  # a_{-1}, a_0
+    for k in range(2 * n):
+        step = middle * (n - k) * out[-1] + (2 * n - k + 1) * out[-2]
+        out.append(step * Fraction(1, k + 1))
+    return tuple(out[1:])
 
 
 def _one_like(middle):

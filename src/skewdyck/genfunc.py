@@ -39,7 +39,6 @@ from .series import (
     WPOLY,
     WPoly,
     W_VAR,
-    compose,
     div,
     extract_u,
     first_mismatch,
@@ -146,9 +145,14 @@ def kernel_bundle(order=DEFAULT_ORDER):
     return KernelBundle(order=order, W=W, P=P, Q=Q)
 
 
-def _fit(s, order):
-    """Trim a padded computation back to the requested order."""
-    return s.truncate(order) if s.order > order else s
+def _bundle(bundle, order, need):
+    """``bundle``, or a new one of order ``need`` (what ``order`` coefficients
+    need) when none is given; a shorter bundle is refused."""
+    if bundle is None:
+        return kernel_bundle(need)
+    if bundle.order < need:
+        raise ValueError(f"bundle order {bundle.order} too short for order {order}; need {need}")
+    return bundle
 
 
 def _primal_numerator(bundle, cls):
@@ -175,27 +179,25 @@ def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     """
     if j < 0:
         raise ValueError("bounded paths never end below the axis")
-    if bundle is None:
-        bundle = kernel_bundle(order)
+    bundle = _bundle(bundle, order, order)
     z = Series.z(bundle.order, RATIONAL)
     num = -_primal_numerator(bundle, cls)
-    return extract_u(ULinearRational((num,), -bundle.P, z), j)
+    return extract_u(ULinearRational((num,), -bundle.P, z), j).truncate(order)
 
 
-def primal_open_ended(order=DEFAULT_ORDER, bundle=None):
+def primal_open_ended(order=DEFAULT_ORDER):
     """Paths with free endpoint: the level series summed by setting u := 1.
 
     Closed form -((z+1)(z^2+3z-2) + (z+2)W) / (2z(z^2+2z-1)); the numerator
     has a vanishing constant term, so the division by z is exact.
     """
-    if bundle is None:
-        bundle = kernel_bundle(order + 1)
+    bundle = kernel_bundle(order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     num = -((z + one) * (z * z + 3 * z - 2 * one) + (z + 2 * one) * bundle.W)
     den = (z * z + 2 * z - one) * 2
-    return _fit(div(shift_divide(num, 1), den), order)
+    return div(shift_divide(num, 1), den).truncate(order)
 
 
 def red_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -209,8 +211,7 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     """
     if j < 0:
         raise ValueError("bounded paths never end below the axis")
-    if bundle is None:
-        bundle = kernel_bundle(order)
+    bundle = _bundle(bundle, order, order)
     n = bundle.order
     one = Series.one(n, WPOLY)
     z = Series.z(n, WPOLY)
@@ -227,7 +228,7 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
         num = (one * (-2) - one * w + z2 * (2 * w + w * w) + bundle.Ww * w) * half
     else:
         raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
-    return extract_u(ULinearRational((num,), -bundle.Pw, z), j)
+    return extract_u(ULinearRational((num,), -bundle.Pw, z), j).truncate(order)
 
 
 def even_to_x(s):
@@ -242,28 +243,36 @@ def even_to_x(s):
     return Series(out, s.ring)
 
 
-def red_axis_x(order=DEFAULT_ORDER, bundle=None):
+def red_axis_x(order=DEFAULT_ORDER):
     """The axis-return series S(0) written in x = z^2 (w-polynomial ring)."""
-    return even_to_x(red_level_series(0, order=order, bundle=bundle))
+    return even_to_x(red_level_series(0, order=order))
 
 
 def substitution_identity_check(order=20):
-    """Verify S(0) = 1 + v under x = v/(1 + (2+w)v + v^2), both weights.
+    """Verify S(0) = 1 + v under x = v/(1 + m v + v^2), in its defining form.
+
+    With V = S(0) - 1 the identity is checked as the equation
+    V = x (1 + m V + V^2), coefficient by coefficient over x^0..x^order.
+    The two forms are equivalent: x(v) has x(0) = 0 and x'(0) = 1, so
+    S(x(v)) = 1 + v holds exactly when V is the compositional inverse of
+    x(v), that is, when V = x phi(V) with phi(V) = 1 + m V + V^2.
+    Coefficient n of either side depends only on V_0..V_n, so both forms
+    fail first at the same power of x.
 
     Returns two :class:`~skewdyck.series.Check` records: one for middle
-    weight 2+w (marked red edges) and one for the w := 1 specialization
-    (middle weight 3).
+    weight m = 2+w (marked red edges) and one for the w := 1 specialization
+    (m = 3).
     """
-    s0 = red_axis_x(order=2 * order).truncate(order)
+    s0 = red_axis_x(order=2 * order)
     checks = []
     for name, s, middle in (
         ("substitution weight 2+w", s0, 2 + W_VAR),
         ("substitution weight 3", specialize_w(s0, 1), 3),
     ):
         one = Series.one(order, s.ring)
-        v = Series.z(order, s.ring)
-        got = compose(s, v * inv(one + v * middle + v * v))
-        bad = first_mismatch(zip(range(order + 1), got.coeffs, (one + v).coeffs))
+        v = s - one
+        rhs = shift_up(one + v * middle + v * v, 1)
+        bad = first_mismatch(zip(range(order + 1), v.coeffs, rhs.coeffs))
         detail = "first mismatch at order %s: %s != %s" % bad if bad else ""
         checks.append(Check(name, bad is None, detail))
     return checks
@@ -308,17 +317,17 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     x = Series.z(n, RATIONAL)
     R = sqrt_one(one - 4 * x)
     if k == 0:
-        return _fit(shift_divide(one - R, 1) * Fraction(1, 2), order)
+        return (shift_divide(one - R, 1) * Fraction(1, 2)).truncate(order)
     if k == 1:
-        return _fit(div((one - 2 * x - R) * Fraction(1, 2), R), order)
+        return div((one - 2 * x - R) * Fraction(1, 2), R).truncate(order)
     if k == 2:
-        return _fit(shift_up(inv((one - 4 * x) * R), 3), order)
+        return shift_up(inv((one - 4 * x) * R), 3).truncate(order)
     if k == 3:
-        return _fit(shift_up(div(one - 2 * x, (one - 4 * x) ** 2 * R), 4), order)
+        return shift_up(div(one - 2 * x, (one - 4 * x) ** 2 * R), 4).truncate(order)
     if k == 4:
-        return _fit(
-            shift_up(div(one - 4 * x + 5 * x * x, (one - 4 * x) ** 3 * R), 5), order
-        )
+        return shift_up(
+            div(one - 4 * x + 5 * x * x, (one - 4 * x) ** 3 * R), 5
+        ).truncate(order)
     raise ValueError("closed slice forms are only available for k <= 4")
 
 
@@ -344,9 +353,8 @@ def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     """
     if j < 0:
         raise ValueError("dual paths never end below the axis")
-    if bundle is None:
-        # S^(j+1) = Q^(j+1)/z^(2j+2) needs 2j + 2 orders of headroom
-        bundle = kernel_bundle(max(order, j) + j + 2 if cls == "total" else order)
+    # S^(j+1) = Q^(j+1)/z^(2j+2) needs 2j + 2 orders of headroom
+    bundle = _bundle(bundle, order, max(order, j) + j + 2 if cls == "total" else order)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
@@ -354,22 +362,22 @@ def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     den0, den1 = _dual_linear(bundle)
     if cls == "a":
         r = ULinearRational((bundle.P, -(z * bundle.P)), den0, den1)
-        return extract_u(r, j)
+        return extract_u(r, j).truncate(order)
     if cls == "b":
         r = ULinearRational((one - 2 * z2 - bundle.W,), den0, den1)
-        return extract_u(r, j)
+        return extract_u(r, j).truncate(order)
     if cls == "c":
         r = ULinearRational((Series.zero(n, RATIONAL), z * bundle.P), den0, den1)
-        return extract_u(r, j)
+        return extract_u(r, j).truncate(order)
     if cls == "total":
         front = div((3 * one - 3 * z2 - bundle.W) * Fraction(1, 2), 2 * one - z2)
         s_pow = shift_divide(bundle.Q ** (j + 1), 2 * (j + 1))  # S^(j+1), S = Q/z^2
         lifted = front.truncate(s_pow.order) * s_pow
-        return _fit(Series([0] * j + list(lifted.coeffs), RATIONAL), order)
+        return Series([0] * j + list(lifted.coeffs), RATIONAL).truncate(order)
     raise ValueError(f"unknown dual class {cls!r}; expected one of {DUAL_CLASSES}")
 
 
-def dual_open_ended(order=DEFAULT_ORDER, bundle=None):
+def dual_open_ended(order=DEFAULT_ORDER):
     """Dual paths with free endpoint: ((1+z)(1-3z) - W) / (2z(z^2+2z-1)).
 
     Same denominator as the primal open-ended form; the numerator has a
@@ -377,29 +385,27 @@ def dual_open_ended(order=DEFAULT_ORDER, bundle=None):
     rationalizing u := 1 in the dual kernel solution; note the W belongs
     in the numerator.)
     """
-    if bundle is None:
-        bundle = kernel_bundle(order + 1)
+    bundle = kernel_bundle(order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     num = (one + z) * (one - 3 * z) - bundle.W
     den = (z * z + 2 * z - one) * 2
-    return _fit(div(shift_divide(num, 1), den), order)
+    return div(shift_divide(num, 1), den).truncate(order)
 
 
-def dual_blue_g0(order=DEFAULT_ORDER, bundle=None):
+def dual_blue_g0(order=DEFAULT_ORDER):
     """Axis-return dual paths with blue edges marked: (1 - z^2 w - W_w)/(2z^2).
 
     Identical to the red-marked axis series by the reversal duality; the
     test suite pins that equality coefficientwise.
     """
-    if bundle is None:
-        bundle = kernel_bundle(order + 2)
+    bundle = kernel_bundle(order + 2)
     n = bundle.order
     one = Series.one(n, WPOLY)
     z2 = shift_up(one, 2)
     num = one - z2 * W_VAR - bundle.Ww
-    return _fit(shift_divide(num, 2) * Fraction(1, 2), order)
+    return (shift_divide(num, 2) * Fraction(1, 2)).truncate(order)
 
 
 # -- negative territory ------------------------------------------------
@@ -408,7 +414,7 @@ def dual_blue_g0(order=DEFAULT_ORDER, bundle=None):
 NEGATIVE_AXIS_CLASSES = ("f0", "g0", "h0", "sum")
 
 
-def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER, bundle=None):
+def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     """The classical axis closed forms for the below-axis-allowed family.
 
     f0 = (1+z^2-W)/(2z^2(2-z^2)),  h0 = z^4 f0 / (Q(z^2-1)+1-2z^2),
@@ -420,24 +426,23 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     level-0 series of :func:`negative_level_series` (see the module
     docstring) and are kept as reference data in their own right.
     """
-    if bundle is None:
-        bundle = kernel_bundle(order + 4)
+    bundle = kernel_bundle(order + 4)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z2 = shift_up(one, 2)
     two_less = 2 * one - z2
     f0 = div(shift_divide(bundle.Q, 2), two_less)
     if cls == "f0":
-        return _fit(f0, order)
+        return f0.truncate(order)
     denh = bundle.Q * (z2 - one) + one - 2 * z2
     h0 = div(shift_up(f0, 4), denh)
     if cls == "h0":
-        return _fit(h0, order)
+        return h0.truncate(order)
     if cls == "g0":
-        return _fit(div(z2 * f0 + h0, one - z2), order)
+        return div(z2 * f0 + h0, one - z2).truncate(order)
     if cls == "sum":
         num = (one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W) * Fraction(1, 2)
-        return _fit(div(shift_divide(num, 4), two_less), order)
+        return div(shift_divide(num, 4), two_less).truncate(order)
     raise ValueError(
         f"unknown axis class {cls!r}; expected one of {NEGATIVE_AXIS_CLASSES}"
     )
@@ -455,8 +460,7 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     linear condition for f0 gives 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ...,
     which matches the state-diagram walk counts exactly.
     """
-    if bundle is None:
-        bundle = kernel_bundle(order + 1)
+    bundle = _bundle(bundle, order, order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
@@ -468,7 +472,7 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     coef = (z2 * s_bad) * 2 + z2 * ((rho_g + rho_h) * s_bad) - z
     rhs = 2 * (z * (s_bad * s_bad)) - s_bad
     f0 = div(shift_divide(rhs, 1), shift_divide(coef, 1))
-    return _fit(f0, order), _fit(rho_g * f0, order), _fit(rho_h * f0, order)
+    return f0.truncate(order), (rho_g * f0).truncate(order), (rho_h * f0).truncate(order)
 
 
 def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
@@ -486,9 +490,9 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     """
     if cls not in ("f", "g", "h", "total"):
         raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
-    if bundle is None:
-        bundle = kernel_bundle(order + 2)
-    boundary = negative_boundary_series(order=bundle.order, bundle=bundle)
+    # the boundary constants lose one order to their division by z
+    bundle = _bundle(bundle, order, order + 1)
+    boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
     n = bundle.order
     z = Series.z(n, RATIONAL)
     if j >= 0:
@@ -502,7 +506,7 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     nums = [_negative_numerator(j, c, bundle, boundary, s1) for c in classes]
     zero = Series.zero(n, RATIONAL)
     num = [sum(parts, zero) for parts in zip_longest(*nums, fillvalue=zero)]
-    return _fit(extract_u(ULinearRational(num, den0, den1), abs(j)), order)
+    return extract_u(ULinearRational(num, den0, den1), abs(j)).truncate(order)
 
 
 def _negative_numerator(j, cls, bundle, boundary, s1):

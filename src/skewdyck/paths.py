@@ -224,9 +224,6 @@ class CountTable:
         top = max(by_k)
         return WPoly([Fraction(by_k.get(k, 0)) for k in range(top + 1)])
 
-    def levels(self, n):
-        return sorted({ej for (en, ej, _, _) in self.entries if en == n})
-
     def coefficients(self, j, cls=None, k=None):
         """[count(0, j), count(1, j), ...] up to max_length."""
         return [self.count(n, j, cls=cls, k=k) for n in range(self.max_length + 1)]

@@ -140,14 +140,6 @@ class WPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a WPoly")
-        result = WPoly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def inverse(self):
         if self.degree != 0:
             raise NonUnitError(f"{self} is not a unit in the w-polynomial ring")
@@ -408,19 +400,6 @@ def shift_up(a, k):
     return Series(cs[: a.order + 1], a.ring)
 
 
-def compose(f, g):
-    """f(g(z)); g must have zero constant term."""
-    f._check(g)
-    if g.coeffs[0]:
-        raise SeriesError("composition requires g(0) = 0")
-    n = min(f.order, g.order)
-    g = g.truncate(n)
-    result = Series([f.coeffs[n]] + [0] * n, f.ring)
-    for k in range(n - 1, -1, -1):
-        result = result * g + Series([f.coeffs[k]] + [0] * n, f.ring)
-    return result
-
-
 class ULinearRational:
     """Rational function of u with series coefficients and a denominator
     that is linear in u: num(u) / (den0 + den1*u), den0 a series unit."""
@@ -485,10 +464,3 @@ def w_derivative(s):
     if s.ring != WPOLY:
         raise RingMismatchError("w_derivative needs a w-polynomial series")
     return Series([c.deriv() for c in s.coeffs], WPOLY)
-
-
-def to_wpoly_ring(s):
-    """Embed a rational series into the w-polynomial ring."""
-    if s.ring == WPOLY:
-        return s
-    return Series([WPoly.const(c) for c in s.coeffs], WPOLY)

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdyck import cli, formulas, genfunc, paths, refs
 from skewdyck.dp import dp_table
@@ -338,3 +342,48 @@ def test_verify_inject_fault_line(capsys):
     assert [l for l in lines if l.startswith("FAIL ")] == [
         "FAIL dp-closed:primal first mismatch at j=0 z^4: closed 4 != dp 3"
     ]
+
+
+_ORDERS = st.integers(0, 10)
+_FAMILIES = st.sampled_from(sorted(cli._CLI_FAMILIES))
+
+
+@st.composite
+def _argv(draw):
+    """A small argument vector, and whether verify must report a mismatch."""
+    command = draw(st.sampled_from(["table", "verify", "paths", "stats-red"]))
+    if command == "table":
+        lo, hi = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        argv = ["table", "--family", draw(_FAMILIES), f"--levels={lo}..{hi}"]
+        argv += ["--order", str(draw(_ORDERS))]
+        return argv + ["--format", draw(st.sampled_from(["tsv", "record"]))], False
+    if command == "verify":
+        families, order = draw(st.lists(_FAMILIES, max_size=2)), draw(_ORDERS)
+        argv = ["verify", "--order", str(order)]
+        argv += ["--max-brute-length", str(draw(st.integers(0, 8)))]
+        for family in families:
+            argv += ["--family", family]
+        fault = draw(st.booleans())
+        primal = not families or "primal" in families
+        return argv + ["--inject-fault"] * fault, fault and primal and order >= 4
+    if command == "paths":
+        argv = ["paths", "--family", draw(_FAMILIES), "--length", str(draw(st.integers(0, 8)))]
+        end_level = draw(st.none() | st.integers(-4, 4))
+        if end_level is not None:
+            argv.append(f"--end-level={end_level}")
+        return argv + ["--render"] * draw(st.booleans()), False
+    return ["stats-red", "--order", str(draw(_ORDERS))], False
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(case):
+    argv, mismatch = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert (code == 1) == mismatch, (argv, out.getvalue(), err.getvalue())

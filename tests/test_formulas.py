@@ -1,8 +1,12 @@
 """Tests for the explicit trinomial-coefficient formulas."""
 
+import sys
+from fractions import Fraction
+from math import comb
+
 import pytest
 
-from skewdyck import genfunc
+from skewdyck import formulas, genfunc
 from skewdyck.formulas import (
     binom,
     dual_coeff_explicit,
@@ -12,7 +16,7 @@ from skewdyck.formulas import (
     red_coeff_explicit,
     trinomial,
 )
-from skewdyck.series import RATIONAL, Series, WPoly, div
+from skewdyck.series import RATIONAL, WPOLY, Series, WPoly, div
 
 
 def test_binom_conventions():
@@ -45,6 +49,28 @@ class TestTrinomial:
         # evaluating at t=1 gives (1+m+1)^n
         for n in range(6):
             assert sum(trinomial(n, 3, k) for k in range(2 * n + 1)) == 5**n
+
+    @pytest.mark.parametrize("middle", [3, Fraction(-1, 2), WPoly((2, 1))])
+    def test_rows_match_series_powers(self, middle):
+        for n in range(9):
+            power = Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY) ** n
+            got = [WPoly.coerce(trinomial(n, middle, k)) for k in range(2 * n + 1)]
+            assert got == list(power.coeffs), n
+
+    def test_cold_row_needs_no_deep_recursion(self):
+        formulas._trinomial_row.cache_clear()
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert trinomial(150, 3, 2) == 9 * comb(150, 2) + 150
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_row_cache_is_bounded(self):
+        assert formulas._trinomial_row.cache_info().maxsize is not None
 
 
 def _rational_poly(coeffs, order):

@@ -7,7 +7,7 @@ import pytest
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import WPoly, specialize_w, w_slice
+from skewdyck.series import Series, WPoly, specialize_w, w_slice
 
 # golden coefficient lists for the level series (nonzero entries only;
 # each series is supported on one parity class)
@@ -167,6 +167,45 @@ def test_rational_constructors_leave_w_half_unbuilt():
     assert "Ww" in b.__dict__ and "Pw" in b.__dict__
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("primal_level_series", (2,)),
+        ("primal_level_series", (0, "h")),
+        ("dual_level_series", (3,)),
+        ("dual_level_series", (3, "a")),
+        ("dual_level_series", (2, "b")),
+        ("dual_level_series", (1, "c")),
+        ("negative_level_series", (1,)),
+        ("negative_level_series", (-2, "g")),
+        ("negative_boundary_series", ()),
+        ("red_level_series", (1, "h")),
+    ],
+)
+def test_given_bundle_yields_exactly_the_order(name, args):
+    make = getattr(genfunc, name)
+    bundle = genfunc.kernel_bundle(24)
+    for order in (0, 5, 16):
+        assert make(*args, order=order, bundle=bundle) == make(*args, order=order)
+
+
+@pytest.mark.parametrize(
+    "name, args, order, bundle_order",
+    [
+        ("primal_level_series", (0,), 30, 10),
+        ("dual_level_series", (3,), 16, 16),
+        ("dual_level_series", (3, "a"), 16, 15),
+        ("negative_level_series", (1,), 16, 16),
+        ("negative_boundary_series", (), 16, 16),
+        ("red_level_series", (0,), 16, 15),
+    ],
+)
+def test_too_short_bundle_rejected(name, args, order, bundle_order):
+    bundle = genfunc.kernel_bundle(bundle_order)
+    with pytest.raises(ValueError, match="too short"):
+        getattr(genfunc, name)(*args, order=order, bundle=bundle)
+
+
 @pytest.mark.parametrize("j", [-2, 0, 3])
 def test_negative_total_builds_boundary_once(monkeypatch, j):
     calls = []
@@ -246,6 +285,23 @@ def test_substitution_identities():
     checks = genfunc.substitution_identity_check(order=20)
     assert len(checks) == 2
     assert all(c.ok for c in checks), checks
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_substitution_check_names_first_wrong_coefficient(monkeypatch, n):
+    # a constant bump survives w := 1, so both weights must fail at x^n
+    real = genfunc.red_axis_x
+
+    def bumped(*args, **kwargs):
+        s = real(*args, **kwargs)
+        return s + Series.from_dict({n: 1}, s.order, s.ring)
+
+    monkeypatch.setattr(genfunc, "red_axis_x", bumped)
+    checks = genfunc.substitution_identity_check(order=8)
+    assert [c.name for c in checks] == ["substitution weight 2+w", "substitution weight 3"]
+    assert not any(c.ok for c in checks)
+    for c in checks:
+        assert c.detail.startswith(f"first mismatch at order {n}: "), c.detail
 
 
 def test_average_red_series():

@@ -83,13 +83,6 @@ def test_count_table_wpoly_refinement():
     assert poly.eval(1) == 10
 
 
-def test_levels_listing():
-    table = count_table(UNBOUNDED, 4)
-    assert table.levels(4) == [-4, -2, 0, 2, 4]
-    bounded = count_table(BOUNDED, 4)
-    assert bounded.levels(4) == [0, 2, 4]
-
-
 def test_render_ascii_deterministic():
     w = PathWord(("U", "U", "D", "R"), BOUNDED)
     assert render_ascii(w) == " /\\\n/  r\n----"

@@ -12,7 +12,6 @@ from .series import (
     RingMismatchError,
     Series,
     SeriesError,
-    ULinearRational,
     WPoly,
 )
 from .paths import (
@@ -33,12 +32,15 @@ from .genfunc import (
     average_red_series,
     dual_blue_g0,
     dual_level_series,
+    dual_levels,
     dual_open_ended,
     kernel_bundle,
     negative_axis_series,
     negative_boundary_series,
     negative_level_series,
+    negative_levels,
     primal_level_series,
+    primal_levels,
     primal_open_ended,
     red_level_series,
     red_w_power_slice,

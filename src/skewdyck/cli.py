@@ -21,13 +21,13 @@ from fractions import Fraction
 from . import dp, formulas, genfunc, paths, refs
 from .series import WPOLY, W_VAR, Check, Series, first_mismatch
 
-# CLI family -> (paths family, name of its level-series constructor in
+# CLI family -> (paths family, name of its level-range constructor in
 # genfunc); "primal" is the floored primal family.  Names, not functions, so
 # that a patched or traced ``genfunc`` attribute is what gets called.
 _CLI_FAMILIES = {
-    "primal": (paths.BOUNDED, "primal_level_series"),
-    "dual": (paths.DUAL, "dual_level_series"),
-    "unbounded": (paths.UNBOUNDED, "negative_level_series"),
+    "primal": (paths.BOUNDED, "primal_levels"),
+    "dual": (paths.DUAL, "dual_levels"),
+    "unbounded": (paths.UNBOUNDED, "negative_levels"),
 }
 
 
@@ -60,8 +60,10 @@ def _brute_length(text):
     return _nonnegative_int(text, paths.BRUTE_FORCE_CAP)
 
 
-def _level_series(cli_family, j, order):
-    return getattr(genfunc, _CLI_FAMILIES[cli_family][1])(j, order=order)
+def _levels(cli_family, lo, hi, order):
+    """Levels lo..hi of a family at one order, as a {level: series} dict."""
+    made = getattr(genfunc, _CLI_FAMILIES[cli_family][1])(lo, hi, order=order)
+    return dict(zip(range(lo, hi + 1), made))
 
 
 def _int_coeff(s, n):
@@ -72,11 +74,8 @@ def _int_coeff(s, n):
 
 
 def cmd_table(args, out):
-    lo, hi = args.levels
-    rows = []
-    for j in range(lo, hi + 1):
-        s = _level_series(args.family, j, args.order)
-        rows.append((j, [_int_coeff(s, n) for n in range(args.order + 1)]))
+    levels = _levels(args.family, *args.levels, args.order)
+    rows = [(j, [_int_coeff(s, n) for n in range(args.order + 1)]) for j, s in levels.items()]
     if args.format == "tsv":
         header = ["j"] + [str(n) for n in range(args.order + 1)]
         out.write("\t".join(header) + "\n")
@@ -112,17 +111,11 @@ def _check_brute_dp(cli_family, max_length):
     return Check(name, True, f"(lengths <= {max_length})")
 
 
-def _check_dp_closed(cli_family, order, fault=False):
+def _check_dp_closed(cli_family, order, levels, fault=False):
     table = dp.dp_table(_CLI_FAMILIES[cli_family][0], order, with_color_marker=False)
-    # levels beyond the truncation order contribute nothing at this order
-    if cli_family == "unbounded":
-        levels = range(-min(6, order), min(6, order) + 1)
-    else:
-        levels = range(0, min(8, order) + 1)
 
-    def coefficients():  # a generator, so no level is built past a mismatch
-        for j in levels:
-            s = _level_series(cli_family, j, order)
+    def coefficients():
+        for j, s in levels.items():
             for n in range(order + 1):
                 want = table.count(n, j)
                 got = _int_coeff(s, n)
@@ -134,16 +127,15 @@ def _check_dp_closed(cli_family, order, fault=False):
     name = f"dp-closed:{cli_family}"
     if bad:
         return Check(name, False, "first mismatch at %s: closed %s != dp %s" % bad)
-    return Check(name, True, f"(|j| in {levels.start}..{levels.stop - 1}, order {order})")
+    return Check(name, True, f"(|j| in {min(levels)}..{max(levels)}, order {order})")
 
 
-def _check_closed_explicit(cli_family, order):
+def _check_closed_explicit(cli_family, order, levels):
     formula, span = _EXPLICIT[cli_family]
     explicit = getattr(formulas, formula)
 
-    def coefficients():
-        for j in range(0, min(8, order - 2) + 1):
-            s = _level_series(cli_family, j, order)
+    def coefficients():  # levels above order - 2 have no coefficient to check
+        for j, s in levels.items():
             for m in range(1, (order - j) // 2 + 1):
                 yield f"j={j} z^{2 * m + j}", explicit(j, m), _int_coeff(s, 2 * m + j)
 
@@ -228,14 +220,18 @@ def _verify_checks(args):
     families = [fam for fam in _CLI_FAMILIES if fam in (args.family or _CLI_FAMILIES)]
     for fam in families:
         yield _check_brute_dp(fam, args.max_brute_length)
+    levels = {}  # each family's levels, built once for dp-closed and closed-explicit
     for fam in families:
         order = min(args.order, genfunc.DEFAULT_NEGATIVE_ORDER) if fam == "unbounded" else args.order
-        yield _check_dp_closed(fam, order, fault=args.inject_fault)
+        # levels beyond the truncation order contribute nothing at this order
+        top = min(6, order) if fam == "unbounded" else min(8, order)
+        levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, order)
+        yield _check_dp_closed(fam, order, levels[fam], fault=args.inject_fault)
     if "primal" in families:
-        yield _check_closed_explicit("primal", args.order)
+        yield _check_closed_explicit("primal", args.order, levels["primal"])
         yield _check_closed_explicit_red(args.order)
     if "dual" in families:
-        yield _check_closed_explicit("dual", args.order)
+        yield _check_closed_explicit("dual", args.order, levels["dual"])
     yield _check_kernel_identities(args.order)
     if "primal" in families or "unbounded" in families:
         yield _check_reference("A002212")

@@ -35,12 +35,10 @@ from .series import (
     ExactnessError,
     RATIONAL,
     Series,
-    ULinearRational,
     WPOLY,
     WPoly,
     W_VAR,
     div,
-    extract_u,
     first_mismatch,
     inv,
     shift_divide,
@@ -155,34 +153,77 @@ def _bundle(bundle, order, need):
     return bundle
 
 
-def _primal_numerator(bundle, cls):
-    one = Series.one(bundle.order, RATIONAL)
+def _level_range(lo, hi, family=None):
+    """Reject an empty range, and levels below the axis when ``family``
+    names a family whose paths never go there."""
+    if lo > hi:
+        raise ValueError(f"empty level range {lo}..{hi}")
+    if family and lo < 0:
+        raise ValueError(f"{family} paths never end below the axis")
+
+
+def _ladder(num, den0, den1, lo, hi):
+    """[u^j] of num(u)/(den0 + den1 u) for j = lo..hi (0 <= lo), as a list.
+
+    Every kernel-method solution here has a denominator linear in u, so
+    its levels form a ladder.  With T = 1/den0 and r = -den1/den0,
+    1/(den0 + den1 u) = T sum_t r^t u^t, and level j is
+    L_j = sum_i num_i T r^(j-i).  Hence L_0 = num_0 T and
+    L_(j+1) = r L_j + num_(j+1) T (num_i = 0 past the given parts): one
+    inverse of den0, then one series product per level, and only the
+    current level is kept.  For the bounded family (num/(zu - P)) this is
+    level j = -num z^j / P^(j+1) (Prodinger, "The kernel method: a
+    collection of examples", Sem. Lothar. Combin. 50 (2004) B50f).
+    """
+    base = inv(den0)
+    ratio = -(den1 * base)
+    level = num[0] * base
+    out = []
+    for j in range(hi + 1):
+        if j >= lo:
+            out.append(level)
+        if j < hi:
+            level = ratio * level
+            if j + 1 < len(num):
+                level = level + num[j + 1] * base
+    return out
+
+
+def _bounded_numerator(cls, root, w):
+    """Class numerator of the bounded family over zu - P: the red-marked
+    forms of :func:`red_level_series` (root = W_w, w = W_VAR), or with
+    w := 1 the plain forms of :func:`primal_levels` (root = W, w = 1)."""
+    one = Series.one(root.order, root.ring)
     z2 = shift_up(one, 2)
-    W = bundle.W
     half = Fraction(1, 2)
     if cls == "f":
-        return (one + z2 + W) * half  # = P
+        return -(one + z2 * w + root) * half
     if cls == "g":
-        return (one - z2 - W) * half
+        return (-one + z2 * w + root) * half
     if cls == "h":
-        return (one - 3 * z2 - W) * half
+        return (-one + z2 * (2 + w) + root) * half * w
     if cls == "total":
-        return (3 * one - 3 * z2 - W) * half
+        return (one * (-2) - one * w + z2 * (2 * w + w * w) + root * w) * half
     raise ValueError(f"unknown primal class {cls!r}; expected one of {PRIMAL_CLASSES}")
 
 
-def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
-    """[u^j] of the bounded-family kernel solution, per last-step class.
+def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
+    """Levels lo..hi of the bounded family, per last-step class, as a list.
 
-    The solution is num/(zu - P) with the class numerators
-    -(1+z^2+W)/2, -(1-z^2-W)/2, -(1-3z^2-W)/2 and their sum.
+    Level j is [u^j] of num/(zu - P), that is -num z^j / P^(j+1), with the
+    class numerators -(1+z^2+W)/2, (-1+z^2+W)/2, (-1+3z^2+W)/2 and their
+    sum.  All levels come from one bundle and one ladder.
     """
-    if j < 0:
-        raise ValueError("bounded paths never end below the axis")
+    _level_range(lo, hi, "bounded")
     bundle = _bundle(bundle, order, order)
+    num = _bounded_numerator(cls, bundle.W, 1)
     z = Series.z(bundle.order, RATIONAL)
-    num = -_primal_numerator(bundle, cls)
-    return extract_u(ULinearRational((num,), -bundle.P, z), j).truncate(order)
+    return [s.truncate(order) for s in _ladder((num,), -bundle.P, z, lo, hi)]
+
+
+def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
+    """Level j of :func:`primal_levels`."""
+    return primal_levels(j, j, cls, order, bundle)[0]
 
 
 def primal_open_ended(order=DEFAULT_ORDER):
@@ -200,7 +241,7 @@ def primal_open_ended(order=DEFAULT_ORDER):
     return div(shift_divide(num, 1), den).truncate(order)
 
 
-def red_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
+def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     """[u^j] of the red-edge-marked solution, per last-step class.
 
     The solution is num/(zu - P_w) with class numerators
@@ -209,26 +250,10 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
     """
-    if j < 0:
-        raise ValueError("bounded paths never end below the axis")
-    bundle = _bundle(bundle, order, order)
-    n = bundle.order
-    one = Series.one(n, WPOLY)
-    z = Series.z(n, WPOLY)
-    z2 = shift_up(one, 2)
-    w = W_VAR
-    half = Fraction(1, 2)
-    if cls == "f":
-        num = -bundle.Pw
-    elif cls == "g":
-        num = (-one + z2 * w + bundle.Ww) * half
-    elif cls == "h":
-        num = (-one + z2 * (2 + w) + bundle.Ww) * half * w
-    elif cls == "total":
-        num = (one * (-2) - one * w + z2 * (2 * w + w * w) + bundle.Ww * w) * half
-    else:
-        raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
-    return extract_u(ULinearRational((num,), -bundle.Pw, z), j).truncate(order)
+    _level_range(j, j, "bounded")
+    bundle = kernel_bundle(order)
+    num = _bounded_numerator(cls, bundle.Ww, W_VAR)
+    return _ladder((num,), -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
 
 
 def even_to_x(s):
@@ -336,45 +361,45 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
 
 def _dual_linear(bundle):
     """The shared dual denominator P - z(2-z^2)u as a (den0, den1) pair."""
-    n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    return bundle.P, -(z * (2 * one - z * z))
+    return bundle.P, Series.from_dict({1: -2, 3: 1}, bundle.order, RATIONAL)
 
 
-def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
-    """[u^j] of the dual-family kernel solution, per last-step class.
+def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
+    """Levels lo..hi of the dual family, per last-step class, as a list.
 
     Classes (a = up-black, b = down, c = up-blue) come from
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
-    D = P - z(2-z^2)u.  The total is computed independently via
-    (3-3z^2-W)/(2(2-z^2)) * z^j * S^(j+1), S = Q/z^2, and the test suite
+    D = P - z(2-z^2)u.  The total is computed independently as
+    front * z^j * S^(j+1) with front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2:
+    level j of front S/(1 - zSu), one factor zS per level.  The test suite
     pins total = a + b + c.
     """
-    if j < 0:
-        raise ValueError("dual paths never end below the axis")
-    # S^(j+1) = Q^(j+1)/z^(2j+2) needs 2j + 2 orders of headroom
-    bundle = _bundle(bundle, order, max(order, j) + j + 2 if cls == "total" else order)
+    _level_range(lo, hi, "dual")
+    # S = Q/z^2 needs two orders of headroom
+    bundle = _bundle(bundle, order, order + 2 if cls == "total" else order)
     n = bundle.order
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     z2 = shift_up(one, 2)
-    den0, den1 = _dual_linear(bundle)
-    if cls == "a":
-        r = ULinearRational((bundle.P, -(z * bundle.P)), den0, den1)
-        return extract_u(r, j).truncate(order)
-    if cls == "b":
-        r = ULinearRational((one - 2 * z2 - bundle.W,), den0, den1)
-        return extract_u(r, j).truncate(order)
-    if cls == "c":
-        r = ULinearRational((Series.zero(n, RATIONAL), z * bundle.P), den0, den1)
-        return extract_u(r, j).truncate(order)
     if cls == "total":
+        s = shift_divide(bundle.Q, 2)
         front = div((3 * one - 3 * z2 - bundle.W) * Fraction(1, 2), 2 * one - z2)
-        s_pow = shift_divide(bundle.Q ** (j + 1), 2 * (j + 1))  # S^(j+1), S = Q/z^2
-        lifted = front.truncate(s_pow.order) * s_pow
-        return Series([0] * j + list(lifted.coeffs), RATIONAL).truncate(order)
-    raise ValueError(f"unknown dual class {cls!r}; expected one of {DUAL_CLASSES}")
+        ladder = (front * s,), Series.one(s.order, RATIONAL), -(z * s)
+    else:
+        nums = {
+            "a": (bundle.P, -(z * bundle.P)),
+            "b": (one - 2 * z2 - bundle.W,),
+            "c": (Series.zero(n, RATIONAL), z * bundle.P),
+        }
+        if cls not in nums:
+            raise ValueError(f"unknown dual class {cls!r}; expected one of {DUAL_CLASSES}")
+        ladder = nums[cls], *_dual_linear(bundle)
+    return [s.truncate(order) for s in _ladder(*ladder, lo, hi)]
+
+
+def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
+    """Level j of :func:`dual_levels`."""
+    return dual_levels(j, j, cls, order, bundle)[0]
 
 
 def dual_open_ended(order=DEFAULT_ORDER):
@@ -475,79 +500,71 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     return f0.truncate(order), (rho_g * f0).truncate(order), (rho_h * f0).truncate(order)
 
 
-def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
-    """Level series of the below-axis-allowed family, any integer level j.
+def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
+    """Levels lo..hi of the below-axis-allowed family, any integers, as a list.
 
     Classes are by last step (f = up, g = down-black, h = down-red), with
     the empty path in f.  Boundary constants come from
-    :func:`negative_boundary_series`, so the coefficients agree with the
-    brute-force/dp oracles at every level -- positive and negative alike.
+    :func:`negative_boundary_series`, built once per call, so the
+    coefficients agree with the brute-force/dp oracles at every level --
+    positive and negative alike.
 
     Levels j >= 0 use num/(zu - P) with numerators z^2 s - f0, -z^2 s,
     -z^2(g0+h0) (s = f0+g0+h0).  Levels j < 0 use [u^{-j}] of the solved
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
-    root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.
+    root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.  Each
+    sign runs one ladder.
     """
+    _level_range(lo, hi)
     if cls not in ("f", "g", "h", "total"):
         raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
     # the boundary constants lose one order to their division by z
     bundle = _bundle(bundle, order, order + 1)
     boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
-    n = bundle.order
-    z = Series.z(n, RATIONAL)
-    if j >= 0:
-        s1 = None
-        den0, den1 = -bundle.P, z
-    else:
+    z = Series.z(bundle.order, RATIONAL)
+    out = []
+    if lo < 0:
         s1 = div(z, bundle.P)  # the bad root, = Q/(z(2-z^2))
-        den0, den1 = _dual_linear(bundle)
-    # the classes share one denominator, so the total adds their numerators
-    classes = ("f", "g", "h") if cls == "total" else (cls,)
-    nums = [_negative_numerator(j, c, bundle, boundary, s1) for c in classes]
-    zero = Series.zero(n, RATIONAL)
-    num = [sum(parts, zero) for parts in zip_longest(*nums, fillvalue=zero)]
-    return extract_u(ULinearRational(num, den0, den1), abs(j)).truncate(order)
+        below = _negative_numerator(cls, bundle, boundary, s1)
+        out += reversed(_ladder(below, *_dual_linear(bundle), max(-hi, 1), -lo))
+    if hi >= 0:
+        above = _negative_numerator(cls, bundle, boundary, None)
+        out += _ladder(above, -bundle.P, z, max(lo, 0), hi)
+    return [s.truncate(order) for s in out]
 
 
-def _negative_numerator(j, cls, bundle, boundary, s1):
-    """Numerator parts of one class of :func:`negative_level_series`, over
-    the denominator of level j's sign; ``s1`` is the bad root (j < 0)."""
+def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
+    """Level j of :func:`negative_levels`."""
+    return negative_levels(j, j, cls, order, bundle)[0]
+
+
+def _negative_numerator(cls, bundle, boundary, s1):
+    """Numerator parts of one class of :func:`negative_levels`: over
+    zu - P when the bad root ``s1`` is None (levels >= 0), else over the
+    dual denominator (levels < 0).  The classes share each denominator, so
+    the total adds their numerators."""
     n = bundle.order
+    if cls == "total":
+        nums = [_negative_numerator(each, bundle, boundary, s1) for each in "fgh"]
+        zero = Series.zero(n, RATIONAL)
+        return [sum(parts, zero) for parts in zip_longest(*nums, fillvalue=zero)]
     one = Series.one(n, RATIONAL)
     z = Series.z(n, RATIONAL)
     z2 = shift_up(one, 2)
     f0, g0, h0 = boundary
-    if j >= 0:
+    if s1 is None:
         if cls == "h":
             return (-(z2 * (g0 + h0)),)
         z2s = z2 * (f0 + g0 + h0)
         return (z2s - f0,) if cls == "f" else (-z2s,)
 
-    fg = f0 + g0
-    gh = g0 - h0
     if cls == "f":
         return (
             one + 2 * (z2 * f0) + z2 * g0 + z2 * h0 - 2 * (z * s1),
             z * Fraction(-2),
         )
+    # the g and h parts share c = s1 z^2 - z^3 (f0 + g0) + z (g0 - h0)
+    c = s1 * z2 - shift_up(z, 2) * (f0 + g0) + z * (g0 - h0)
     if cls == "g":
-        x0 = (
-            (s1 * s1) * z2
-            - s1 * z
-            - s1 * (shift_up(z, 2) * fg)
-            + s1 * (z * gh)
-            + z2 * f0
-            - g0
-            + z2 * h0
-        )
-        x1 = s1 * z2 - z - shift_up(z, 2) * fg + z * gh
-        return (-x0, -x1, -z2)
-    return (  # cls == "h"
-        (s1 * s1) * z2
-        - s1 * (shift_up(z, 2) * fg)
-        + s1 * (z * gh)
-        + h0
-        - z2 * g0,
-        s1 * z2 - shift_up(z, 2) * fg + z * gh,
-        z2,
-    )
+        return (-(s1 * (c - z) + z2 * f0 - g0 + z2 * h0), z - c, -z2)
+    return (s1 * c + h0 - z2 * g0, c, z2)  # cls == "h"

@@ -400,48 +400,6 @@ def shift_up(a, k):
     return Series(cs[: a.order + 1], a.ring)
 
 
-class ULinearRational:
-    """Rational function of u with series coefficients and a denominator
-    that is linear in u: num(u) / (den0 + den1*u), den0 a series unit."""
-
-    __slots__ = ("num", "den0", "den1")
-
-    def __init__(self, num, den0, den1):
-        num = tuple(num)
-        if not num:
-            raise SeriesError("empty numerator")
-        ring = den0.ring
-        for part in num:
-            part._check(den0)
-        den0._check(den1)
-        if not _is_unit(den0.coeffs[0], ring):
-            raise NonUnitError("den0 must have an invertible constant term")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den0", den0)
-        object.__setattr__(self, "den1", den1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ULinearRational is immutable")
-
-
-def extract_u(r, j):
-    """Coefficient of u^j of num(u)/(den0 + den1*u), expanded geometrically."""
-    if j < 0:
-        raise ValueError("extract_u needs j >= 0")
-    base = inv(r.den0)
-    ratio = -(r.den1 * base)
-    total = None
-    for i, part in enumerate(r.num):
-        t = j - i
-        if t < 0:
-            continue
-        term = part * base * (ratio**t)
-        total = term if total is None else total + term
-    if total is None:
-        total = Series.zero(r.den0.order, r.den0.ring)
-    return total
-
-
 # -- ring homomorphisms on WPOLY series -------------------------------
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import inspect
 import io
 import subprocess
 import sys
@@ -244,6 +245,19 @@ def _bump_series(fn, hit, power):
     return faulty
 
 
+def _bump_level(fn, level, power):
+    """Wrap a level-range constructor: add 1 at z^power of the given level."""
+
+    def faulty(lo, hi, *args, **kwargs):
+        levels = fn(lo, hi, *args, **kwargs)
+        if lo <= level <= hi:
+            s = levels[level - lo]
+            levels[level - lo] = s + Series.from_dict({power: 1}, s.order, s.ring)
+        return levels
+
+    return faulty
+
+
 def _bump_value(fn, at):
     """Wrap an explicit-formula function: add 1 to its value at args == at."""
     return lambda *args: fn(*args) + (1 if args == at else 0)
@@ -284,13 +298,11 @@ _FAULTS = {
         "FAIL brute-dp:dual first mismatch at (n=4, j=2, cls=a, k=0): brute 3 != dp 2",
     ),
     "dp-closed:dual": (
-        genfunc, "dual_level_series",
-        lambda fn: _bump_series(fn, lambda j, **kw: j == 2, 5), ["dual"],
+        genfunc, "dual_levels", lambda fn: _bump_level(fn, 2, 5), ["dual"],
         "FAIL dp-closed:dual first mismatch at j=2 z^5: closed 1 != dp 0",
     ),
     "dp-closed:unbounded": (
-        genfunc, "negative_level_series",
-        lambda fn: _bump_series(fn, lambda j, **kw: j == -1, 3), ["unbounded"],
+        genfunc, "negative_levels", lambda fn: _bump_level(fn, -1, 3), ["unbounded"],
         "FAIL dp-closed:unbounded first mismatch at j=-1 z^3: closed 5 != dp 4",
     ),
     "reference:A002212": (
@@ -333,6 +345,23 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [l for l in lines if l.startswith("FAIL ")] == [line]
     assert lines[-1] == "OVERALL FAIL"
+
+
+def test_verify_builds_each_family_once(monkeypatch, capsys):
+    calls = []
+    for name in ("primal_levels", "dual_levels", "negative_levels"):
+        real = getattr(genfunc, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments["order"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(genfunc, name, counting)
+    assert cli.main(["verify", "--order", "8", "--max-brute-length", "6"]) == 0
+    assert {name for name, _ in calls} == {"primal_levels", "dual_levels", "negative_levels"}
+    assert len(calls) == len(set(calls)), calls
 
 
 def test_verify_inject_fault_line(capsys):

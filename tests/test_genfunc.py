@@ -7,7 +7,7 @@ import pytest
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import Series, WPoly, specialize_w, w_slice
+from skewdyck.series import NonUnitError, Series, WPoly, specialize_w, w_slice
 
 # golden coefficient lists for the level series (nonzero entries only;
 # each series is supported on one parity class)
@@ -163,8 +163,8 @@ def test_rational_constructors_leave_w_half_unbuilt():
     genfunc.negative_level_series(-2, order=16, bundle=b)
     genfunc.negative_level_series(1, order=16, bundle=b)
     assert "Ww" not in b.__dict__ and "Pw" not in b.__dict__
-    genfunc.red_level_series(0, order=16, bundle=b)
-    assert "Ww" in b.__dict__ and "Pw" in b.__dict__
+    b.Ww
+    assert "Ww" in b.__dict__
 
 
 @pytest.mark.parametrize(
@@ -179,7 +179,6 @@ def test_rational_constructors_leave_w_half_unbuilt():
         ("negative_level_series", (1,)),
         ("negative_level_series", (-2, "g")),
         ("negative_boundary_series", ()),
-        ("red_level_series", (1, "h")),
     ],
 )
 def test_given_bundle_yields_exactly_the_order(name, args):
@@ -197,7 +196,6 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         ("dual_level_series", (3, "a"), 16, 15),
         ("negative_level_series", (1,), 16, 16),
         ("negative_boundary_series", (), 16, 16),
-        ("red_level_series", (0,), 16, 15),
     ],
 )
 def test_too_short_bundle_rejected(name, args, order, bundle_order):
@@ -222,16 +220,103 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
 
 @pytest.mark.parametrize("j", [-2, 3])
 def test_negative_total_extracts_once(monkeypatch, j):
+    # the total adds the class numerators over their shared denominator,
+    # so one level of it runs one ladder, not one per class
     calls = []
-    real = genfunc.extract_u
+    real = genfunc._ladder
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(genfunc, "extract_u", counting)
+    monkeypatch.setattr(genfunc, "_ladder", counting)
     genfunc.negative_level_series(j, "total", order=10)
     assert len(calls) == 1
+
+
+def test_dual_total_needs_two_orders_of_headroom():
+    bundle = genfunc.kernel_bundle(18)
+    for j in range(21):
+        got = genfunc.dual_level_series(j, "total", order=16, bundle=bundle)
+        assert got == genfunc.dual_level_series(j, "total", order=16), j
+
+
+_LEVELS = {
+    "primal": genfunc.PRIMAL_CLASSES,
+    "dual": genfunc.DUAL_CLASSES,
+    "negative": ("f", "g", "h", "total"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, cls", [(family, cls) for family, classes in _LEVELS.items() for cls in classes]
+)
+def test_levels_call_builds_one_bundle(monkeypatch, family, cls):
+    calls = {"kernel_bundle": 0, "negative_boundary_series": 0}
+    for name in calls:
+        real = getattr(genfunc, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(genfunc, name, counting)
+    lo = -3 if family == "negative" else 0
+    getattr(genfunc, f"{family}_levels")(lo, 3, cls, order=10)
+    assert calls == {"kernel_bundle": 1, "negative_boundary_series": int(family == "negative")}
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_levels_equal_single_level_calls(order):
+    top = order + 2  # past the order, where the levels are zero
+    ranges = {
+        "primal": [(0, top), (2, top), (top, top)],
+        "dual": [(0, top), (2, top), (top, top)],
+        "negative": [(-top, top), (-top, -2), (-1, -1), (-1, 2), (0, 0), (2, top)],
+    }
+    for family, classes in _LEVELS.items():
+        levels = getattr(genfunc, f"{family}_levels")
+        single = getattr(genfunc, f"{family}_level_series")
+        for cls in classes:
+            bottom = ranges[family][0][0]
+            want = {j: single(j, cls, order=order) for j in range(bottom, top + 1)}
+            for lo, hi in ranges[family]:
+                got = dict(zip(range(lo, hi + 1), levels(lo, hi, cls, order=order)))
+                assert got == {j: want[j] for j in range(lo, hi + 1)}, (family, cls, lo, hi)
+
+
+@pytest.mark.parametrize("family", sorted(_LEVELS))
+def test_empty_level_range_rejected(family):
+    with pytest.raises(ValueError, match="empty level range 3..2"):
+        getattr(genfunc, f"{family}_levels")(3, 2, order=4)
+
+
+_ONE, _Z = Series.one(8), Series.z(8)
+
+
+@pytest.mark.parametrize(
+    "num, den0, den1, lo, hi, want",
+    [
+        # 1/(1 - zu): level j is z^j
+        pytest.param(
+            (_ONE,), _ONE, -_Z, 0, 4, [Series.from_dict({j: 1}, 8) for j in range(5)],
+            id="geometric",
+        ),
+        # (2 + 5zu)/(1 - zu): level j >= 1 is 2z^j + 5z z^(j-1) = 7z^j
+        pytest.param(
+            (2 * _ONE, 5 * _Z), _ONE, -_Z, 1, 3, [Series.from_dict({j: 7}, 8) for j in (1, 2, 3)],
+            id="numerator-shift",
+        ),
+        # den0 = z has no inverse
+        pytest.param((_Z,), _Z, _Z, 0, 0, NonUnitError, id="non-unit-den0"),
+    ],
+)
+def test_ladder_expansion(num, den0, den1, lo, hi, want):
+    if want is NonUnitError:
+        with pytest.raises(NonUnitError):
+            genfunc._ladder(num, den0, den1, lo, hi)
+    else:
+        assert genfunc._ladder(num, den0, den1, lo, hi) == want
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 8])

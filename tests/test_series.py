@@ -14,11 +14,9 @@ from skewdyck.series import (
     RingMismatchError,
     Series,
     SeriesError,
-    ULinearRational,
     WPoly,
     W_VAR,
     div,
-    extract_u,
     first_mismatch,
     inv,
     shift_divide,
@@ -153,35 +151,6 @@ def test_shift_up_keeps_order():
     up = shift_up(s, 1)
     assert up.order == 2
     assert [up.coeff(i) for i in range(3)] == [0, 1, 2]
-
-
-def test_extract_u_matches_geometric_expansion():
-    # 1/(1 - z*u): [u^j] should be z^j
-    order = 8
-    one = Series.one(order)
-    z = Series.z(order)
-    r = ULinearRational((one,), one, -z)
-    for j in range(5):
-        expect = Series.from_dict({j: 1}, order)
-        assert extract_u(r, j) == expect
-
-
-def test_extract_u_numerator_shift():
-    # (n0 + n1*u)/(1 - z*u): [u^1] = n1 + n0*z
-    order = 6
-    one = Series.one(order)
-    z = Series.z(order)
-    n0 = Series.from_dict({0: 2}, order)
-    n1 = Series.from_dict({1: 5}, order)
-    r = ULinearRational((n0, n1), one, -z)
-    got = extract_u(r, 1)
-    assert got.coeff(1) == 5 + 2  # n1's z + n0*z
-
-
-def test_ulinear_requires_unit_den0():
-    z = Series.z(4)
-    with pytest.raises(NonUnitError):
-        ULinearRational((z,), z, z)
 
 
 def test_w_homomorphisms():

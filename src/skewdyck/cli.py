@@ -99,8 +99,8 @@ _EXPLICIT = {
 
 def _check_brute_dp(cli_family, max_length):
     family = _CLI_FAMILIES[cli_family][0]
-    brute = paths.count_table(family, max_length).entries
-    table = dp.dp_table(family, max_length).entries
+    brute = paths.count_table(family, max_length).counts()
+    table = dp.dp_table(family, max_length).counts()
     bad = first_mismatch(
         ("(n={}, j={}, cls={}, k={})".format(*key), brute.get(key, 0), table.get(key, 0))
         for key in sorted(set(brute) | set(table))

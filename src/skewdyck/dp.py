@@ -19,38 +19,46 @@ def dp_table(family, max_length, with_color_marker=True):
     With ``with_color_marker`` the table is refined by the colored-edge
     count k (entries are w-polynomials via ``CountTable.wpoly``); without
     it all counts are lumped at k=0.
+
+    The state after n steps maps each level to ``{class: packed}``, which
+    is exactly the table's (n, level) row: the counts of every colour
+    count k in one int, digit k in base 2^B with B = ``table.bits`` (see
+    :class:`~skewdyck.paths.CountTable`; counts stay below 2^B, so digits
+    never carry).  A coloured step shifts by B (by 0 without the marker),
+    and states that meet are merged by int addition.
     """
     spec = family_spec(family)
     table = CountTable(family, max_length)
-    cls_of = dict(zip(spec.steps, spec.classes))
+    shift = table.bits if with_color_marker else 0
+    # the allowed moves out of each class, named after the step into it:
+    # (level increment, class reached, shift); the seed (empty-path) class
+    # is the up class, so this also covers the start state
+    moves = {
+        cls: tuple(
+            (spec.incr[s], cls_s, shift if s == spec.colored else 0)
+            for s, cls_s in zip(spec.steps, spec.classes)
+            if (prev, s) not in spec.forbidden
+        )
+        for prev, cls in zip(spec.steps, spec.classes)
+    }
 
-    # state: (level, class, k) -> count
-    state = {(0, spec.empty_class, 0): 1}
+    state = {0: {spec.empty_class: 1}}
     for n in range(max_length + 1):
-        for (level, cls, k), v in state.items():
-            table.add(n, level, cls, k, v)
+        for level, row in state.items():
+            table.entries[n, level] = row
         if n == max_length:
             break
         nxt = {}
-        for (level, cls, k), v in state.items():
-            prev_step = _step_of_class(spec, cls)
-            for s in spec.steps:
-                if (prev_step, s) in spec.forbidden:
-                    continue
-                nl = level + spec.incr[s]
-                if spec.floor and nl < 0:
-                    continue
-                nk = k + (1 if with_color_marker and s == spec.colored else 0)
-                key = (nl, cls_of[s], nk)
-                nxt[key] = nxt.get(key, 0) + v
+        for level, row in state.items():
+            for cls, v in row.items():
+                for incr, cls_s, by in moves[cls]:
+                    nl = level + incr
+                    if spec.floor and nl < 0:
+                        continue
+                    out = nxt.setdefault(nl, {})
+                    out[cls_s] = out.get(cls_s, 0) + (v << by)
         state = nxt
     return table
-
-
-def _step_of_class(spec, cls):
-    # the seed (empty-path) class is the up class, so this also covers the
-    # start state and its adjacency restrictions
-    return spec.steps[spec.classes.index(cls)]
 
 
 def _arrays(table, cls, levels, max_length):

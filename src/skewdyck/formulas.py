@@ -45,13 +45,46 @@ def _trinomial_row(n, middle):
     T = (1 + m t + t^2)^n satisfies (1 + m t + t^2) T' = n (m + 2t) T, whose
     t^k coefficient gives (k+1) a_{k+1} = m (n-k) a_k + (2n-k+1) a_{k-1}
     with a_0 = 1.  A row thus costs O(n) ring operations and needs no
-    other row, so a cold row neither recurses nor fills the cache.
+    other row, so a cold row neither recurses nor fills the cache.  An
+    integral middle (3, or 2+w) runs the recurrence on integer
+    w-coefficient lists, where the division by k+1 is exact.
     """
-    out = [_zero_like(middle), _one_like(middle)]  # a_{-1}, a_0
+    coeffs = middle.coeffs if isinstance(middle, WPoly) else (middle,)
+    if any(c.denominator != 1 for c in coeffs):
+        out = [_zero_like(middle), _one_like(middle)]  # a_{-1}, a_0
+        for k in range(2 * n):
+            step = middle * (n - k) * out[-1] + (2 * n - k + 1) * out[-2]
+            out.append(step * Fraction(1, k + 1))
+        return tuple(out[1:])
+    rows = _integer_row(n, [int(c) for c in coeffs])
+    if isinstance(middle, WPoly):
+        return tuple(WPoly(a) for a in rows)
+    return tuple(Fraction(a[0]) for a in rows)
+
+
+def _integer_row(n, m):
+    """The recurrence of :func:`_trinomial_row` on integer lists: a_k as its
+    w-coefficients, for the middle with w-coefficients ``m``."""
+    prev, cur = [], [1]  # a_{-1}, a_0
+    rows = [cur]
     for k in range(2 * n):
-        step = middle * (n - k) * out[-1] + (2 * n - k + 1) * out[-2]
-        out.append(step * Fraction(1, k + 1))
-    return tuple(out[1:])
+        acc = [0] * max(len(cur) + len(m) - 1, len(prev))
+        for i, mi in enumerate(m):
+            f = mi * (n - k)
+            for t, c in enumerate(cur):
+                acc[i + t] += f * c
+        f = 2 * n - k + 1
+        for t, c in enumerate(prev):
+            acc[t] += f * c
+        nxt = []
+        for c in acc:
+            q, r = divmod(c, k + 1)
+            if r:
+                raise ArithmeticError(f"trinomial row {n}: {c} not divisible by {k + 1}")
+            nxt.append(q)
+        prev, cur = cur, nxt
+        rows.append(cur)
+    return rows
 
 
 def _one_like(middle):

@@ -108,7 +108,9 @@ class KernelBundle:
 
     The w-refined half (Ww, Pw) is built on first access and then kept on
     the instance; only the red-marked constructors, ``dual_blue_g0`` and
-    the identity checks read it.
+    the identity checks read it.  The bad root z/P of the below-axis
+    kernel is built and kept the same way, for the negative-level
+    constructors.
     """
 
     order: int
@@ -125,6 +127,11 @@ class KernelBundle:
     def Pw(self):
         one = Series.one(self.order, WPOLY)
         return (one + shift_up(one, 2) * W_VAR + self.Ww) * Fraction(1, 2)
+
+    @cached_property
+    def bad_root(self):
+        """z/P = Q/(z(2-z^2)), the small root of the below-axis kernel."""
+        return div(Series.z(self.order, RATIONAL), self.P)
 
 
 def kernel_bundle(order=DEFAULT_ORDER):
@@ -493,7 +500,7 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     denh = bundle.Q * (z2 - one) + one - 2 * z2
     rho_h = div(shift_up(one, 4), denh)
     rho_g = div(z2 + rho_h, one - z2)
-    s_bad = div(z, bundle.P)
+    s_bad = bundle.bad_root
     coef = (z2 * s_bad) * 2 + z2 * ((rho_g + rho_h) * s_bad) - z
     rhs = 2 * (z * (s_bad * s_bad)) - s_bad
     f0 = div(shift_divide(rhs, 1), shift_divide(coef, 1))
@@ -520,12 +527,11 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
         raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
     # the boundary constants lose one order to their division by z
     bundle = _bundle(bundle, order, order + 1)
-    boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
     z = Series.z(bundle.order, RATIONAL)
+    boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
     out = []
     if lo < 0:
-        s1 = div(z, bundle.P)  # the bad root, = Q/(z(2-z^2))
-        below = _negative_numerator(cls, bundle, boundary, s1)
+        below = _negative_numerator(cls, bundle, boundary, bundle.bad_root)
         out += reversed(_ladder(below, *_dual_linear(bundle), max(-hi, 1), -lo))
     if hi >= 0:
         above = _negative_numerator(cls, bundle, boundary, None)

@@ -190,54 +190,92 @@ class CountTable:
     """Exact counts indexed by (length, end level, last-step class, color count).
 
     ``count(n, j, cls=None, k=None)`` sums over any index passed as None.
+
+    Layout: ``entries`` maps a row key (n, j) to ``{cls: packed}``, where
+    ``packed`` holds the counts of every colour count k at once, count k
+    being digit k in base 2^B (Kronecker substitution).  B = ``bits`` =
+    bit_length(3^N) + 1 depends on ``max_length`` N alone, so two tables
+    of one length share it and compare equal exactly when they agree at
+    every (n, j, cls, k).  No count of paths of length n <= N exceeds 3^N,
+    so a digit never carries into the next, and the sum of the packed
+    values of several classes is the packed sum of their counts.  Every
+    lookup reads one row and unpacks only what it returns.
     """
 
     def __init__(self, family, max_length):
         self.family = family
         self.max_length = max_length
+        self.bits = (3**max_length).bit_length() + 1
         self.entries = {}
 
     def add(self, n, j, cls, k, amount=1):
-        key = (n, j, cls, k)
-        self.entries[key] = self.entries.get(key, 0) + amount
+        """Add ``amount`` to the count at (n, j, cls, k); the count must stay
+        a digit, in 0 .. 2^B - 1."""
+        if k < 0:
+            raise ValueError(f"color count {k} is negative")
+        row = self.entries.setdefault((n, j), {})
+        packed = row.get(cls, 0)
+        digit = self._digit(packed, k) + amount
+        if not 0 <= digit < 1 << self.bits:
+            raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is not a digit")
+        row[cls] = packed + (amount << (k * self.bits))
+
+    def _packed(self, n, j, cls):
+        row = self.entries.get((n, j))
+        if not row:
+            return 0
+        return sum(row.values()) if cls is None else row.get(cls, 0)
+
+    def _digit(self, packed, k):
+        return (packed >> (k * self.bits)) & ((1 << self.bits) - 1)
+
+    def _digits(self, packed):
+        mask = (1 << self.bits) - 1
+        out = []
+        while packed:
+            out.append(packed & mask)
+            packed >>= self.bits
+        return out
 
     def count(self, n, j, cls=None, k=None):
-        total = 0
-        for (en, ej, ec, ek), v in self.entries.items():
-            if en != n or ej != j:
-                continue
-            if cls is not None and ec != cls:
-                continue
-            if k is not None and ek != k:
-                continue
-            total += v
-        return total
+        packed = self._packed(n, j, cls)
+        if k is None:
+            return sum(self._digits(packed))
+        return self._digit(packed, k) if k >= 0 else 0
 
     def wpoly(self, n, j, cls=None):
         """Counts at (n, j) as a polynomial in the color marker w."""
-        by_k = {}
-        for (en, ej, ec, ek), v in self.entries.items():
-            if en == n and ej == j and (cls is None or ec == cls):
-                by_k[ek] = by_k.get(ek, 0) + v
-        if not by_k:
-            return WPoly()
-        top = max(by_k)
-        return WPoly([Fraction(by_k.get(k, 0)) for k in range(top + 1)])
+        return WPoly([Fraction(c) for c in self._digits(self._packed(n, j, cls))])
 
     def coefficients(self, j, cls=None, k=None):
         """[count(0, j), count(1, j), ...] up to max_length."""
         return [self.count(n, j, cls=cls, k=k) for n in range(self.max_length + 1)]
 
+    def counts(self):
+        """Every nonzero count, as ``{(n, j, cls, k): count}``."""
+        out = {}
+        for (n, j), row in self.entries.items():
+            for cls, packed in row.items():
+                for k, c in enumerate(self._digits(packed)):
+                    if c:
+                        out[n, j, cls, k] = c
+        return out
+
 
 def count_table(family, max_length, cap=BRUTE_FORCE_CAP):
-    """Full refined table from depth-first enumeration (no words stored)."""
+    """Full refined table from depth-first enumeration (no words stored).
+
+    Each visited node adds one to a local tally of (n, level, cls, k); the
+    table is written once from the tally at the end.
+    """
     _check_cap(max_length, cap)
     spec = family_spec(family)
-    table = CountTable(family, max_length)
     cls_of = dict(zip(spec.steps, spec.classes))
+    tally = {}
 
     def rec(n, level, prev, cls, reds):
-        table.add(n, level, cls, reds)
+        key = (n, level, cls, reds)
+        tally[key] = tally.get(key, 0) + 1
         if n == max_length:
             return
         for s in spec.steps:
@@ -249,6 +287,9 @@ def count_table(family, max_length, cap=BRUTE_FORCE_CAP):
             rec(n + 1, nl, s, cls_of[s], reds + (1 if s == spec.colored else 0))
 
     rec(0, 0, spec.steps[0], spec.empty_class, 0)
+    table = CountTable(family, max_length)
+    for key, c in tally.items():
+        table.add(*key, c)
     return table
 
 

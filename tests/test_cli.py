@@ -268,7 +268,7 @@ def _bump_table(fn, key):
 
     def faulty(family, max_length, *rest):
         table = fn(family, max_length, *rest)
-        table.entries[key] = table.entries.get(key, 0) + 1
+        table.add(*key)
         return table
 
     return faulty

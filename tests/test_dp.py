@@ -3,15 +3,16 @@
 import pytest
 
 from skewdyck.dp import check_recursions, dp_table
-from skewdyck.paths import BOUNDED, DUAL, FAMILIES, UNBOUNDED, count_table
+from skewdyck.paths import BOUNDED, DUAL, FAMILIES, UNBOUNDED, count_table, family_spec
+from skewdyck.series import WPoly
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_dp_matches_brute_force_refined(family):
-    n = 10
-    brute = count_table(family, n)
-    table = dp_table(family, n)
-    assert brute.entries == table.entries
+    for n in (0, 1, 2, 8, 10):  # the short lengths have the smallest digit widths
+        brute = count_table(family, n)
+        table = dp_table(family, n)
+        assert brute.entries == table.entries, n
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -52,7 +53,7 @@ def test_recursion_identities_hold(family):
 def test_recursion_checker_flags_corruption():
     n = 8
     table = dp_table(BOUNDED, n)
-    table.entries[(4, 0, "g", 0)] += 1
+    table.add(4, 0, "g", 0)
     checks = check_recursions(BOUNDED, table, n)
     assert any(not c.ok for c in checks)
 
@@ -60,3 +61,52 @@ def test_recursion_checker_flags_corruption():
 def test_unknown_family():
     with pytest.raises(ValueError):
         dp_table("nonsense", 4)
+
+
+def _reference_counts(family, max_length, with_color_marker):
+    """Unpacked forward DP: {(n, j, cls, k): count}, one entry per state."""
+    spec = family_spec(family)
+    out = {}
+    state = {(0, spec.empty_class, 0): 1}
+    for n in range(max_length + 1):
+        for (level, cls, k), v in state.items():
+            out[n, level, cls, k] = v
+        nxt = {}
+        for (level, cls, k), v in state.items():
+            prev = spec.steps[spec.classes.index(cls)]
+            for s, cls_s in zip(spec.steps, spec.classes):
+                nl = level + spec.incr[s]
+                if (prev, s) in spec.forbidden or (spec.floor and nl < 0):
+                    continue
+                nk = k + (with_color_marker and s == spec.colored)
+                nxt[nl, cls_s, nk] = nxt.get((nl, cls_s, nk), 0) + v
+        state = nxt
+    return out
+
+
+@pytest.mark.parametrize("marker", [True, False])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lookups_match_unpacked_reference(family, marker):
+    top = 20
+    ref = _reference_counts(family, top, marker)
+    classes = family_spec(family).classes
+    for max_length in (0, 1, 2, 3, top):
+        table = dp_table(family, max_length, with_color_marker=marker)
+        assert table.counts() == {key: v for key, v in ref.items() if key[0] <= max_length}
+        for n in range(max_length + 1):
+            for j in range(-n - 1, n + 2):  # rows past |j| = n are absent
+                for cls in classes + (None,):
+                    cs = classes if cls is None else (cls,)
+                    by_k = [sum(ref.get((n, j, c, k), 0) for c in cs) for k in range(n + 3)]
+                    assert table.wpoly(n, j, cls=cls) == WPoly(by_k)
+                    assert table.count(n, j, cls=cls) == sum(by_k)
+                    assert table.count(n, j, cls=cls, k=-1) == 0
+                    for k, want in enumerate(by_k):  # k up to two past the top digit
+                        assert table.count(n, j, cls=cls, k=k) == want
+        for j in (-max_length - 1, 0, 1, max_length + 1):
+            for cls in classes + (None,):
+                for k in (None, 0, 1, max_length + 1):
+                    assert table.coefficients(j, cls=cls, k=k) == [
+                        table.count(n, j, cls=cls, k=k) for n in range(max_length + 1)
+                    ]
+

@@ -50,12 +50,28 @@ class TestTrinomial:
         for n in range(6):
             assert sum(trinomial(n, 3, k) for k in range(2 * n + 1)) == 5**n
 
-    @pytest.mark.parametrize("middle", [3, Fraction(-1, 2), WPoly((2, 1))])
+    @pytest.mark.parametrize(
+        "middle", [3, Fraction(-1, 2), WPoly((2, 1)), -2, WPoly((Fraction(1, 2), -3))]
+    )
     def test_rows_match_series_powers(self, middle):
         for n in range(9):
             power = Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY) ** n
             got = [WPoly.coerce(trinomial(n, middle, k)) for k in range(2 * n + 1)]
             assert got == list(power.coeffs), n
+
+    def test_integral_rows_keep_their_ring(self):
+        # an integral middle takes the integer route but returns the
+        # same ring elements as a rational one
+        for n in (0, 1, 5):
+            assert all(type(a) is Fraction for a in formulas._trinomial_row(n, Fraction(3)))
+            assert all(type(a) is WPoly for a in formulas._trinomial_row(n, WPoly((2, 1))))
+        # [t^n](1 + m t + t^2)^n = sum_i C(n, i) C(n-i, i) m^(n-2i): its
+        # w^0 and w^1 coefficients at m = 2 + w
+        ways = [comb(39, i) * comb(39 - i, i) for i in range(20)]
+        assert trinomial(39, WPoly((2, 1)), 39).coeffs[:2] == (
+            sum(c * 2 ** (39 - 2 * i) for i, c in enumerate(ways)),
+            sum(c * (39 - 2 * i) * 2 ** (38 - 2 * i) for i, c in enumerate(ways)),
+        )
 
     def test_cold_row_needs_no_deep_recursion(self):
         formulas._trinomial_row.cache_clear()

@@ -218,6 +218,22 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("lo", [-3, 0])
+def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
+    # the boundary's rho_h, rho_g and f0, and the bad root z/P, which the
+    # boundary and the levels below the axis share
+    calls = []
+    real = genfunc.div
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genfunc, "div", counting)
+    genfunc.negative_levels(lo, 3, order=10)
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("j", [-2, 3])
 def test_negative_total_extracts_once(monkeypatch, j):
     # the total adds the class numerators over their shared denominator,

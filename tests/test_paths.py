@@ -6,6 +6,7 @@ from skewdyck.paths import (
     BOUNDED,
     DUAL,
     UNBOUNDED,
+    CountTable,
     PathWord,
     count_table,
     enumerate_paths,
@@ -81,6 +82,34 @@ def test_count_table_wpoly_refinement():
     # 10 paths of length 6 ending at level 0, split by red count: 5 + 4w + w^2
     assert poly.coeffs == (5, 4, 1)
     assert poly.eval(1) == 10
+
+
+def test_largest_digit_unpacks_without_carry():
+    for n in (1, 5, 14, 96):
+        table = CountTable(BOUNDED, n)
+        top = 3**n - 1
+        for k in range(3):
+            table.add(n, 0, "f", k, top)
+        table.add(n, 0, "g", 1, top)
+        assert [table.count(n, 0, "f", k) for k in range(4)] == [top, top, top, 0]
+        assert table.count(n, 0, k=1) == 2 * top
+        assert table.count(n, 0) == 4 * top
+        assert table.wpoly(n, 0, "f").coeffs == (top, top, top)
+        assert table.counts() == {
+            (n, 0, "f", 0): top, (n, 0, "f", 1): top, (n, 0, "f", 2): top, (n, 0, "g", 1): top,
+        }
+
+
+def test_add_keeps_every_count_a_digit():
+    table = CountTable(BOUNDED, 4)
+    table.add(4, 0, "g", 1, 2)
+    with pytest.raises(ValueError):
+        table.add(4, 0, "g", 1, -3)  # would borrow from the next digit
+    with pytest.raises(ValueError):
+        table.add(4, 0, "g", 0, 1 << table.bits)  # would carry into the next digit
+    with pytest.raises(ValueError):
+        table.add(4, 0, "g", -1)
+    assert table.counts() == {(4, 0, "g", 1): 2}
 
 
 def test_render_ascii_deterministic():

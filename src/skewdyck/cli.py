@@ -8,7 +8,8 @@ paths      list (and optionally render) enumerated path words
 stats-red  per-semilength red-edge statistics
 oeis       compare a recomputed series against an embedded reference prefix
 
-Exit codes: 0 success/pass, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success/pass, 1 verification mismatch, 2 usage or any other
+error (one ``error:`` line on stderr).
 All output is deterministic: identical inputs yield byte-identical output.
 """
 
@@ -66,16 +67,9 @@ def _levels(cli_family, lo, hi, order):
     return dict(zip(range(lo, hi + 1), made))
 
 
-def _int_coeff(s, n):
-    c = s.coeff(n)
-    if c.denominator != 1:
-        raise AssertionError(f"non-integer coefficient {c} at z^{n}")
-    return c.numerator
-
-
 def cmd_table(args, out):
     levels = _levels(args.family, *args.levels, args.order)
-    rows = [(j, [_int_coeff(s, n) for n in range(args.order + 1)]) for j, s in levels.items()]
+    rows = [(j, [s.coeff(n) for n in range(args.order + 1)]) for j, s in levels.items()]
     if args.format == "tsv":
         header = ["j"] + [str(n) for n in range(args.order + 1)]
         out.write("\t".join(header) + "\n")
@@ -118,7 +112,7 @@ def _check_dp_closed(cli_family, order, levels, fault=False):
         for j, s in levels.items():
             for n in range(order + 1):
                 want = table.count(n, j)
-                got = _int_coeff(s, n)
+                got = s.coeff(n)
                 if fault and cli_family == "primal" and j == 0 and n == 4:
                     got += 1  # test mode: deliberately corrupted coefficient
                 yield f"j={j} z^{n}", got, want
@@ -137,7 +131,7 @@ def _check_closed_explicit(cli_family, order, levels):
     def coefficients():  # levels above order - 2 have no coefficient to check
         for j, s in levels.items():
             for m in range(1, (order - j) // 2 + 1):
-                yield f"j={j} z^{2 * m + j}", explicit(j, m), _int_coeff(s, 2 * m + j)
+                yield f"j={j} z^{2 * m + j}", explicit(j, m), s.coeff(2 * m + j)
 
     bad = first_mismatch(coefficients())
     name = f"closed-explicit:{cli_family}"
@@ -146,9 +140,7 @@ def _check_closed_explicit(cli_family, order, levels):
     return Check(name, True, f"(j <= 8, {span} <= {order})")
 
 
-def _check_closed_explicit_red(order):
-    max_n = max(order // 2, 1)
-    sx = genfunc.red_axis_x(order=2 * max_n)
+def _check_closed_explicit_red(max_n, sx):
     bad = first_mismatch(
         (f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)
     )
@@ -158,7 +150,7 @@ def _check_closed_explicit_red(order):
     return Check(name, True, f"(n <= {max_n})")
 
 
-def _check_kernel_identities(order):
+def _check_kernel_identities(order, sx):
     b = genfunc.kernel_bundle(max(order, 8))
     n = b.order
     probs = []
@@ -169,7 +161,7 @@ def _check_kernel_identities(order):
     left, right = (Series.from_dict({0: 1, 2: -c}, n, WPOLY) for c in (W_VAR, W_VAR + 4))
     if b.Ww * b.Ww != left * right:
         probs.append("Ww^2 != (1-z^2 w)(1-(4+w)z^2)")
-    for chk in genfunc.substitution_identity_check(order=min(order, 20)):
+    for chk in genfunc.substitution_identity_check(sx.truncate(min(order, 20))):
         if not chk.ok:
             probs.append(f"substitution({chk.name})")
     return Check(
@@ -194,7 +186,7 @@ def _compute_reference(seq_id):
         s = genfunc.primal_level_series(0, order=2 * (n_terms - 1))
     else:
         s = genfunc.negative_axis_series("sum", order=2 * (n_terms - 1))
-    return [_int_coeff(s, 2 * n) for n in range(n_terms)]
+    return [s.coeff(2 * n) for n in range(n_terms)]
 
 
 def _check_reversal_duality(max_length):
@@ -227,12 +219,16 @@ def _verify_checks(args):
         top = min(6, order) if fam == "unbounded" else min(8, order)
         levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, order)
         yield _check_dp_closed(fam, order, levels[fam], fault=args.inject_fault)
+    # one red axis series in x, for closed-explicit:red (x^1..x^max_n) and
+    # the substitution identity (x^0..x^20 at most)
+    max_n = max(args.order // 2, 1)
+    sx = genfunc.red_axis_x(order=2 * max(max_n, min(args.order, 20)))
     if "primal" in families:
         yield _check_closed_explicit("primal", args.order, levels["primal"])
-        yield _check_closed_explicit_red(args.order)
+        yield _check_closed_explicit_red(max_n, sx)
     if "dual" in families:
         yield _check_closed_explicit("dual", args.order, levels["dual"])
-    yield _check_kernel_identities(args.order)
+    yield _check_kernel_identities(args.order, sx)
     if "primal" in families or "unbounded" in families:
         yield _check_reference("A002212")
     if "unbounded" in families:
@@ -275,13 +271,10 @@ def cmd_stats_red(args, out):
     axis = genfunc.primal_level_series(0, order=2 * n_max)
     out.write("n\tpaths\tred_edges\taverage\tratio_to_n_over_5\n")
     for n in range(n_max + 1):
-        total = _int_coeff(axis, 2 * n)
-        red = reds.coeff(n)
-        if red.denominator != 1:
-            raise AssertionError(f"non-integer red-edge total {red} at n={n}")
+        total, red = axis.coeff(2 * n), reds.coeff(n)
         avg = Fraction(red, total)
         ratio = "-" if n == 0 else str(Fraction(5) * avg / n)
-        out.write(f"{n}\t{total}\t{red.numerator}\t{avg}\t{ratio}\n")
+        out.write(f"{n}\t{total}\t{red}\t{avg}\t{ratio}\n")
     return 0
 
 
@@ -362,9 +355,9 @@ def main(argv=None):
         parser.error(f"{args.family} levels must be nonnegative")
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, AssertionError) as exc:
+    except Exception as exc:  # exit 1 means a mismatch; any error exits 2
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

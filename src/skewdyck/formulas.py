@@ -20,7 +20,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .series import WPoly
@@ -45,26 +44,11 @@ def _trinomial_row(n, middle):
     T = (1 + m t + t^2)^n satisfies (1 + m t + t^2) T' = n (m + 2t) T, whose
     t^k coefficient gives (k+1) a_{k+1} = m (n-k) a_k + (2n-k+1) a_{k-1}
     with a_0 = 1.  A row thus costs O(n) ring operations and needs no
-    other row, so a cold row neither recurses nor fills the cache.  An
-    integral middle (3, or 2+w) runs the recurrence on integer
-    w-coefficient lists, where the division by k+1 is exact.
+    other row, so a cold row neither recurses nor fills the cache.  The
+    recurrence runs on integer lists, a_k as its w-coefficients, where the
+    division by k+1 is exact.
     """
-    coeffs = middle.coeffs if isinstance(middle, WPoly) else (middle,)
-    if any(c.denominator != 1 for c in coeffs):
-        out = [_zero_like(middle), _one_like(middle)]  # a_{-1}, a_0
-        for k in range(2 * n):
-            step = middle * (n - k) * out[-1] + (2 * n - k + 1) * out[-2]
-            out.append(step * Fraction(1, k + 1))
-        return tuple(out[1:])
-    rows = _integer_row(n, [int(c) for c in coeffs])
-    if isinstance(middle, WPoly):
-        return tuple(WPoly(a) for a in rows)
-    return tuple(Fraction(a[0]) for a in rows)
-
-
-def _integer_row(n, m):
-    """The recurrence of :func:`_trinomial_row` on integer lists: a_k as its
-    w-coefficients, for the middle with w-coefficients ``m``."""
+    m = middle.coeffs if isinstance(middle, WPoly) else (middle,)
     prev, cur = [], [1]  # a_{-1}, a_0
     rows = [cur]
     for k in range(2 * n):
@@ -84,29 +68,23 @@ def _integer_row(n, m):
             nxt.append(q)
         prev, cur = cur, nxt
         rows.append(cur)
-    return rows
-
-
-def _one_like(middle):
-    return WPoly.const(1) if isinstance(middle, WPoly) else Fraction(1)
-
-
-def _zero_like(middle):
-    return WPoly() if isinstance(middle, WPoly) else Fraction(0)
+    if isinstance(middle, WPoly):
+        return tuple(WPoly(a) for a in rows)
+    return tuple(a[0] for a in rows)
 
 
 def trinomial(n, middle, k):
     """[t^k](1 + middle*t + t^2)^n; zero outside 0 <= k <= 2n.
 
-    ``middle`` may be an integer, Fraction, or :class:`WPoly` (e.g. 2+w).
-    Rows are memoized per (n, middle).
+    ``middle`` is an integer or an integer :class:`WPoly` (e.g. 2+w), and
+    so is the result.  Rows are memoized per (n, middle).
     """
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
-    if isinstance(middle, int):
-        middle = Fraction(middle)
+    if not isinstance(middle, (int, WPoly)):
+        raise ValueError(f"trinomial middle must be an int or a WPoly, got {middle!r}")
     if k < 0 or k > 2 * n:
-        return _zero_like(middle)
+        return WPoly() if isinstance(middle, WPoly) else 0
     return _trinomial_row(n, middle)[k]
 
 
@@ -136,12 +114,7 @@ def primal_coeff_explicit(j, m):
     """
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
-    total = Fraction(0)
-    for k in range(m + 1):
-        total += kappa_coeff(j, k) * trinomial(m - 1 + j, 3, m - k)
-    if total.denominator != 1:
-        raise ValueError(f"non-integral primal coefficient sum {total} at (j={j}, m={m})")
-    return total.numerator
+    return sum(kappa_coeff(j, k) * trinomial(m - 1 + j, 3, m - k) for k in range(m + 1))
 
 
 # --- dual level coefficients --------------------------------------------------
@@ -167,12 +140,7 @@ def dual_coeff_explicit(j, N):
     """
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
-    total = Fraction(0)
-    for k in range(N + 1):
-        total += mu_coeff(j, k) * trinomial(N - 1, 3, N - k)
-    if total.denominator != 1:
-        raise ValueError(f"non-integral dual coefficient sum {total} at (j={j}, N={N})")
-    return total.numerator
+    return sum(mu_coeff(j, k) * trinomial(N - 1, 3, N - k) for k in range(N + 1))
 
 
 # --- red-marked axis coefficients --------------------------------------------
@@ -186,7 +154,7 @@ def red_coeff_explicit(n):
     """
     if n < 1:
         raise ValueError("red_coeff_explicit requires n >= 1")
-    middle = WPoly((Fraction(2), Fraction(1)))
+    middle = WPoly((2, 1))
 
     def T(k):
         return trinomial(n - 1, middle, k)

@@ -26,7 +26,6 @@ and the divergence is deliberate and documented rather than glossed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
 
@@ -40,11 +39,11 @@ from .series import (
     W_VAR,
     div,
     first_mismatch,
+    half,
     inv,
     shift_divide,
     shift_up,
     specialize_w,
-    sqrt_one,
     w_derivative,
     w_slice,
 )
@@ -62,10 +61,10 @@ def _sqrt_quadratic(order, a, b):
     ``a`` and ``b`` are polynomials in w given as integer coefficient lists.
     Differentiating c^2 = 1 + a x + b x^2 (x = z^2) gives
     2(1 + a x + b x^2) c' = (a + 2b x) c, whose x^n coefficient is the
-    recurrence stated on :class:`KernelBundle`.  Both kernel roots have
-    integer coefficients, so its division is exact.  Returns order + 1
-    integer coefficient lists: c_n sits in the slot of z^{2n}, the odd
-    slots hold zero.
+    recurrence stated on :class:`KernelBundle`.  Both kernel roots and
+    sqrt(1 - 4x) have integer coefficients, so its division is exact.
+    Returns order + 1 integer coefficient lists: c_n sits in the slot of
+    z^{2n}, the odd slots hold zero.
     """
     out = [[0]] * (order + 1)
     prev, cur = [], [1]
@@ -126,7 +125,7 @@ class KernelBundle:
     @cached_property
     def Pw(self):
         one = Series.one(self.order, WPOLY)
-        return (one + shift_up(one, 2) * W_VAR + self.Ww) * Fraction(1, 2)
+        return half(one + shift_up(one, 2) * W_VAR + self.Ww)
 
     @cached_property
     def bad_root(self):
@@ -145,8 +144,8 @@ def kernel_bundle(order=DEFAULT_ORDER):
     W = Series([c[0] for c in _sqrt_quadratic(order, (-6,), (5,))], RATIONAL)
     one = Series.one(order, RATIONAL)
     z2 = shift_up(one, 2)
-    P = (one + z2 + W) * Fraction(1, 2)
-    Q = (one + z2 - W) * Fraction(1, 2)
+    P = half(one + z2 + W)
+    Q = half(one + z2 - W)
     return KernelBundle(order=order, W=W, P=P, Q=Q)
 
 
@@ -202,15 +201,14 @@ def _bounded_numerator(cls, root, w):
     w := 1 the plain forms of :func:`primal_levels` (root = W, w = 1)."""
     one = Series.one(root.order, root.ring)
     z2 = shift_up(one, 2)
-    half = Fraction(1, 2)
     if cls == "f":
-        return -(one + z2 * w + root) * half
+        return -half(one + z2 * w + root)
     if cls == "g":
-        return (-one + z2 * w + root) * half
+        return half(-one + z2 * w + root)
     if cls == "h":
-        return (-one + z2 * (2 + w) + root) * half * w
+        return half(-one + z2 * (2 + w) + root) * w
     if cls == "total":
-        return (one * (-2) - one * w + z2 * (2 * w + w * w) + root * w) * half
+        return half(one * (-2) - one * w + z2 * (2 * w + w * w) + root * w)
     raise ValueError(f"unknown primal class {cls!r}; expected one of {PRIMAL_CLASSES}")
 
 
@@ -280,11 +278,14 @@ def red_axis_x(order=DEFAULT_ORDER):
     return even_to_x(red_level_series(0, order=order))
 
 
-def substitution_identity_check(order=20):
+def substitution_identity_check(s0):
     """Verify S(0) = 1 + v under x = v/(1 + m v + v^2), in its defining form.
 
-    With V = S(0) - 1 the identity is checked as the equation
-    V = x (1 + m V + V^2), coefficient by coefficient over x^0..x^order.
+    ``s0`` is the red-marked axis series S(0) in x, as :func:`red_axis_x`
+    builds it.  With V = S(0) - 1 the identity is checked as the equation
+    V = x (1 + m V + V^2), coefficient by coefficient over x^0..x^N, where
+    N is the order of ``s0``.
+
     The two forms are equivalent: x(v) has x(0) = 0 and x'(0) = 1, so
     S(x(v)) = 1 + v holds exactly when V is the compositional inverse of
     x(v), that is, when V = x phi(V) with phi(V) = 1 + m V + V^2.
@@ -295,16 +296,15 @@ def substitution_identity_check(order=20):
     weight m = 2+w (marked red edges) and one for the w := 1 specialization
     (m = 3).
     """
-    s0 = red_axis_x(order=2 * order)
     checks = []
     for name, s, middle in (
         ("substitution weight 2+w", s0, 2 + W_VAR),
         ("substitution weight 3", specialize_w(s0, 1), 3),
     ):
-        one = Series.one(order, s.ring)
+        one = Series.one(s.order, s.ring)
         v = s - one
         rhs = shift_up(one + v * middle + v * v, 1)
-        bad = first_mismatch(zip(range(order + 1), v.coeffs, rhs.coeffs))
+        bad = first_mismatch(zip(range(s.order + 1), v.coeffs, rhs.coeffs))
         detail = "first mismatch at order %s: %s != %s" % bad if bad else ""
         checks.append(Check(name, bad is None, detail))
     return checks
@@ -323,7 +323,7 @@ def average_red_series(order=DEFAULT_ORDER):
     n = order
     one = Series.one(n, RATIONAL)
     x = Series.z(n, RATIONAL)
-    root = sqrt_one(one - 6 * x + 5 * x * x)
+    root = even_to_x(kernel_bundle(2 * n).W)  # sqrt(1-6x+5x^2)
     num = -one + 6 * x - 5 * x * x + (one - 3 * x) * root
     den = (one - x) * (one - 5 * x) * 2
     closed = div(num, den)
@@ -347,11 +347,12 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     n = order + 1  # headroom for the z-power shifts below
     one = Series.one(n, RATIONAL)
     x = Series.z(n, RATIONAL)
-    R = sqrt_one(one - 4 * x)
+    # sqrt(1-4x): the root recurrence at a = -4, b = 0, read at even powers of z
+    R = Series([c[0] for c in _sqrt_quadratic(2 * n, (-4,), (0,))[::2]], RATIONAL)
     if k == 0:
-        return (shift_divide(one - R, 1) * Fraction(1, 2)).truncate(order)
+        return half(shift_divide(one - R, 1)).truncate(order)
     if k == 1:
-        return div((one - 2 * x - R) * Fraction(1, 2), R).truncate(order)
+        return div(half(one - 2 * x - R), R).truncate(order)
     if k == 2:
         return shift_up(inv((one - 4 * x) * R), 3).truncate(order)
     if k == 3:
@@ -378,8 +379,9 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
     D = P - z(2-z^2)u.  The total is computed independently as
     front * z^j * S^(j+1) with front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2:
-    level j of front S/(1 - zSu), one factor zS per level.  The test suite
-    pins total = a + b + c.
+    level j of front S/(1 - zSu), one factor zS per level, with front S
+    built as ((3-3z^2-W) S/2)/(2-z^2) so that every intermediate series is
+    integral.  The test suite pins total = a + b + c.
     """
     _level_range(lo, hi, "dual")
     # S = Q/z^2 needs two orders of headroom
@@ -390,8 +392,8 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     z2 = shift_up(one, 2)
     if cls == "total":
         s = shift_divide(bundle.Q, 2)
-        front = div((3 * one - 3 * z2 - bundle.W) * Fraction(1, 2), 2 * one - z2)
-        ladder = (front * s,), Series.one(s.order, RATIONAL), -(z * s)
+        front_s = div(half((3 * one - 3 * z2 - bundle.W) * s), 2 * one - z2)
+        ladder = (front_s,), Series.one(s.order, RATIONAL), -(z * s)
     else:
         nums = {
             "a": (bundle.P, -(z * bundle.P)),
@@ -437,7 +439,7 @@ def dual_blue_g0(order=DEFAULT_ORDER):
     one = Series.one(n, WPOLY)
     z2 = shift_up(one, 2)
     num = one - z2 * W_VAR - bundle.Ww
-    return (shift_divide(num, 2) * Fraction(1, 2)).truncate(order)
+    return half(shift_divide(num, 2)).truncate(order)
 
 
 # -- negative territory ------------------------------------------------
@@ -473,7 +475,7 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     if cls == "g0":
         return div(z2 * f0 + h0, one - z2).truncate(order)
     if cls == "sum":
-        num = (one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W) * Fraction(1, 2)
+        num = half(one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W)
         return div(shift_divide(num, 4), two_less).truncate(order)
     raise ValueError(
         f"unknown axis class {cls!r}; expected one of {NEGATIVE_AXIS_CLASSES}"
@@ -567,7 +569,7 @@ def _negative_numerator(cls, bundle, boundary, s1):
     if cls == "f":
         return (
             one + 2 * (z2 * f0) + z2 * g0 + z2 * h0 - 2 * (z * s1),
-            z * Fraction(-2),
+            z * -2,
         )
     # the g and h parts share c = s1 z^2 - z^3 (f0 + g0) + z (g0 - h0)
     c = s1 * z2 - shift_up(z, 2) * (f0 + g0) + z * (g0 - h0)

@@ -24,7 +24,6 @@ of the level recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import WPoly
 
@@ -245,7 +244,7 @@ class CountTable:
 
     def wpoly(self, n, j, cls=None):
         """Counts at (n, j) as a polynomial in the color marker w."""
-        return WPoly([Fraction(c) for c in self._digits(self._packed(n, j, cls))])
+        return WPoly(self._digits(self._packed(n, j, cls)))
 
     def coefficients(self, j, cls=None, k=None):
         """[count(0, j), count(1, j), ...] up to max_length."""

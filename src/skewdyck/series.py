@@ -1,11 +1,15 @@
-"""Truncated formal power series over exact coefficient rings.
+"""Truncated formal power series over exact integer coefficient rings.
 
-Two coefficient rings are supported: plain rationals (``fractions.Fraction``)
-and polynomials in a single marker variable ``w`` with rational coefficients
-(:class:`WPoly`).  A :class:`Series` carries an explicit truncation order N:
-coefficients of z^0..z^N are exact, everything beyond is unknown.  Operations
-never report a coefficient they cannot guarantee; where an order cannot be
-preserved it shrinks.
+Two coefficient rings are supported: the integers and polynomials in a
+single marker variable ``w`` with integer coefficients (:class:`WPoly`),
+tagged ``RATIONAL`` (a name kept from when it held rationals) and ``WPOLY``.
+Every series counted here has integer coefficients, so every division is
+exact: :func:`div`, :func:`inv`, :func:`sqrt_one` and :func:`half` divide
+each coefficient by an integer, and a remainder raises
+:class:`ExactnessError`.  A :class:`Series` carries an explicit truncation
+order N: coefficients of z^0..z^N are exact, everything beyond is unknown.
+Operations never report a coefficient they cannot guarantee; where an order
+cannot be preserved it shrinks.
 
 All values are immutable; all operations are pure functions.
 """
@@ -13,7 +17,6 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 RATIONAL = "rational"
 WPOLY = "wpoly"
@@ -32,7 +35,7 @@ class NonUnitError(SeriesError):
 
 
 class ExactnessError(SeriesError):
-    """An operation that must be exact (z-power division, identity check)
+    """An operation that must be exact (a division, an identity check)
     found a nonzero remainder.  Usually signals a transcribed-formula bug."""
 
 
@@ -55,16 +58,25 @@ def first_mismatch(triples):
     return next((t for t in triples if t[1] != t[2]), None)
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
+def _int(x):
     if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot use {x!r} as a rational coefficient")
+        return int(x)
+    raise TypeError(f"cannot use {x!r} as an integer coefficient")
+
+
+def _divide_exactly(c, d):
+    """c / d for an int d != 0 and c an int or a :class:`WPoly`; a
+    remainder raises :class:`ExactnessError`."""
+    if isinstance(c, WPoly):
+        return WPoly(_divide_exactly(x, d) for x in c.coeffs)
+    q, r = divmod(c, d)
+    if r:
+        raise ExactnessError(f"{c} is not divisible by {d}")
+    return q
 
 
 class WPoly:
-    """Polynomial in the edge-color marker w, exact rational coefficients.
+    """Polynomial in the edge-color marker w, integer coefficients.
 
     Stored as a coefficient tuple indexed by the power of w, trailing zeros
     trimmed.  Zero is the empty tuple.
@@ -73,7 +85,7 @@ class WPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -87,7 +99,7 @@ class WPoly:
 
     @classmethod
     def coerce(cls, x):
-        return x if isinstance(x, WPoly) else cls.const(_frac(x))
+        return x if isinstance(x, WPoly) else cls.const(_int(x))
 
     @property
     def degree(self):
@@ -96,13 +108,13 @@ class WPoly:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = WPoly.const(other)
         if not isinstance(other, WPoly):
             return NotImplemented
@@ -131,7 +143,7 @@ class WPoly:
         other = WPoly.coerce(other)
         if not self.coeffs or not other.coeffs:
             return WPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -140,15 +152,10 @@ class WPoly:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if self.degree != 0:
-            raise NonUnitError(f"{self} is not a unit in the w-polynomial ring")
-        return WPoly.const(Fraction(1) / self.coeffs[0])
-
     def eval(self, value):
-        """Evaluate at a rational value of w (a ring homomorphism)."""
-        value = _frac(value)
-        acc = Fraction(0)
+        """Evaluate at an integer value of w (a ring homomorphism)."""
+        value = _int(value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
@@ -178,23 +185,9 @@ W_VAR = WPoly((0, 1))
 def _coerce_coeff(x, ring):
     if ring == RATIONAL:
         if isinstance(x, WPoly):
-            raise RingMismatchError("w-polynomial coefficient in a rational series")
-        return _frac(x)
+            raise RingMismatchError("w-polynomial coefficient in an integer series")
+        return _int(x)
     return WPoly.coerce(x)
-
-
-def _is_unit(c, ring):
-    if ring == RATIONAL:
-        return c != 0
-    return bool(c) and c.degree == 0
-
-
-def _invert(c, ring):
-    if ring == RATIONAL:
-        if c == 0:
-            raise NonUnitError("division by a series with zero constant term")
-        return Fraction(1) / c
-    return c.inverse()
 
 
 class Series:
@@ -290,7 +283,7 @@ class Series:
         return Series([-c for c in self.coeffs], self.ring)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, WPoly)):
+        if isinstance(other, (int, WPoly)):
             s = _coerce_coeff(other, self.ring)
             return Series([c * s for c in self.coeffs], self.ring)
         self._check(other)
@@ -326,52 +319,61 @@ class Series:
         return f"Series([{shown}{tail}], order={self.order}, ring={self.ring})"
 
 
-def inv(b):
-    """Multiplicative inverse of a series with invertible constant term."""
-    if not _is_unit(b.coeffs[0], b.ring):
-        raise NonUnitError("series has no invertible constant term")
-    n = b.order
-    q0 = _invert(b.coeffs[0], b.ring)
-    out = [q0]
-    zero = _coerce_coeff(0, b.ring)
-    for k in range(1, n + 1):
-        acc = zero
-        for i in range(1, k + 1):
-            if b.coeffs[i]:
-                acc = acc + b.coeffs[i] * out[k - i]
-        out.append(-(q0 * acc))
-    return Series(out, b.ring)
+def _quotient(a, b):
+    """q with q*b = a to truncation, each q_k divided exactly by b(0).
 
-
-def div(a, b):
-    """Quotient q with q*b = a to truncation; b must have a unit constant."""
-    a._check(b)
-    n = min(a.order, b.order)
-    if not _is_unit(b.coeffs[0], b.ring):
+    b(0) must be a nonzero integer (a constant w-polynomial in the w ring);
+    a zero or w-dependent b(0) raises :class:`NonUnitError`.
+    """
+    d = b.coeffs[0]
+    if isinstance(d, WPoly):
+        d = d.coeffs[0] if d.degree == 0 else 0
+    if d == 0:
         raise NonUnitError("division by a series with non-invertible constant term")
-    q0 = _invert(b.coeffs[0], b.ring)
     out = []
-    for k in range(n + 1):
+    for k in range(min(a.order, b.order) + 1):
         acc = a.coeffs[k]
         for i in range(1, k + 1):
             if b.coeffs[i]:
                 acc = acc - b.coeffs[i] * out[k - i]
-        out.append(acc * q0)
+        out.append(_divide_exactly(acc, d))
     return Series(out, a.ring)
 
 
+def inv(b):
+    """Multiplicative inverse of a series with an invertible constant term;
+    a non-integral coefficient raises :class:`ExactnessError`."""
+    return _quotient(Series.one(b.order, b.ring), b)
+
+
+def div(a, b):
+    """Quotient q with q*b = a to truncation; b(0) must be a nonzero integer
+    and each q_k integral, else :class:`ExactnessError`."""
+    a._check(b)
+    return _quotient(a, b)
+
+
+def half(a):
+    """a / 2, coefficient by coefficient; an odd coefficient raises
+    :class:`ExactnessError`."""
+    return Series([_divide_exactly(c, 2) for c in a.coeffs], a.ring)
+
+
 def sqrt_one(a):
-    """Square root with constant term 1; requires a(0) = 1 exactly."""
+    """Square root with constant term 1; requires a(0) = 1 exactly.
+
+    The test oracle for the kernel roots, which the library builds from
+    their recurrences instead.  A coefficient that is not integral raises
+    :class:`ExactnessError`.
+    """
     if a.coeffs[0] != _coerce_coeff(1, a.ring):
         raise NonUnitError("sqrt_one requires constant term exactly 1")
-    n = a.order
-    half = Fraction(1, 2)
-    out = [_coerce_coeff(1, a.ring)]
-    for k in range(1, n + 1):
+    out = [a.coeffs[0]]
+    for k in range(1, a.order + 1):
         acc = a.coeffs[k]
         for i in range(1, k):
             acc = acc - out[i] * out[k - i]
-        out.append(acc * half)
+        out.append(_divide_exactly(acc, 2))
     return Series(out, a.ring)
 
 
@@ -404,14 +406,14 @@ def shift_up(a, k):
 
 
 def specialize_w(s, value):
-    """Evaluate every w-polynomial coefficient at a rational w (e.g. w=1)."""
+    """Evaluate every w-polynomial coefficient at an integer w (e.g. w=1)."""
     if s.ring != WPOLY:
         raise RingMismatchError("specialize_w needs a w-polynomial series")
     return Series([c.eval(value) for c in s.coeffs], RATIONAL)
 
 
 def w_slice(s, k):
-    """The rational series of [w^k] taken coefficientwise."""
+    """The integer series of [w^k] taken coefficientwise."""
     if s.ring != WPOLY:
         raise RingMismatchError("w_slice needs a w-polynomial series")
     return Series([c.coeff(k) for c in s.coeffs], RATIONAL)

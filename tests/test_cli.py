@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from skewdyck import cli, formulas, genfunc, paths, refs
 from skewdyck.dp import dp_table
 from skewdyck.paths import DUAL, PathWord
-from skewdyck.series import Series
+from skewdyck.series import ExactnessError, Series
 
 CLI = [sys.executable, "-m", "skewdyck.cli"]
 
@@ -362,6 +362,27 @@ def test_verify_builds_each_family_once(monkeypatch, capsys):
     assert cli.main(["verify", "--order", "8", "--max-brute-length", "6"]) == 0
     assert {name for name, _ in calls} == {"primal_levels", "dual_levels", "negative_levels"}
     assert len(calls) == len(set(calls)), calls
+
+
+def test_verify_builds_the_red_axis_once(monkeypatch, capsys):
+    calls = []
+    real = genfunc.red_axis_x
+    monkeypatch.setattr(genfunc, "red_axis_x", lambda **kw: calls.append(kw) or real(**kw))
+    assert cli.main(["verify"]) == 0
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "--levels", "0..2"], ["verify", "--order", "8", "--max-brute-length", "4"]]
+)
+def test_engine_error_exits_2(argv, monkeypatch, capsys):
+    # exit 1 is reserved for a reported mismatch; any error exits 2
+    def inexact(*args, **kwargs):
+        raise ExactnessError("3 is not divisible by 2")
+
+    monkeypatch.setattr(genfunc, "primal_levels", inexact)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: 3 is not divisible by 2"]
 
 
 def test_verify_inject_fault_line(capsys):

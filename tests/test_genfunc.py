@@ -126,7 +126,7 @@ def test_kernel_bundle_identities():
 
 def _sqrt_one_bundle(order):
     """W, P, Q, Ww and Pw built with the O(N^2) square root, as an oracle."""
-    from skewdyck.series import RATIONAL, WPOLY, W_VAR, Series, shift_up, sqrt_one
+    from skewdyck.series import RATIONAL, WPOLY, W_VAR, Series, half, shift_up, sqrt_one
 
     one = Series.one(order, RATIONAL)
     z2 = shift_up(one, 2)
@@ -136,10 +136,10 @@ def _sqrt_one_bundle(order):
     Ww = sqrt_one((onew - z2w * W_VAR) * (onew - z2w * (4 + W_VAR)))
     return {
         "W": W,
-        "P": (one + z2 + W) * Fraction(1, 2),
-        "Q": (one + z2 - W) * Fraction(1, 2),
+        "P": half(one + z2 + W),
+        "Q": half(one + z2 - W),
         "Ww": Ww,
-        "Pw": (onew + z2w * W_VAR + Ww) * Fraction(1, 2),
+        "Pw": half(onew + z2w * W_VAR + Ww),
     }
 
 
@@ -149,6 +149,25 @@ def test_kernel_bundle_matches_sqrt_one_oracle(order):
     assert b.order == order
     for name, want in _sqrt_one_bundle(order).items():
         assert getattr(b, name) == want, name
+
+
+def test_constructors_hold_integers_only():
+    made = [genfunc.primal_open_ended(30), genfunc.dual_open_ended(30)]
+    for cls in genfunc.PRIMAL_CLASSES:
+        made += genfunc.primal_levels(0, 6, cls, order=30)
+        made += genfunc.negative_levels(-6, 6, cls, order=24)
+    for cls in genfunc.DUAL_CLASSES:
+        made += genfunc.dual_levels(0, 6, cls, order=30)
+    made += [genfunc.negative_axis_series(cls, 24) for cls in genfunc.NEGATIVE_AXIS_CLASSES]
+    made += [*genfunc.negative_boundary_series(24), genfunc.average_red_series(12)]
+    for k in range(5):
+        made += [genfunc.red_w_power_slice(k, 12, mode) for mode in ("closed", "slice")]
+    assert all(type(c) is int for s in made for c in s.coeffs)
+    red = [genfunc.dual_blue_g0(14)]
+    for cls in genfunc.PRIMAL_CLASSES:
+        red += [genfunc.red_level_series(j, cls, order=14) for j in range(4)]
+    coeffs = [c for s in red for c in s.coeffs]
+    assert all(type(c) is WPoly and all(type(a) is int for a in c.coeffs) for c in coeffs)
 
 
 def test_kernel_bundle_rejects_negative_order():
@@ -383,22 +402,16 @@ def test_red_classes_match_color_dp():
 
 
 def test_substitution_identities():
-    checks = genfunc.substitution_identity_check(order=20)
+    checks = genfunc.substitution_identity_check(genfunc.red_axis_x(order=40))
     assert len(checks) == 2
     assert all(c.ok for c in checks), checks
 
 
 @pytest.mark.parametrize("n", range(9))
-def test_substitution_check_names_first_wrong_coefficient(monkeypatch, n):
+def test_substitution_check_names_first_wrong_coefficient(n):
     # a constant bump survives w := 1, so both weights must fail at x^n
-    real = genfunc.red_axis_x
-
-    def bumped(*args, **kwargs):
-        s = real(*args, **kwargs)
-        return s + Series.from_dict({n: 1}, s.order, s.ring)
-
-    monkeypatch.setattr(genfunc, "red_axis_x", bumped)
-    checks = genfunc.substitution_identity_check(order=8)
+    s = genfunc.red_axis_x(order=16)
+    checks = genfunc.substitution_identity_check(s + Series.from_dict({n: 1}, s.order, s.ring))
     assert [c.name for c in checks] == ["substitution weight 2+w", "substitution weight 3"]
     assert not any(c.ok for c in checks)
     for c in checks:

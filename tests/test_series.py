@@ -18,6 +18,7 @@ from skewdyck.series import (
     W_VAR,
     div,
     first_mismatch,
+    half,
     inv,
     shift_divide,
     shift_up,
@@ -27,18 +28,16 @@ from skewdyck.series import (
     w_slice,
 )
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
+integers = st.integers(min_value=-40, max_value=40)
 
 
 def series_strategy(order=6, unit=False):
     def build(coeffs):
         if unit and coeffs[0] == 0:
-            coeffs = [Fraction(1)] + coeffs[1:]
+            coeffs = [1] + coeffs[1:]
         return Series(coeffs, RATIONAL)
 
-    return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(build)
+    return st.lists(integers, min_size=order + 1, max_size=order + 1).map(build)
 
 
 class TestWPoly:
@@ -60,12 +59,13 @@ class TestWPoly:
         assert p.eval(0) == 1
         assert p.deriv() == WPoly((4, 10))
 
-    def test_inverse(self):
-        assert WPoly.const(Fraction(2, 3)).inverse() == WPoly.const(Fraction(3, 2))
-        with pytest.raises(NonUnitError):
-            W_VAR.inverse()
-        with pytest.raises(NonUnitError):
-            WPoly().inverse()
+    def test_integer_coefficients_only(self):
+        assert all(type(c) is int for c in WPoly((True, 2)).coeffs)
+        for bad in (Fraction(1, 2), Fraction(3), 1.0):
+            with pytest.raises(TypeError):
+                WPoly((1, bad))
+            with pytest.raises(TypeError):
+                Series([1, bad])
 
     def test_hashable(self):
         assert len({WPoly((1, 2)), WPoly((1, 2)), WPoly((2, 1))}) == 2
@@ -113,15 +113,33 @@ def test_mul_distributes(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series_strategy(unit=True))
-def test_inv_roundtrip(a):
+@given(series_strategy(), st.sampled_from([1, -1]))
+def test_inv_roundtrip(a, unit):
+    a = Series([unit, *a.coeffs[1:]])  # over the integers only +-1 are units
     assert a * inv(a) == Series.one(a.order)
 
 
 @settings(max_examples=60, deadline=None)
 @given(series_strategy(), series_strategy(unit=True))
 def test_div_roundtrip(a, b):
-    assert div(a, b) * b == a
+    assert div(a * b, b) == a
+
+
+def test_inexact_division_raises():
+    one = Series.one(3)
+    with pytest.raises(ExactnessError):
+        div(one, 2 * one)
+    with pytest.raises(ExactnessError):
+        inv(Series([3, 1, 0]))
+    with pytest.raises(ExactnessError):
+        half(Series([2, 3, 4]))
+    with pytest.raises(ExactnessError):
+        half(Series([WPoly((2, 1))], WPOLY))
+    assert half(Series([2, -4, 0])) == Series([1, -2, 0])
+    with pytest.raises(NonUnitError):
+        div(one, Series([0, 1, 0, 0]))
+    with pytest.raises(NonUnitError):
+        inv(Series([W_VAR, 1], WPOLY))
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,11 +13,8 @@ error (one ``error:`` line on stderr).
 All output is deterministic: identical inputs yield byte-identical output.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
-from fractions import Fraction
 
 from . import dp, formulas, genfunc, paths, refs
 from .series import WPOLY, W_VAR, Check, Series, first_mismatch
@@ -266,6 +263,8 @@ def cmd_paths(args, out):
 
 
 def cmd_stats_red(args, out):
+    from fractions import Fraction  # imported here: no other command needs it
+
     n_max = args.order
     reds = genfunc.average_red_series(order=n_max)
     axis = genfunc.primal_level_series(0, order=2 * n_max)

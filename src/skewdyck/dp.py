@@ -7,8 +7,6 @@ recursions (which on their own are identities, not an algorithm) against the
 finished table.
 """
 
-from __future__ import annotations
-
 from .paths import CountTable, family_spec
 from .series import Check, first_mismatch
 

@@ -17,8 +17,6 @@ Conventions
   route pins this down.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 
@@ -37,10 +35,17 @@ def binom(n, k):
     return (-1) ** k * math.comb(-n + k - 1, k)
 
 
+# Rows up to this upper index are memoized, up to 128 of them.  A half row
+# of 2+w holds about n^2/2 ints of about 2n bits: 0.1 MiB at n = 64, so the
+# cache stays below ~13 MiB.  A larger row is kept only until the next one.
+_CACHED_ROW_MAX_N = 64
+
+
 @lru_cache(maxsize=128)
 def _trinomial_row(n, middle):
-    """Coefficient tuple of (1 + middle*t + t^2)^n, length 2n+1.
+    """The first half a_0..a_n of the coefficients of (1 + middle*t + t^2)^n.
 
+    The row is palindromic, a_k = a_{2n-k}, so the half fixes it.
     T = (1 + m t + t^2)^n satisfies (1 + m t + t^2) T' = n (m + 2t) T, whose
     t^k coefficient gives (k+1) a_{k+1} = m (n-k) a_k + (2n-k+1) a_{k-1}
     with a_0 = 1.  A row thus costs O(n) ring operations and needs no
@@ -51,7 +56,7 @@ def _trinomial_row(n, middle):
     m = middle.coeffs if isinstance(middle, WPoly) else (middle,)
     prev, cur = [], [1]  # a_{-1}, a_0
     rows = [cur]
-    for k in range(2 * n):
+    for k in range(n):
         acc = [0] * max(len(cur) + len(m) - 1, len(prev))
         for i, mi in enumerate(m):
             f = mi * (n - k)
@@ -73,11 +78,15 @@ def _trinomial_row(n, middle):
     return tuple(a[0] for a in rows)
 
 
+_large_trinomial_row = lru_cache(maxsize=1)(_trinomial_row.__wrapped__)
+
+
 def trinomial(n, middle, k):
     """[t^k](1 + middle*t + t^2)^n; zero outside 0 <= k <= 2n.
 
     ``middle`` is an integer or an integer :class:`WPoly` (e.g. 2+w), and
-    so is the result.  Rows are memoized per (n, middle).
+    so is the result.  Rows are memoized per (n, middle), the large ones
+    one at a time (see ``_CACHED_ROW_MAX_N``).
     """
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
@@ -85,10 +94,17 @@ def trinomial(n, middle, k):
         raise ValueError(f"trinomial middle must be an int or a WPoly, got {middle!r}")
     if k < 0 or k > 2 * n:
         return WPoly() if isinstance(middle, WPoly) else 0
-    return _trinomial_row(n, middle)[k]
+    row = _trinomial_row if n <= _CACHED_ROW_MAX_N else _large_trinomial_row
+    return row(n, middle)[min(k, 2 * n - k)]
 
 
 # --- primal level coefficients ------------------------------------------------
+
+
+def _check_level(j, family):
+    if j < 0:
+        raise ValueError(f"level j={j}: {family} paths never end below the axis")
+
 
 def kappa_coeff(j, k):
     """Integer weight kappa_{j;k} = [v^k]((1+v)^2 (1-v) / (1+2v)^j).
@@ -110,8 +126,10 @@ def primal_coeff_explicit(j, m):
     """[z^(2m+j)] of the primal level-j total series, as an exact integer.
 
     Residue formula: sum_{k=0}^{m} kappa_{j;k} * trinomial(m-1+j, 3, m-k).
-    Requires m >= 1 so the trinomial upper index m-1+j is nonnegative.
+    Requires j >= 0 (bounded paths never end below the axis) and m >= 1,
+    so the trinomial upper index m-1+j is nonnegative.
     """
+    _check_level(j, "bounded")
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
     return sum(kappa_coeff(j, k) * trinomial(m - 1 + j, 3, m - k) for k in range(m + 1))
@@ -123,8 +141,10 @@ def primal_coeff_explicit(j, m):
 def mu_coeff(j, k):
     """The four-term integer weight mu_{j;k}.
 
-    Equals [v^k]((3 - 7(2+v) + 5(2+v)^2 - (2+v)^3)(2+v)^j).
+    Equals [v^k]((3 - 7(2+v) + 5(2+v)^2 - (2+v)^3)(2+v)^j), for j >= 0.
     """
+    _check_level(j, "dual")
+
     def term(c, n):
         # binom(n, k) vanishes for k > n >= 0, keeping the power of 2 integral
         b = binom(n, k)
@@ -136,8 +156,9 @@ def mu_coeff(j, k):
 def dual_coeff_explicit(j, N):
     """[z^(j+2N) u^j] of the dual kernel solution, as an exact integer.
 
-    Sums k = 0..N inclusive (see module docstring).
+    Sums k = 0..N inclusive (see module docstring); requires j >= 0.
     """
+    _check_level(j, "dual")
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
     return sum(mu_coeff(j, k) * trinomial(N - 1, 3, N - k) for k in range(N + 1))

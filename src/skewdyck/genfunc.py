@@ -23,9 +23,6 @@ below -1, produces negative coefficients.  Both are kept, cross-checked,
 and the divergence is deliberate and documented rather than glossed over.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 
@@ -33,6 +30,7 @@ from .series import (
     Check,
     ExactnessError,
     RATIONAL,
+    Record,
     Series,
     WPOLY,
     WPoly,
@@ -85,8 +83,7 @@ def _sqrt_quadratic(order, a, b):
     return out
 
 
-@dataclass(frozen=True)
-class KernelBundle:
+class KernelBundle(Record):
     """The square root W and the kernel half-roots P = z r1, Q = z r2.
 
     Identities (checked in the test suite, exact):
@@ -112,10 +109,12 @@ class KernelBundle:
     constructors.
     """
 
-    order: int
-    W: Series
-    P: Series
-    Q: Series
+    _fields = ("order", "W", "P", "Q")
+    # the __dict__ holds what the cached properties build
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, order, W, P, Q):
+        self._set(order, W, P, Q)
 
     @cached_property
     def Ww(self):

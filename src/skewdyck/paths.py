@@ -21,11 +21,7 @@ empty path sits in the ``f`` (resp. ``a``) class, consistent with the seed
 of the level recursions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .series import WPoly
+from .series import Record, WPoly
 
 BRUTE_FORCE_CAP = 16
 
@@ -40,16 +36,23 @@ _PRIMAL_STEPS = ("U", "D", "R")  # up, down-black, down-red
 _DUAL_STEPS = ("u", "d", "B")  # up-black, down, up-blue
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    steps: tuple  # canonical order
-    incr: dict  # step -> level increment
-    forbidden: frozenset  # adjacent (prev, next) pairs
-    classes: tuple  # class label per step, same order as steps
-    empty_class: str
-    colored: str  # the marked step (red / blue)
-    floor: bool  # prefix levels must stay >= 0
+class FamilySpec(Record):
+    """The steps and rules of one family:
+
+    * ``steps``: step letters, in canonical order;
+    * ``incr``: step -> level increment;
+    * ``forbidden``: the forbidden adjacent (prev, next) pairs;
+    * ``classes``: class label per step, same order as ``steps``;
+    * ``empty_class``: the class of the empty path;
+    * ``colored``: the marked step (red / blue);
+    * ``floor``: whether prefix levels must stay >= 0.
+    """
+
+    _fields = ("name", "steps", "incr", "forbidden", "classes", "empty_class", "colored", "floor")
+    __slots__ = _fields
+
+    def __init__(self, name, steps, incr, forbidden, classes, empty_class, colored, floor):
+        self._set(name, steps, incr, forbidden, classes, empty_class, colored, floor)
 
 
 _SPECS = {
@@ -93,18 +96,18 @@ def family_spec(family):
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-@dataclass(frozen=True)
-class PathWord:
+class PathWord(Record):
     """A finite sequence of typed steps in one of the three families."""
 
-    steps: tuple
-    family: str
+    _fields = ("steps", "family")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        spec = family_spec(self.family)
-        for s in self.steps:
+    def __init__(self, steps, family):
+        spec = family_spec(family)
+        for s in steps:
             if s not in spec.steps:
-                raise ValueError(f"step {s!r} not in family {self.family}")
+                raise ValueError(f"step {s!r} not in family {family}")
+        self._set(steps, family)
 
     def __len__(self):
         return len(self.steps)
@@ -152,14 +155,17 @@ def is_valid(word):
     return True
 
 
-def _check_cap(n, cap):
+def _check_length(name, n, cap):
+    """Reject a negative length, named ``name``, and one above ``cap``."""
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
     if n > cap:
         raise ValueError(f"length {n} exceeds the brute-force cap {cap}")
 
 
 def enumerate_paths(family, n, end_level=None, cap=BRUTE_FORCE_CAP):
     """All valid words of length n, in lexicographic step order."""
-    _check_cap(n, cap)
+    _check_length("n", n, cap)
     spec = family_spec(family)
     out = []
     steps = []
@@ -202,6 +208,8 @@ class CountTable:
     """
 
     def __init__(self, family, max_length):
+        if max_length < 0:
+            raise ValueError(f"max_length must be >= 0, got {max_length}")
         self.family = family
         self.max_length = max_length
         self.bits = (3**max_length).bit_length() + 1
@@ -267,7 +275,7 @@ def count_table(family, max_length, cap=BRUTE_FORCE_CAP):
     Each visited node adds one to a local tally of (n, level, cls, k); the
     table is written once from the tally at the end.
     """
-    _check_cap(max_length, cap)
+    _check_length("max_length", max_length, cap)
     spec = family_spec(family)
     cls_of = dict(zip(spec.steps, spec.classes))
     tally = {}

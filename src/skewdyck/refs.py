@@ -6,8 +6,6 @@
   negative-territory variant (see :func:`genfunc.negative_axis_series`).
 """
 
-from __future__ import annotations
-
 A002212 = (
     1,
     1,

@@ -14,10 +14,6 @@ cannot be preserved it shrinks.
 All values are immutable; all operations are pure functions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 RATIONAL = "rational"
 WPOLY = "wpoly"
 
@@ -39,14 +35,58 @@ class ExactnessError(SeriesError):
     found a nonzero remainder.  Usually signals a transcribed-formula bug."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields in ``_fields``, slots them, and sets them
+    once, in ``__init__``, with :meth:`_set`.  Like a frozen dataclass, a
+    record compares, hashes and prints field by field, and assigning or
+    deleting an attribute raises ``AttributeError``.  Plain classes keep
+    :mod:`dataclasses` (and the ``inspect`` it loads) off the import path
+    of every CLI process.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Check(Record):
     """The outcome of one cross-check; a failure is report content, not an
     exception, and its detail names the first mismatch."""
 
-    name: str
-    ok: bool
-    detail: str = ""
+    _fields = ("name", "ok", "detail")
+    __slots__ = _fields
+
+    def __init__(self, name, ok, detail=""):
+        self._set(name, ok, detail)
 
 
 def first_mismatch(triples):

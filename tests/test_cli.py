@@ -163,6 +163,37 @@ def test_stats_red():
     assert lines[4] == "3\t10\t6\t3/5\t1"
 
 
+def test_stats_red_prints_exact_averages():
+    res = run_cli("stats-red", "--order", "6")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[5:] == [
+        "4\t36\t30\t5/6\t25/24",
+        "5\t137\t144\t144/137\t144/137",
+        "6\t543\t685\t685/543\t3425/3258",
+    ]
+
+
+def _fresh_modules(code):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    res = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, sep='\\n')"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(res.stdout.split())
+
+
+def test_cli_import_path_stays_light():
+    # every CLI job is a fresh process: dataclasses (with inspect) and
+    # fractions (with decimal) would cost it several milliseconds of import
+    bare = _fresh_modules("pass")
+    loaded = _fresh_modules("import skewdyck, skewdyck.cli")
+    added = loaded - bare
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & added
+    # the benchmark tracer wraps only what this import loads
+    submodules = {"cli", "series", "paths", "dp", "genfunc", "formulas"}
+    assert {f"skewdyck.{m}" for m in submodules} <= loaded
+
+
 def test_oeis():
     res = run_cli("oeis", "A002212")
     assert res.returncode == 0

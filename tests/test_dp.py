@@ -26,6 +26,12 @@ def test_dp_without_marker_lumps_counts(family):
             assert lumped.count(length, j, k=0) == lumped.count(length, j)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dp_rejects_negative_length(family):
+    with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
+        dp_table(family, -1)
+
+
 def test_dp_axis_values():
     table = dp_table(BOUNDED, 12)
     assert [table.count(2 * n, 0) for n in range(7)] == [1, 1, 3, 10, 36, 137, 543]

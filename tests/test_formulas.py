@@ -48,8 +48,10 @@ class TestTrinomial:
                 assert trinomial(n, 3, k) == trinomial(n, 3, 2 * n - k)
 
     def test_row_sums(self):
-        # evaluating at t=1 gives (1+m+1)^n
-        for n in range(6):
+        # evaluating at t=1 gives (1+m+1)^n; the last two rows are the
+        # largest cached one and the first one kept outside the cache
+        top = formulas._CACHED_ROW_MAX_N
+        for n in (*range(6), top, top + 1):
             assert sum(trinomial(n, 3, k) for k in range(2 * n + 1)) == 5**n
 
     @pytest.mark.parametrize("middle", [3, WPoly((2, 1)), -2], ids=["3", "2+w", "-2"])
@@ -87,6 +89,20 @@ class TestTrinomial:
 
     def test_row_cache_is_bounded(self):
         assert formulas._trinomial_row.cache_info().maxsize is not None
+
+    def test_large_rows_are_kept_one_at_a_time(self):
+        # a half row of 2+w holds about n^2/2 big ints; rows above the
+        # cached size are kept only until the next one
+        cached = formulas._trinomial_row.cache_info().currsize
+        top = formulas._CACHED_ROW_MAX_N
+        for n in range(top + 2, top + 6):
+            red_coeff_explicit(n)
+        assert formulas._trinomial_row.cache_info().currsize == cached
+        assert formulas._large_trinomial_row.cache_info().currsize == 1
+        # the four trinomials of one red coefficient share one large row
+        before = formulas._large_trinomial_row.cache_info().misses
+        red_coeff_explicit(top + 10)
+        assert formulas._large_trinomial_row.cache_info().misses == before + 1
 
 
 def _rational_poly(coeffs, order):
@@ -137,6 +153,15 @@ def test_dual_explicit_examples():
     assert dual_coeff_explicit(3, 4) == 1306
     with pytest.raises(ValueError):
         dual_coeff_explicit(0, 0)
+
+
+def test_explicit_formulas_reject_levels_below_the_axis():
+    with pytest.raises(ValueError, match="j=-1: bounded paths never end below the axis"):
+        primal_coeff_explicit(-1, 2)
+    with pytest.raises(ValueError, match="j=-1: dual paths never end below the axis"):
+        dual_coeff_explicit(-1, 2)
+    with pytest.raises(ValueError, match="j=-1: dual paths never end below the axis"):
+        mu_coeff(-1, 0)
 
 
 def test_red_explicit_examples():

@@ -170,6 +170,20 @@ def test_constructors_hold_integers_only():
     assert all(type(c) is WPoly and all(type(a) is int for a in c.coeffs) for c in coeffs)
 
 
+def test_kernel_bundle_record():
+    b = genfunc.kernel_bundle(6)
+    same = genfunc.kernel_bundle(6)
+    assert b == same and hash(b) == hash(same)
+    assert b == genfunc.KernelBundle(6, b.W, P=b.P, Q=b.Q)
+    assert b != genfunc.kernel_bundle(8)
+    assert repr(b).startswith("KernelBundle(order=6, W=Series(")
+    assert b.Pw is b.Pw  # built once, kept in the instance __dict__
+    with pytest.raises(AttributeError):
+        b.order = 8
+    with pytest.raises(AttributeError):
+        b.bad_root = None
+
+
 def test_kernel_bundle_rejects_negative_order():
     with pytest.raises(ValueError):
         genfunc.kernel_bundle(-1)

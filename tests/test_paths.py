@@ -10,6 +10,7 @@ from skewdyck.paths import (
     PathWord,
     count_table,
     enumerate_paths,
+    family_spec,
     is_valid,
     render_ascii,
     reverse_dual,
@@ -46,6 +47,44 @@ def test_initial_red_is_forbidden():
 def test_unknown_step_rejected():
     with pytest.raises(ValueError):
         PathWord(("x",), BOUNDED)
+
+
+def test_path_word_record():
+    w = PathWord(("U", "D"), BOUNDED)
+    assert w == PathWord(steps=("U", "D"), family=BOUNDED)
+    assert w != PathWord(("U", "D"), UNBOUNDED)
+    assert w != PathWord(("U", "R"), BOUNDED)
+    assert hash(w) == hash(PathWord(("U", "D"), BOUNDED))
+    assert len(set(enumerate_paths(BOUNDED, 4) * 2)) == len(enumerate_paths(BOUNDED, 4))
+    assert repr(w) == "PathWord(steps=('U', 'D'), family='bounded')"
+    with pytest.raises(AttributeError):
+        w.steps = ("U",)
+    with pytest.raises(ValueError, match="step 'u' not in family bounded"):
+        PathWord(("U", "u"), BOUNDED)
+
+
+def test_family_spec_record():
+    spec = family_spec(BOUNDED)
+    assert spec.name == BOUNDED and spec.steps == ("U", "D", "R") and spec.floor
+    unbounded = family_spec(UNBOUNDED)
+    fields = ("steps", "incr", "forbidden", "classes", "empty_class", "colored")
+    assert all(getattr(spec, f) == getattr(unbounded, f) for f in fields)
+    assert spec != unbounded  # name and floor differ
+    assert spec == type(spec)(BOUNDED, *(getattr(spec, f) for f in fields), floor=True)
+    with pytest.raises(TypeError):  # incr is a dict
+        hash(spec)
+    assert repr(spec).startswith("FamilySpec(name='bounded', steps=('U', 'D', 'R'), incr={")
+    with pytest.raises(AttributeError):
+        spec.floor = False
+
+
+def test_negative_lengths_rejected():
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        enumerate_paths(BOUNDED, -1)
+    with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
+        count_table(UNBOUNDED, -1)
+    with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
+        CountTable(DUAL, -1)
 
 
 def test_word_properties():

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact truncated-series kernel."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from skewdyck.series import (
     RATIONAL,
     WPOLY,
+    Check,
     ExactnessError,
     NonUnitError,
     RingMismatchError,
@@ -185,6 +187,24 @@ def test_z_at_order_zero_is_zero():
     assert Series.z(0) == Series.zero(0)
     assert Series.z(0, WPOLY) == Series.zero(0, WPOLY)
     assert Series.z(2) == Series([0, 1, 0])
+
+
+def test_check_record():
+    check = Check("dp-closed:primal", True)
+    assert check.detail == ""
+    assert check == Check(name="dp-closed:primal", ok=True, detail="")
+    assert check != Check("dp-closed:primal", False, "first mismatch")
+    assert check != ("dp-closed:primal", True, "")
+    assert hash(check) == hash(Check("dp-closed:primal", True, ""))
+    assert len({check, Check("dp-closed:primal", True)}) == 1
+    assert repr(check) == "Check(name='dp-closed:primal', ok=True, detail='')"
+    assert pickle.loads(pickle.dumps(check)) == check
+    with pytest.raises(AttributeError):
+        check.ok = False
+    with pytest.raises(AttributeError):
+        check.extra = 1
+    with pytest.raises(AttributeError):
+        del check.detail
 
 
 def test_first_mismatch_stops_at_the_first():

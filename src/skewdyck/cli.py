@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import dp, formulas, genfunc, paths, refs
-from .series import WPOLY, W_VAR, Check, Series, first_mismatch
+from .series import WPOLY, W_VAR, Check, Series, compare, first_mismatch
 
 # CLI family -> (paths family, name of its level-range constructor in
 # genfunc); "primal" is the floored primal family.  Names, not functions, so
@@ -88,18 +88,29 @@ _EXPLICIT = {
 }
 
 
-def _check_brute_dp(cli_family, max_length):
-    family = _CLI_FAMILIES[cli_family][0]
-    brute = paths.count_table(family, max_length).counts()
-    table = dp.dp_table(family, max_length).counts()
-    bad = first_mismatch(
-        ("(n={}, j={}, cls={}, k={})".format(*key), brute.get(key, 0), table.get(key, 0))
-        for key in sorted(set(brute) | set(table))
+def _check_brute_dp(cli_family, table):
+    """Brute force against the DP ``table``, at the table's length."""
+    brute = paths.count_table(table.family, table.max_length).counts()
+    counts = table.counts()
+    return compare(
+        f"brute-dp:{cli_family}",
+        (
+            ("(n={}, j={}, cls={}, k={})".format(*key), brute.get(key, 0), counts.get(key, 0))
+            for key in sorted(set(brute) | set(counts))
+        ),
+        f"(lengths <= {table.max_length})",
+        "first mismatch at %s: brute %s != dp %s",
     )
-    name = f"brute-dp:{cli_family}"
+
+
+def _check_recursions(cli_family, table):
+    """The paper's level-coupled recursions on the DP ``table``."""
+    checks = dp.check_recursions(table)
+    bad = next((c for c in checks if not c.ok), None)
+    name = f"recursions:{cli_family}"
     if bad:
-        return Check(name, False, "first mismatch at %s: brute %s != dp %s" % bad)
-    return Check(name, True, f"(lengths <= {max_length})")
+        return Check(name, False, f"{bad.name}: {bad.detail}")
+    return Check(name, True, f"({len(checks)} identities, lengths <= {table.max_length})")
 
 
 def _check_dp_closed(cli_family, order, levels, fault=False):
@@ -114,11 +125,12 @@ def _check_dp_closed(cli_family, order, levels, fault=False):
                     got += 1  # test mode: deliberately corrupted coefficient
                 yield f"j={j} z^{n}", got, want
 
-    bad = first_mismatch(coefficients())
-    name = f"dp-closed:{cli_family}"
-    if bad:
-        return Check(name, False, "first mismatch at %s: closed %s != dp %s" % bad)
-    return Check(name, True, f"(|j| in {min(levels)}..{max(levels)}, order {order})")
+    return compare(
+        f"dp-closed:{cli_family}",
+        coefficients(),
+        f"(|j| in {min(levels)}..{max(levels)}, order {order})",
+        "first mismatch at %s: closed %s != dp %s",
+    )
 
 
 def _check_closed_explicit(cli_family, order, levels):
@@ -130,21 +142,21 @@ def _check_closed_explicit(cli_family, order, levels):
             for m in range(1, (order - j) // 2 + 1):
                 yield f"j={j} z^{2 * m + j}", explicit(j, m), s.coeff(2 * m + j)
 
-    bad = first_mismatch(coefficients())
-    name = f"closed-explicit:{cli_family}"
-    if bad:
-        return Check(name, False, "first mismatch at %s: explicit %s != closed %s" % bad)
-    return Check(name, True, f"(j <= 8, {span} <= {order})")
+    return compare(
+        f"closed-explicit:{cli_family}",
+        coefficients(),
+        f"(j <= 8, {span} <= {order})",
+        "first mismatch at %s: explicit %s != closed %s",
+    )
 
 
 def _check_closed_explicit_red(max_n, sx):
-    bad = first_mismatch(
-        (f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)
+    return compare(
+        "closed-explicit:red",
+        ((f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)),
+        f"(n <= {max_n})",
+        "first mismatch at %s: explicit %s != closed %s",
     )
-    name = "closed-explicit:red"
-    if bad:
-        return Check(name, False, "first mismatch at %s: explicit %s != closed %s" % bad)
-    return Check(name, True, f"(n <= {max_n})")
 
 
 def _check_kernel_identities(order, sx):
@@ -207,8 +219,10 @@ def _verify_checks(args):
     """The verify matrix as a generator of :class:`Check` records, each run
     only when the generator reaches it."""
     families = [fam for fam in _CLI_FAMILIES if fam in (args.family or _CLI_FAMILIES)]
-    for fam in families:
-        yield _check_brute_dp(fam, args.max_brute_length)
+    for fam in families:  # one DP table per family for brute-dp and recursions
+        table = dp.dp_table(_CLI_FAMILIES[fam][0], args.max_brute_length)
+        yield _check_brute_dp(fam, table)
+        yield _check_recursions(fam, table)
     levels = {}  # each family's levels, built once for dp-closed and closed-explicit
     for fam in families:
         order = min(args.order, genfunc.DEFAULT_NEGATIVE_ORDER) if fam == "unbounded" else args.order

@@ -4,11 +4,13 @@ A direct executable transcription of the state diagrams: the DP iterates
 forward over the number of steps taken, which is polynomial in the target
 length, and :func:`check_recursions` then validates the level-coupled
 recursions (which on their own are identities, not an algorithm) against the
-finished table.
+finished table.  The recursions are one rule table, ``_RECURSIONS``, copied
+from the paper per family; one loop reads it for the table's own family
+and length.
 """
 
 from .paths import CountTable, family_spec
-from .series import Check, first_mismatch
+from .series import compare
 
 
 def dp_table(family, max_length, with_color_marker=True):
@@ -59,116 +61,61 @@ def dp_table(family, max_length, with_color_marker=True):
     return table
 
 
-def _arrays(table, cls, levels, max_length):
-    return {
-        j: [table.count(n, j, cls=cls) for n in range(max_length + 1)]
-        for j in levels
-    }
+# The paper's level-coupled recursions per family, for a table of length L:
+# (below, seeds, rules).  i runs over 0..L-1, or over -L..L-1 when below.
+# A seed (c, j, v) states c_j = v.  A rule (c, d, terms, unit, trim) states
+#     c_{i+d} = [i=0] + z c'_{i+d'} + ...   over the (c', d') in terms,
+# with the [i=0] only when unit, compared at z^0..z^(L-trim).  Copied from
+# the paper, not derived from the DP's moves, so that they stay an oracle
+# for the DP.
+_RECURSIONS = {
+    "bounded": (False, (("f", 0, 1),), (
+        ("f", 1, (("f", 0), ("g", 0)), False, 0),
+        ("g", 0, (("f", 1), ("g", 1), ("h", 1)), False, 1),
+        ("h", 0, (("h", 1), ("g", 1)), False, 1),
+    )),
+    "dual": (False, (("a", 0, 1), ("c", 0, 0)), (
+        ("a", 1, (("a", 0), ("b", 0), ("c", 0)), False, 0),
+        ("b", 0, (("a", 1), ("b", 1)), False, 1),
+        ("c", 1, (("a", 0), ("c", 0)), False, 0),
+    )),
+    "unbounded": (True, (), (
+        ("f", 0, (("f", -1), ("g", -1)), True, 0),
+        ("g", 0, (("f", 1), ("g", 1), ("h", 1)), False, 1),
+        ("h", 0, (("g", 1), ("h", 1)), False, 1),
+    )),
+}
+_AT_Z = "first mismatch at z^%s: %s != %s"
 
 
-def check_recursions(family, table, max_length):
+def check_recursions(table):
     """Verify the level-coupled recursions coefficientwise on the table.
 
-    Returns one :class:`~skewdyck.series.Check` per recursion instance; a
-    violation is report content, not an exception.
+    The family and the length L are the table's own.  Returns one
+    :class:`~skewdyck.series.Check` per recursion instance, 1 + 3L for
+    bounded, 2 + 3L for dual and 6L for unbounded; a violation is report
+    content, not an exception.
     """
-    eqs = []  # (name, lhs, rhs, highest power of z compared)
+    if table.family not in _RECURSIONS:
+        raise ValueError(f"unknown family {table.family!r}")
+    below, seeds, rules = _RECURSIONS[table.family]
+    top = table.max_length
+    arrays = {}  # (class, level) -> coefficients of z^0..z^L, read once
 
-    def shift(arr):  # multiply a coefficient array by z
-        return [0] + arr[:-1]
+    def arr(cls, level):
+        if (cls, level) not in arrays:
+            arrays[cls, level] = table.coefficients(level, cls=cls)
+        return arrays[cls, level]
 
-    def addv(*arrays):
-        return [sum(vals) for vals in zip(*arrays)]
-
-    if family in ("bounded",):
-        levels = range(0, max_length + 2)
-        f = _arrays(table, "f", levels, max_length)
-        g = _arrays(table, "g", levels, max_length)
-        h = _arrays(table, "h", levels, max_length)
-        seed = [1] + [0] * max_length
-        eqs.append(("f_0 = 1", f[0], seed, max_length))
-        for i in range(0, max_length):
-            eqs += [
-                (
-                    f"f_{i + 1} = z f_{i} + z g_{i}",
-                    f[i + 1],
-                    addv(shift(f[i]), shift(g[i])),
-                    max_length,
-                ),
-                (
-                    f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
-                    g[i],
-                    addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
-                    max_length - 1,
-                ),
-                (
-                    f"h_{i} = z h_{i + 1} + z g_{i + 1}",
-                    h[i],
-                    addv(shift(h[i + 1]), shift(g[i + 1])),
-                    max_length - 1,
-                ),
-            ]
-    elif family == "dual":
-        levels = range(0, max_length + 2)
-        a = _arrays(table, "a", levels, max_length)
-        b = _arrays(table, "b", levels, max_length)
-        c = _arrays(table, "c", levels, max_length)
-        seed = [1] + [0] * max_length
-        eqs.append(("a_0 = 1", a[0], seed, max_length))
-        eqs.append(("c_0 = 0", c[0], [0] * (max_length + 1), max_length))
-        for i in range(0, max_length):
-            eqs += [
-                (
-                    f"a_{i + 1} = z a_{i} + z b_{i} + z c_{i}",
-                    a[i + 1],
-                    addv(shift(a[i]), shift(b[i]), shift(c[i])),
-                    max_length,
-                ),
-                (
-                    f"b_{i} = z a_{i + 1} + z b_{i + 1}",
-                    b[i],
-                    addv(shift(a[i + 1]), shift(b[i + 1])),
-                    max_length - 1,
-                ),
-                (
-                    f"c_{i + 1} = z a_{i} + z c_{i}",
-                    c[i + 1],
-                    addv(shift(a[i]), shift(c[i])),
-                    max_length,
-                ),
-            ]
-    elif family == "unbounded":
-        levels = range(-max_length - 1, max_length + 2)
-        f = _arrays(table, "f", levels, max_length)
-        g = _arrays(table, "g", levels, max_length)
-        h = _arrays(table, "h", levels, max_length)
-        for i in range(-max_length, max_length):
-            seed = [1 if (i == 0 and n == 0) else 0 for n in range(max_length + 1)]
-            eqs += [
-                (
-                    f"f_{i} = [i=0] + z f_{i - 1} + z g_{i - 1}",
-                    f[i],
-                    addv(seed, shift(f[i - 1]), shift(g[i - 1])),
-                    max_length,
-                ),
-                (
-                    f"g_{i} = z f_{i + 1} + z g_{i + 1} + z h_{i + 1}",
-                    g[i],
-                    addv(shift(f[i + 1]), shift(g[i + 1]), shift(h[i + 1])),
-                    max_length - 1,
-                ),
-                (
-                    f"h_{i} = z g_{i + 1} + z h_{i + 1}",
-                    h[i],
-                    addv(shift(g[i + 1]), shift(h[i + 1])),
-                    max_length - 1,
-                ),
-            ]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    checks = []
-    for name, lhs, rhs, upto in eqs:
-        bad = first_mismatch(zip(range(upto + 1), lhs, rhs))
-        detail = "first mismatch at z^%s: %s != %s" % bad if bad else ""
-        checks.append(Check(name, bad is None, detail))
+    checks = [
+        compare(f"{c}_{j} = {v}", zip(range(top + 1), arr(c, j), [v] + [0] * top), fmt=_AT_Z)
+        for c, j, v in seeds
+    ]
+    for i in range(-top if below else 0, top):
+        for c, d, terms, unit, trim in rules:
+            rhs = [int(unit and i == 0)]
+            rhs += [sum(col) for col in zip(*(arr(t, i + e) for t, e in terms))]
+            name = f"{c}_{i + d} = " + "[i=0] + " * unit
+            name += " + ".join(f"z {t}_{i + e}" for t, e in terms)
+            checks.append(compare(name, zip(range(top - trim + 1), arr(c, i + d), rhs), fmt=_AT_Z))
     return checks

@@ -27,7 +27,6 @@ from functools import cached_property
 from itertools import zip_longest
 
 from .series import (
-    Check,
     ExactnessError,
     RATIONAL,
     Record,
@@ -35,8 +34,8 @@ from .series import (
     WPOLY,
     WPoly,
     W_VAR,
+    compare,
     div,
-    first_mismatch,
     half,
     inv,
     shift_divide,
@@ -138,8 +137,7 @@ def kernel_bundle(order=DEFAULT_ORDER):
     W, P and Q are built here from the recurrence on :class:`KernelBundle`;
     Ww and Pw only when first read.
     """
-    if order < 0:
-        raise ValueError(f"kernel_bundle needs order >= 0, got {order}")
+    _check_args(order)
     W = Series([c[0] for c in _sqrt_quadratic(order, (-6,), (5,))], RATIONAL)
     one = Series.one(order, RATIONAL)
     z2 = shift_up(one, 2)
@@ -158,13 +156,18 @@ def _bundle(bundle, order, need):
     return bundle
 
 
-def _level_range(lo, hi, family=None):
-    """Reject an empty range, and levels below the axis when ``family``
-    names a family whose paths never go there."""
-    if lo > hi:
-        raise ValueError(f"empty level range {lo}..{hi}")
-    if family and lo < 0:
-        raise ValueError(f"{family} paths never end below the axis")
+def _check_args(order, family=None, **levels):
+    """The entry guard of every public constructor.  Raises a ValueError
+    that names the argument for a negative ``order``, an empty range
+    ``lo..hi``, or one of ``levels`` below the axis when ``family`` names
+    paths that never end there."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if "lo" in levels and levels["lo"] > levels["hi"]:
+        raise ValueError("empty level range {lo}..{hi} (lo > hi)".format(**levels))
+    for name, level in levels.items():
+        if family and level < 0:
+            raise ValueError(f"level {name}={level}: {family} paths never end below the axis")
 
 
 def _ladder(num, den0, den1, lo, hi):
@@ -218,7 +221,7 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     class numerators -(1+z^2+W)/2, (-1+z^2+W)/2, (-1+3z^2+W)/2 and their
     sum.  All levels come from one bundle and one ladder.
     """
-    _level_range(lo, hi, "bounded")
+    _check_args(order, "bounded", lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order)
     num = _bounded_numerator(cls, bundle.W, 1)
     z = Series.z(bundle.order, RATIONAL)
@@ -227,6 +230,7 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
 
 def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     """Level j of :func:`primal_levels`."""
+    _check_args(order, "bounded", j=j)
     return primal_levels(j, j, cls, order, bundle)[0]
 
 
@@ -236,6 +240,7 @@ def primal_open_ended(order=DEFAULT_ORDER):
     Closed form -((z+1)(z^2+3z-2) + (z+2)W) / (2z(z^2+2z-1)); the numerator
     has a vanishing constant term, so the division by z is exact.
     """
+    _check_args(order)
     bundle = kernel_bundle(order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
@@ -254,7 +259,7 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
     """
-    _level_range(j, j, "bounded")
+    _check_args(order, "bounded", j=j)
     bundle = kernel_bundle(order)
     num = _bounded_numerator(cls, bundle.Ww, W_VAR)
     return _ladder((num,), -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
@@ -303,9 +308,8 @@ def substitution_identity_check(s0):
         one = Series.one(s.order, s.ring)
         v = s - one
         rhs = shift_up(one + v * middle + v * v, 1)
-        bad = first_mismatch(zip(range(s.order + 1), v.coeffs, rhs.coeffs))
-        detail = "first mismatch at order %s: %s != %s" % bad if bad else ""
-        checks.append(Check(name, bad is None, detail))
+        triples = zip(range(s.order + 1), v.coeffs, rhs.coeffs)
+        checks.append(compare(name, triples, fmt="first mismatch at order %s: %s != %s"))
     return checks
 
 
@@ -319,6 +323,7 @@ def average_red_series(order=DEFAULT_ORDER):
     places with the sign of the 3x term flipped; the derivative route pins
     the correct one, see the x^2 coefficient = 1.)
     """
+    _check_args(order)
     n = order
     one = Series.one(n, RATIONAL)
     x = Series.z(n, RATIONAL)
@@ -339,6 +344,9 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     mode="closed" uses the algebraic closed forms (k <= 4 only);
     mode="slice" extracts [w^k] from the trivariate axis series (any k).
     """
+    _check_args(order)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if mode == "slice":
         return w_slice(red_axis_x(order=2 * order), k)
     if mode != "closed":
@@ -360,7 +368,7 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
         return shift_up(
             div(one - 4 * x + 5 * x * x, (one - 4 * x) ** 3 * R), 5
         ).truncate(order)
-    raise ValueError("closed slice forms are only available for k <= 4")
+    raise ValueError(f"closed slice forms are only available for k <= 4, got k={k}")
 
 
 # -- dual family -------------------------------------------------------
@@ -382,7 +390,7 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     built as ((3-3z^2-W) S/2)/(2-z^2) so that every intermediate series is
     integral.  The test suite pins total = a + b + c.
     """
-    _level_range(lo, hi, "dual")
+    _check_args(order, "dual", lo=lo, hi=hi)
     # S = Q/z^2 needs two orders of headroom
     bundle = _bundle(bundle, order, order + 2 if cls == "total" else order)
     n = bundle.order
@@ -407,6 +415,7 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
 
 def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     """Level j of :func:`dual_levels`."""
+    _check_args(order, "dual", j=j)
     return dual_levels(j, j, cls, order, bundle)[0]
 
 
@@ -418,6 +427,7 @@ def dual_open_ended(order=DEFAULT_ORDER):
     rationalizing u := 1 in the dual kernel solution; note the W belongs
     in the numerator.)
     """
+    _check_args(order)
     bundle = kernel_bundle(order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
@@ -433,6 +443,7 @@ def dual_blue_g0(order=DEFAULT_ORDER):
     Identical to the red-marked axis series by the reversal duality; the
     test suite pins that equality coefficientwise.
     """
+    _check_args(order)
     bundle = kernel_bundle(order + 2)
     n = bundle.order
     one = Series.one(n, WPOLY)
@@ -459,6 +470,7 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     level-0 series of :func:`negative_level_series` (see the module
     docstring) and are kept as reference data in their own right.
     """
+    _check_args(order)
     bundle = kernel_bundle(order + 4)
     n = bundle.order
     one = Series.one(n, RATIONAL)
@@ -493,6 +505,7 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     linear condition for f0 gives 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ...,
     which matches the state-diagram walk counts exactly.
     """
+    _check_args(order)
     bundle = _bundle(bundle, order, order + 1)
     n = bundle.order
     one = Series.one(n, RATIONAL)
@@ -523,7 +536,7 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.  Each
     sign runs one ladder.
     """
-    _level_range(lo, hi)
+    _check_args(order, lo=lo, hi=hi)
     if cls not in ("f", "g", "h", "total"):
         raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
     # the boundary constants lose one order to their division by z

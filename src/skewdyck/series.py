@@ -98,6 +98,14 @@ def first_mismatch(triples):
     return next((t for t in triples if t[1] != t[2]), None)
 
 
+def compare(name, triples, ok_detail="", fmt="first mismatch at %s: %s != %s"):
+    """The :class:`Check` ``name`` over ``(where, got, want)`` triples: it
+    fails with detail ``fmt % bad`` at the :func:`first_mismatch` ``bad``,
+    and passes with ``ok_detail``."""
+    bad = first_mismatch(triples)
+    return Check(name, False, fmt % bad) if bad else Check(name, True, ok_detail)
+
+
 def _int(x):
     if isinstance(x, int):
         return int(x)

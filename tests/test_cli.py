@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import io
+import os
 import subprocess
 import sys
 
@@ -10,17 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdyck import cli, formulas, genfunc, paths, refs
+import skewdyck
+from skewdyck import cli, dp, formulas, genfunc, paths, refs
 from skewdyck.dp import dp_table
 from skewdyck.paths import DUAL, PathWord
 from skewdyck.series import ExactnessError, Series
 
 CLI = [sys.executable, "-m", "skewdyck.cli"]
+# child interpreters import the skewdyck these tests import
+_SRC = os.path.dirname(os.path.dirname(skewdyck.__file__))
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*args):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300
+        CLI + list(args), capture_output=True, text=True, timeout=300, env=ENV
     )
 
 
@@ -144,7 +150,15 @@ def test_verify_order_zero():
     res = run_cli("verify", "--order", "0")
     assert res.returncode == 0
     lines = res.stdout.splitlines()
-    assert sum(1 for l in lines if l.startswith("PASS ")) == 13
+    assert sum(1 for l in lines if l.startswith("PASS ")) == 16
+    assert lines[:6] == [
+        "PASS brute-dp:primal (lengths <= 14)",
+        "PASS recursions:primal (43 identities, lengths <= 14)",
+        "PASS brute-dp:dual (lengths <= 14)",
+        "PASS recursions:dual (44 identities, lengths <= 14)",
+        "PASS brute-dp:unbounded (lengths <= 14)",
+        "PASS recursions:unbounded (84 identities, lengths <= 14)",
+    ]
     assert lines[-1] == "OVERALL PASS"
 
 
@@ -177,7 +191,7 @@ def _fresh_modules(code):
     """The modules a fresh interpreter has loaded after running ``code``."""
     res = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys; print(*sys.modules, sep='\\n')"],
-        capture_output=True, text=True, timeout=60, check=True,
+        capture_output=True, text=True, timeout=60, check=True, env=ENV,
     )
     return set(res.stdout.split())
 
@@ -243,6 +257,9 @@ def test_verify_all_families():
         "brute-dp:primal",
         "brute-dp:dual",
         "brute-dp:unbounded",
+        "recursions:primal",
+        "recursions:dual",
+        "recursions:unbounded",
         "dp-closed:unbounded",
         "closed-explicit:dual",
         "kernel-identities",
@@ -375,6 +392,28 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
     assert cli.main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [l for l in lines if l.startswith("FAIL ")] == [line]
+    assert lines[-1] == "OVERALL FAIL"
+
+
+def test_verify_recursions_fail_line(monkeypatch, capsys):
+    # a DP table with one bumped count fails brute-dp and the recursions;
+    # dp-closed builds its table without the colour marker, untouched
+    real = dp.dp_table
+
+    def faulty(family, max_length, with_color_marker=True):
+        table = real(family, max_length, with_color_marker)
+        if with_color_marker:
+            table.add(4, 0, "g", 0)
+        return table
+
+    monkeypatch.setattr(dp, "dp_table", faulty)
+    argv = ["verify", "--order", "8", "--max-brute-length", "6", "--family", "primal"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [
+        "FAIL brute-dp:primal first mismatch at (n=4, j=0, cls=g, k=0): brute 2 != dp 3",
+        "FAIL recursions:primal f_1 = z f_0 + z g_0: first mismatch at z^5: 2 != 3",
+    ]
     assert lines[-1] == "OVERALL FAIL"
 
 

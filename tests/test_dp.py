@@ -3,7 +3,15 @@
 import pytest
 
 from skewdyck.dp import check_recursions, dp_table
-from skewdyck.paths import BOUNDED, DUAL, FAMILIES, UNBOUNDED, count_table, family_spec
+from skewdyck.paths import (
+    BOUNDED,
+    DUAL,
+    FAMILIES,
+    UNBOUNDED,
+    CountTable,
+    count_table,
+    family_spec,
+)
 from skewdyck.series import WPoly
 
 
@@ -46,27 +54,56 @@ def test_dp_dual_axis_values():
     assert [table.count(2 * n + 2, 2) for n in range(6)] == [4, 8, 29, 111, 442, 1813]
 
 
+# the number of recursion instances at length L: it pins the identity set
+_RECURSION_COUNTS = {BOUNDED: (1, 3), DUAL: (2, 3), UNBOUNDED: (0, 6)}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_recursion_identities_hold(family):
-    n = 10
-    table = dp_table(family, n)
-    checks = check_recursions(family, table, n)
-    failures = [c for c in checks if not c.ok]
-    assert not failures, failures
-    assert len(checks) > 3
+    base, per_length = _RECURSION_COUNTS[family]
+    for n in range(15):
+        checks = check_recursions(dp_table(family, n))
+        failures = [c for c in checks if not c.ok]
+        assert not failures, (n, failures)
+        assert len(checks) == base + per_length * n, n
+        assert len({c.name for c in checks}) == len(checks)
 
 
 def test_recursion_checker_flags_corruption():
-    n = 8
-    table = dp_table(BOUNDED, n)
-    table.add(4, 0, "g", 0)
-    checks = check_recursions(BOUNDED, table, n)
-    assert any(not c.ok for c in checks)
+    # each bumped count fails its own identity and those it feeds; a count
+    # at the top power z^8 shows that the table's own length is compared
+    corrupt = [
+        (BOUNDED, (4, 0, "g"), [
+            ("f_1 = z f_0 + z g_0", "z^5: 2 != 3"),
+            ("g_0 = z f_1 + z g_1 + z h_1", "z^4: 3 != 2"),
+        ]),
+        (BOUNDED, (8, 2, "f"), [("f_2 = z f_1 + z g_1", "z^8: 17 != 16")]),
+        (DUAL, (4, 2, "a"), [
+            ("a_2 = z a_1 + z b_1 + z c_1", "z^4: 4 != 3"),
+            ("b_1 = z a_2 + z b_2", "z^5: 7 != 8"),
+            ("a_3 = z a_2 + z b_2 + z c_2", "z^5: 8 != 9"),
+            ("c_3 = z a_2 + z c_2", "z^5: 4 != 5"),
+        ]),
+        (DUAL, (8, 2, "a"), [("a_2 = z a_1 + z b_1 + z c_1", "z^8: 37 != 36")]),
+        (UNBOUNDED, (3, -1, "h"), [
+            ("g_-2 = z f_-1 + z g_-1 + z h_-1", "z^4: 4 != 5"),
+            ("h_-2 = z g_-1 + z h_-1", "z^4: 3 != 4"),
+            ("h_-1 = z g_0 + z h_0", "z^3: 2 != 1"),
+        ]),
+        (UNBOUNDED, (8, 2, "f"), [("f_2 = [i=0] + z f_1 + z g_1", "z^8: 41 != 40")]),
+    ]
+    for family, key, failures in corrupt:
+        table = dp_table(family, 8)
+        table.add(*key, 0)
+        got = [(c.name, c.detail) for c in check_recursions(table) if not c.ok]
+        assert got == [(name, f"first mismatch at {at}") for name, at in failures], key
 
 
 def test_unknown_family():
     with pytest.raises(ValueError):
         dp_table("nonsense", 4)
+    with pytest.raises(ValueError, match="unknown family 'nonsense'"):
+        check_recursions(CountTable("nonsense", 3))
 
 
 def _reference_counts(family, max_length, with_color_marker):

@@ -1,13 +1,18 @@
 """Tests for the kernel-method closed-form series."""
 
+import inspect
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import skewdyck
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import NonUnitError, Series, WPoly, specialize_w, w_slice
+from skewdyck.series import NonUnitError, Series, SeriesError, WPoly, specialize_w, w_slice
 
 # golden coefficient lists for the level series (nonzero entries only;
 # each series is supported on one parity class)
@@ -187,6 +192,41 @@ def test_kernel_bundle_record():
 def test_kernel_bundle_rejects_negative_order():
     with pytest.raises(ValueError):
         genfunc.kernel_bundle(-1)
+
+
+# the exported genfunc constructors, and red_axis_x, which verify reaches
+_CONSTRUCTORS = sorted(
+    name
+    for name, obj in vars(skewdyck).items()
+    if inspect.isfunction(obj) and obj.__module__ == genfunc.__name__
+    and name != "substitution_identity_check"
+) + ["red_axis_x"]
+_INTS = ("order", "j", "lo", "hi", "k")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CONSTRUCTORS), st.data())
+def test_constructors_reject_bad_ints_by_name(name, data):
+    make = getattr(genfunc, name)
+    params = inspect.signature(make).parameters
+    args = {p: data.draw(st.integers(-3, 6), label=p) for p in _INTS if p in params}
+    if name == "negative_axis_series":
+        args["cls"] = data.draw(st.sampled_from(genfunc.NEGATIVE_AXIS_CLASSES))
+    if name == "red_w_power_slice":
+        args["mode"] = data.draw(st.sampled_from(["closed", "slice"]))
+    try:
+        made = make(**args)
+    except ValueError as exc:  # not a SeriesError from deep inside the engine
+        assert not isinstance(exc, SeriesError), (args, exc)
+        msg = str(exc)
+        assert any(
+            re.search(rf"\b{p}\b", msg) and str(args[p]) in msg for p in _INTS if p in args
+        ), (args, msg)
+        return
+    if isinstance(made, genfunc.KernelBundle):
+        made = (made.W, made.P, made.Q)
+    want = args["order"] // 2 if name == "red_axis_x" else args["order"]
+    assert all(s.order == want for s in (made if isinstance(made, (list, tuple)) else [made]))
 
 
 def test_rational_constructors_leave_w_half_unbuilt():

@@ -18,6 +18,7 @@ from skewdyck.series import (
     SeriesError,
     WPoly,
     W_VAR,
+    compare,
     div,
     first_mismatch,
     half,
@@ -218,4 +219,22 @@ def test_first_mismatch_stops_at_the_first():
     assert first_mismatch(triples()) == (3, 9, 10)
     assert seen == [0, 1, 2, 3]
     assert first_mismatch((n, n, n) for n in range(5)) is None
+
+
+def test_compare_builds_the_check_at_the_first_mismatch():
+    seen = []
+
+    def triples():
+        for n in range(10):
+            seen.append(n)
+            yield f"z^{n}", n, n + (n in (4, 6))
+
+    assert compare("c", triples(), "(all)") == Check("c", False, "first mismatch at z^4: 4 != 5")
+    assert seen == [0, 1, 2, 3, 4]
+    fmt = "first mismatch at %s: closed %s != dp %s"
+    assert compare("c", [(0, 1, 1), ("j=2", 2, 3)], fmt=fmt).detail == (
+        "first mismatch at j=2: closed 2 != dp 3"
+    )
+    assert compare("c", ((n, n, n) for n in range(5)), "(5 terms)") == Check("c", True, "(5 terms)")
+    assert compare("c", []) == Check("c", True, "")
 

@@ -96,8 +96,6 @@ def check_recursions(table):
     bounded, 2 + 3L for dual and 6L for unbounded; a violation is report
     content, not an exception.
     """
-    if table.family not in _RECURSIONS:
-        raise ValueError(f"unknown family {table.family!r}")
     below, seeds, rules = _RECURSIONS[table.family]
     top = table.max_length
     arrays = {}  # (class, level) -> coefficients of z^0..z^L, read once

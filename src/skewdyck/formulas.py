@@ -20,7 +20,7 @@ Conventions
 import math
 from functools import lru_cache
 
-from .series import WPoly
+from .series import WPoly, quadratic_power
 
 
 def binom(n, k):
@@ -45,37 +45,14 @@ _CACHED_ROW_MAX_N = 64
 def _trinomial_row(n, middle):
     """The first half a_0..a_n of the coefficients of (1 + middle*t + t^2)^n.
 
-    The row is palindromic, a_k = a_{2n-k}, so the half fixes it.
-    T = (1 + m t + t^2)^n satisfies (1 + m t + t^2) T' = n (m + 2t) T, whose
-    t^k coefficient gives (k+1) a_{k+1} = m (n-k) a_k + (2n-k+1) a_{k-1}
-    with a_0 = 1.  A row thus costs O(n) ring operations and needs no
-    other row, so a cold row neither recurses nor fills the cache.  The
-    recurrence runs on integer lists, a_k as its w-coefficients, where the
-    division by k+1 is exact.
+    The row is palindromic, a_k = a_{2n-k}, so the half fixes it.  It comes
+    from :func:`~skewdyck.series.quadratic_power` at p/q = n, a = middle,
+    b = 1, on integer lists (a_k as its w-coefficients): O(n) steps and no
+    other row, so a cold row neither recurses nor fills the cache.
     """
-    m = middle.coeffs if isinstance(middle, WPoly) else (middle,)
-    prev, cur = [], [1]  # a_{-1}, a_0
-    rows = [cur]
-    for k in range(n):
-        acc = [0] * max(len(cur) + len(m) - 1, len(prev))
-        for i, mi in enumerate(m):
-            f = mi * (n - k)
-            for t, c in enumerate(cur):
-                acc[i + t] += f * c
-        f = 2 * n - k + 1
-        for t, c in enumerate(prev):
-            acc[t] += f * c
-        nxt = []
-        for c in acc:
-            q, r = divmod(c, k + 1)
-            if r:
-                raise ArithmeticError(f"trinomial row {n}: {c} not divisible by {k + 1}")
-            nxt.append(q)
-        prev, cur = cur, nxt
-        rows.append(cur)
     if isinstance(middle, WPoly):
-        return tuple(WPoly(a) for a in rows)
-    return tuple(a[0] for a in rows)
+        return tuple(map(WPoly, quadratic_power(n + 1, middle.coeffs, (1,), n, 1)))
+    return tuple(a[0] for a in quadratic_power(n + 1, (middle,), (1,), n, 1))
 
 
 _large_trinomial_row = lru_cache(maxsize=1)(_trinomial_row.__wrapped__)

@@ -38,6 +38,7 @@ from .series import (
     div,
     half,
     inv,
+    quadratic_power,
     shift_divide,
     shift_up,
     specialize_w,
@@ -52,34 +53,13 @@ PRIMAL_CLASSES = ("f", "g", "h", "total")
 DUAL_CLASSES = ("a", "b", "c", "total")
 
 
-def _sqrt_quadratic(order, a, b):
-    """Coefficients of sqrt(1 + a z^2 + b z^4) in z, up to z^order.
-
-    ``a`` and ``b`` are polynomials in w given as integer coefficient lists.
-    Differentiating c^2 = 1 + a x + b x^2 (x = z^2) gives
-    2(1 + a x + b x^2) c' = (a + 2b x) c, whose x^n coefficient is the
-    recurrence stated on :class:`KernelBundle`.  Both kernel roots and
-    sqrt(1 - 4x) have integer coefficients, so its division is exact.
-    Returns order + 1 integer coefficient lists: c_n sits in the slot of
-    z^{2n}, the odd slots hold zero.
-    """
-    out = [[0]] * (order + 1)
-    prev, cur = [], [1]
-    out[0] = cur
-    for n in range(order // 2):
-        nxt = [0] * (max(len(a) + len(cur), len(b) + len(prev)) - 1)
-        for i, ai in enumerate(a):
-            for k, ck in enumerate(cur):
-                nxt[i + k] -= (2 * n - 1) * ai * ck
-        for i, bi in enumerate(b):
-            for k, ck in enumerate(prev):
-                nxt[i + k] -= 2 * (n - 2) * bi * ck
-        den = 2 * (n + 1)
-        if any(v % den for v in nxt):
-            raise ExactnessError(f"root coefficient of z^{2 * n + 2} is not an integer")
-        prev, cur = cur, [v // den for v in nxt]
-        out[2 * n + 2] = cur
-    return out
+def _kernel_root(order, a, b, ring):
+    """sqrt(1 + a z^2 + b z^4) to z^order, a and b integer lists in w: the
+    :func:`~skewdyck.series.quadratic_power` c_n in x = z^2, at z^{2n}."""
+    xs = quadratic_power(order // 2 + 1, a, b)
+    coeffs = [0] * (order + 1)
+    coeffs[::2] = [WPoly(c) for c in xs] if ring == WPOLY else [c[0] for c in xs]
+    return Series(coeffs, ring)
 
 
 class KernelBundle(Record):
@@ -91,15 +71,12 @@ class KernelBundle(Record):
     P_w = (1 + w z^2 + W_w)/2.
 
     Both roots are square roots of 1 + a x + b x^2 in x = z^2, with a = -6,
-    b = 5 for W and a = -(4+2w), b = w(4+w) for W_w.  Their coefficients c_n
-    in x follow the linear recurrence (the roots are D-finite)
-
-      2(n+1) c_{n+1} = -a(2n-1) c_n - 2b(n-2) c_{n-1},   c_0 = 1,
-
-    so a bundle of order N costs O(N) steps in integers (in integer
-    polynomials of degree <= N/2 for W_w) instead of the O(N^2) ring
-    operations of :func:`~skewdyck.series.sqrt_one`.  ``sqrt_one`` stays the
-    test oracle that pins W, P, Q, Ww and Pw coefficient for coefficient.
+    b = 5 for W and a = -(4+2w), b = w(4+w) for W_w.  Their coefficients in
+    x come from :func:`~skewdyck.series.quadratic_power` at p/q = 1/2, so a
+    bundle of order N costs O(N) steps in integers (in integer polynomials
+    of degree <= N/2 for W_w) instead of the O(N^2) ring operations of
+    :func:`~skewdyck.series.sqrt_one`.  ``sqrt_one`` stays the test oracle
+    that pins W, P, Q, Ww and Pw coefficient for coefficient.
 
     The w-refined half (Ww, Pw) is built on first access and then kept on
     the instance; only the red-marked constructors, ``dual_blue_g0`` and
@@ -117,8 +94,7 @@ class KernelBundle(Record):
 
     @cached_property
     def Ww(self):
-        coeffs = _sqrt_quadratic(self.order, (-4, -2), (0, 4, 1))
-        return Series([WPoly(c) for c in coeffs], WPOLY)
+        return _kernel_root(self.order, (-4, -2), (0, 4, 1), WPOLY)
 
     @cached_property
     def Pw(self):
@@ -134,11 +110,11 @@ class KernelBundle(Record):
 def kernel_bundle(order=DEFAULT_ORDER):
     """The :class:`KernelBundle` truncated at z^order; order must be >= 0.
 
-    W, P and Q are built here from the recurrence on :class:`KernelBundle`;
+    W, P and Q are built here from :func:`~skewdyck.series.quadratic_power`;
     Ww and Pw only when first read.
     """
     _check_args(order)
-    W = Series([c[0] for c in _sqrt_quadratic(order, (-6,), (5,))], RATIONAL)
+    W = _kernel_root(order, (-6,), (5,), RATIONAL)
     one = Series.one(order, RATIONAL)
     z2 = shift_up(one, 2)
     P = half(one + z2 + W)
@@ -157,10 +133,13 @@ def _bundle(bundle, order, need):
 
 
 def _check_args(order, family=None, **levels):
-    """The entry guard of every public constructor.  Raises a ValueError
-    that names the argument for a negative ``order``, an empty range
-    ``lo..hi``, or one of ``levels`` below the axis when ``family`` names
-    paths that never end there."""
+    """The entry guard of every public constructor: a ValueError that names
+    the argument for an ``order`` or ``levels`` value that is not an int, a
+    negative ``order``, an empty range ``lo..hi``, or one of ``levels``
+    below the axis when ``family`` names paths that never end there."""
+    for name, value in {"order": order, **levels}.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if "lo" in levels and levels["lo"] > levels["hi"]:
@@ -267,14 +246,10 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
 
 def even_to_x(s):
     """Rewrite a series in z with even support as a series in x = z^2."""
-    half = s.order // 2
-    out = []
-    for n in range(s.order + 1):
-        if n % 2 == 1 and s.coeffs[n]:
-            raise ExactnessError(f"odd coefficient z^{n} = {s.coeffs[n]} is not 0")
-        if n % 2 == 0 and n // 2 <= half:
-            out.append(s.coeffs[n])
-    return Series(out, s.ring)
+    odd = next((n for n in range(1, s.order + 1, 2) if s.coeffs[n]), None)
+    if odd is not None:
+        raise ExactnessError(f"odd coefficient z^{odd} = {s.coeffs[odd]} is not 0")
+    return Series(s.coeffs[::2], s.ring)
 
 
 def red_axis_x(order=DEFAULT_ORDER):
@@ -327,7 +302,7 @@ def average_red_series(order=DEFAULT_ORDER):
     n = order
     one = Series.one(n, RATIONAL)
     x = Series.z(n, RATIONAL)
-    root = even_to_x(kernel_bundle(2 * n).W)  # sqrt(1-6x+5x^2)
+    root = Series([c[0] for c in quadratic_power(n + 1, (-6,), (5,))], RATIONAL)
     num = -one + 6 * x - 5 * x * x + (one - 3 * x) * root
     den = (one - x) * (one - 5 * x) * 2
     closed = div(num, den)
@@ -344,7 +319,7 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     mode="closed" uses the algebraic closed forms (k <= 4 only);
     mode="slice" extracts [w^k] from the trivariate axis series (any k).
     """
-    _check_args(order)
+    _check_args(order, k=k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if mode == "slice":
@@ -354,8 +329,7 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
     n = order + 1  # headroom for the z-power shifts below
     one = Series.one(n, RATIONAL)
     x = Series.z(n, RATIONAL)
-    # sqrt(1-4x): the root recurrence at a = -4, b = 0, read at even powers of z
-    R = Series([c[0] for c in _sqrt_quadratic(2 * n, (-4,), (0,))[::2]], RATIONAL)
+    R = Series([c[0] for c in quadratic_power(n + 1, (-4,), ())], RATIONAL)  # sqrt(1-4x)
     if k == 0:
         return half(shift_divide(one - R, 1)).truncate(order)
     if k == 1:
@@ -555,6 +529,7 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
 
 def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     """Level j of :func:`negative_levels`."""
+    _check_args(order, j=j)
     return negative_levels(j, j, cls, order, bundle)[0]
 
 

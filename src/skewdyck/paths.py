@@ -146,7 +146,7 @@ def is_valid(word):
     level = 0
     prev = spec.steps[0]
     for s in word.steps:
-        if prev is not None and (prev, s) in spec.forbidden:
+        if (prev, s) in spec.forbidden:
             return False
         level += spec.incr[s]
         if spec.floor and level < 0:
@@ -155,17 +155,20 @@ def is_valid(word):
     return True
 
 
-def _check_length(name, n, cap):
-    """Reject a negative length, named ``name``, and one above ``cap``."""
+def _check_length(name, n, cap=BRUTE_FORCE_CAP):
+    """Reject a length, named ``name``, that is not an int, is negative or
+    is above ``cap`` (None for no cap)."""
+    if not isinstance(n, int):
+        raise ValueError(f"{name} must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
-    if n > cap:
+    if cap is not None and n > cap:
         raise ValueError(f"length {n} exceeds the brute-force cap {cap}")
 
 
-def enumerate_paths(family, n, end_level=None, cap=BRUTE_FORCE_CAP):
+def enumerate_paths(family, n, end_level=None):
     """All valid words of length n, in lexicographic step order."""
-    _check_length("n", n, cap)
+    _check_length("n", n)
     spec = family_spec(family)
     out = []
     steps = []
@@ -208,8 +211,8 @@ class CountTable:
     """
 
     def __init__(self, family, max_length):
-        if max_length < 0:
-            raise ValueError(f"max_length must be >= 0, got {max_length}")
+        family_spec(family)
+        _check_length("max_length", max_length, cap=None)
         self.family = family
         self.max_length = max_length
         self.bits = (3**max_length).bit_length() + 1
@@ -269,13 +272,13 @@ class CountTable:
         return out
 
 
-def count_table(family, max_length, cap=BRUTE_FORCE_CAP):
+def count_table(family, max_length):
     """Full refined table from depth-first enumeration (no words stored).
 
     Each visited node adds one to a local tally of (n, level, cls, k); the
     table is written once from the tally at the end.
     """
-    _check_length("max_length", max_length, cap)
+    _check_length("max_length", max_length)
     spec = family_spec(family)
     cls_of = dict(zip(spec.steps, spec.classes))
     tally = {}

@@ -4,12 +4,12 @@ Two coefficient rings are supported: the integers and polynomials in a
 single marker variable ``w`` with integer coefficients (:class:`WPoly`),
 tagged ``RATIONAL`` (a name kept from when it held rationals) and ``WPOLY``.
 Every series counted here has integer coefficients, so every division is
-exact: :func:`div`, :func:`inv`, :func:`sqrt_one` and :func:`half` divide
-each coefficient by an integer, and a remainder raises
-:class:`ExactnessError`.  A :class:`Series` carries an explicit truncation
-order N: coefficients of z^0..z^N are exact, everything beyond is unknown.
-Operations never report a coefficient they cannot guarantee; where an order
-cannot be preserved it shrinks.
+exact: :func:`div`, :func:`inv`, :func:`sqrt_one`, :func:`half` and
+:func:`quadratic_power` divide each coefficient by an integer, and a
+remainder raises :class:`ExactnessError`.  A :class:`Series` carries an
+explicit truncation order N: coefficients of z^0..z^N are exact, everything
+beyond is unknown.  Operations never report a coefficient they cannot
+guarantee; where an order cannot be preserved it shrinks.
 
 All values are immutable; all operations are pure functions.
 """
@@ -423,6 +423,44 @@ def sqrt_one(a):
             acc = acc - out[i] * out[k - i]
         out.append(_divide_exactly(acc, 2))
     return Series(out, a.ring)
+
+
+def quadratic_power(count, a, b, p=1, q=2):
+    """c_0..c_{count-1} of (1 + a t + b t^2)^(p/q), as integer lists in w.
+
+    ``a``, ``b`` and each c_k are polynomials in w as integer coefficient
+    lists.  Differentiating T = (1 + a t + b t^2)^(p/q) gives
+    q (1 + a t + b t^2) T' = p (a + 2b t) T, whose t^k coefficient is
+
+      q(k+1) c_{k+1} = a(p - qk) c_k + b(2p - q(k-1)) c_{k-1},   c_0 = 1:
+
+    O(count) steps.  p/q = 1/2 gives the kernel roots W, W_w and
+    sqrt(1 - 4x), p/q = n with b = 1 the trinomial rows.  A coefficient
+    that is not integral raises :class:`ExactnessError`.
+    """
+    out = [[1]]
+    prev, cur = [], [1]
+    for k in range(count - 1):
+        nxt = [0] * (max(len(a) + len(cur), len(b) + len(prev)) - 1)
+        f = p - q * k
+        for i, ai in enumerate(a):
+            fa = f * ai
+            for j, c in enumerate(cur):
+                nxt[i + j] += fa * c
+        f = 2 * p - q * (k - 1)
+        for i, bi in enumerate(b):
+            fb = f * bi
+            for j, c in enumerate(prev):
+                nxt[i + j] += fb * c
+        den = q * (k + 1)
+        prev, cur = cur, []
+        for v in nxt:
+            c, r = divmod(v, den)
+            if r:
+                raise ExactnessError(f"coefficient of t^{k + 1} is not an integer")
+            cur.append(c)
+        out.append(cur)
+    return out[:count]
 
 
 def shift_divide(a, k):

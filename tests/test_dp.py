@@ -38,6 +38,8 @@ def test_dp_without_marker_lumps_counts(family):
 def test_dp_rejects_negative_length(family):
     with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
         dp_table(family, -1)
+    with pytest.raises(ValueError, match="max_length must be an int, got 2.5"):
+        dp_table(family, 2.5)
 
 
 def test_dp_axis_values():

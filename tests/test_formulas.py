@@ -16,7 +16,7 @@ from skewdyck.formulas import (
     red_coeff_explicit,
     trinomial,
 )
-from skewdyck.series import RATIONAL, WPOLY, Series, WPoly, div
+from skewdyck.series import RATIONAL, WPOLY, Series, WPoly, div, quadratic_power
 
 
 def test_binom_conventions():
@@ -60,6 +60,10 @@ class TestTrinomial:
             power = Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY) ** n
             got = [WPoly.coerce(trinomial(n, middle, k)) for k in range(2 * n + 1)]
             assert got == list(power.coeffs), n
+            # the raw full row, second half included, from the shared routine
+            m = middle.coeffs if isinstance(middle, WPoly) else (middle,)
+            raw = [WPoly(c) for c in quadratic_power(2 * n + 1, m, (1,), n, 1)]
+            assert raw == list(power.coeffs), n
 
     def test_integral_rows_keep_their_ring(self):
         # an int middle gives int rows, a w middle integer w-polynomials

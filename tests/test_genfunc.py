@@ -209,7 +209,8 @@ _INTS = ("order", "j", "lo", "hi", "k")
 def test_constructors_reject_bad_ints_by_name(name, data):
     make = getattr(genfunc, name)
     params = inspect.signature(make).parameters
-    args = {p: data.draw(st.integers(-3, 6), label=p) for p in _INTS if p in params}
+    value = st.integers(-3, 6) | st.sampled_from([2.5, 3.0])
+    args = {p: data.draw(value, label=p) for p in _INTS if p in params}
     if name == "negative_axis_series":
         args["cls"] = data.draw(st.sampled_from(genfunc.NEGATIVE_AXIS_CLASSES))
     if name == "red_w_power_slice":
@@ -223,6 +224,7 @@ def test_constructors_reject_bad_ints_by_name(name, data):
             re.search(rf"\b{p}\b", msg) and str(args[p]) in msg for p in _INTS if p in args
         ), (args, msg)
         return
+    assert not any(isinstance(args[p], float) for p in _INTS if p in args), args
     if isinstance(made, genfunc.KernelBundle):
         made = (made.W, made.P, made.Q)
     want = args["order"] // 2 if name == "red_axis_x" else args["order"]
@@ -477,6 +479,21 @@ def test_average_red_series():
     assert [s.coeff(n) for n in range(8)] == [0, 0, 1, 6, 30, 144, 685, 3258]
     # semilength 3: 6 red edges over 10 paths = 3/5
     assert Fraction(s.coeff(3), 10) == Fraction(3, 5)
+
+
+def test_average_red_series_builds_one_bundle(monkeypatch):
+    # sqrt(1-6x+5x^2) comes straight from the root recurrence; only the
+    # derivative route (red_axis_x) builds a kernel bundle
+    orders = []
+
+    def counting(order=genfunc.DEFAULT_ORDER):
+        orders.append(order)
+        return build(order)
+
+    build = genfunc.kernel_bundle
+    monkeypatch.setattr(genfunc, "kernel_bundle", counting)
+    genfunc.average_red_series(order=10)
+    assert orders == [20]
 
 
 @pytest.mark.parametrize("k", range(5))

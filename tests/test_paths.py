@@ -87,6 +87,20 @@ def test_negative_lengths_rejected():
         CountTable(DUAL, -1)
 
 
+def test_non_int_lengths_rejected():
+    with pytest.raises(ValueError, match="n must be an int, got 2.0"):
+        enumerate_paths(BOUNDED, 2.0)
+    with pytest.raises(ValueError, match="max_length must be an int, got 2.5"):
+        count_table(BOUNDED, 2.5)
+    with pytest.raises(ValueError, match="max_length must be an int, got 2.5"):
+        CountTable(BOUNDED, 2.5)
+
+
+def test_count_table_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'nonsense'"):
+        CountTable("nonsense", 3)
+
+
 def test_word_properties():
     w = PathWord(("U", "U", "D", "R"), BOUNDED)
     assert w.end_level == 0

@@ -23,6 +23,7 @@ from skewdyck.series import (
     first_mismatch,
     half,
     inv,
+    quadratic_power,
     shift_divide,
     shift_up,
     specialize_w,
@@ -238,3 +239,21 @@ def test_compare_builds_the_check_at_the_first_mismatch():
     assert compare("c", ((n, n, n) for n in range(5)), "(5 terms)") == Check("c", True, "(5 terms)")
     assert compare("c", []) == Check("c", True, "")
 
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((-6,), (5,)), ((-4, -2), (0, 4, 1)), ((-4,), ())],
+    ids=["W", "Ww", "sqrt(1-4x)"],
+)
+def test_quadratic_square_roots_match_sqrt_one(a, b):
+    # p/q = 1/2: the kernel roots in x = z^2, and sqrt(1 - 4x)
+    n = 30
+    radicand = Series.from_dict({0: 1, 1: WPoly(a), 2: WPoly(b)}, n, WPOLY)
+    got = Series([WPoly(c) for c in quadratic_power(n + 1, a, b)], WPOLY)
+    assert got == sqrt_one(radicand)
+
+
+def test_quadratic_power_is_exact():
+    assert quadratic_power(1, (1,), ()) == [[1]]
+    with pytest.raises(ExactnessError, match=r"t\^1 "):
+        quadratic_power(2, (1,), ())  # (1 + t)^(1/2) = 1 + t/2 + ...

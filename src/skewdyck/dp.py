@@ -2,12 +2,15 @@
 
 A direct executable transcription of the state diagrams: the DP iterates
 forward over the number of steps taken, which is polynomial in the target
-length, and :func:`check_recursions` then validates the level-coupled
-recursions (which on their own are identities, not an algorithm) against the
-finished table.  The recursions are one rule table, ``_RECURSIONS``, copied
-from the paper per family; one loop reads it for the table's own family
-and length.
+length, one whole column of levels per last-step class at a time.
+:func:`check_recursions` then validates the level-coupled recursions
+(which on their own are identities, not an algorithm) against the finished
+table.  The recursions are one rule table, ``_RECURSIONS``, copied from the
+paper per family; one loop reads it for the table's own family and length.
 """
+
+from itertools import repeat
+from operator import add, lshift
 
 from .paths import CountTable, family_spec
 from .series import compare
@@ -20,44 +23,41 @@ def dp_table(family, max_length, with_color_marker=True):
     count k (entries are w-polynomials via ``CountTable.wpoly``); without
     it all counts are lumped at k=0.
 
-    The state after n steps maps each level to ``{class: packed}``, which
-    is exactly the table's (n, level) row: the counts of every colour
-    count k in one int, digit k in base 2^B with B = ``table.bits`` (see
-    :class:`~skewdyck.paths.CountTable`; counts stay below 2^B, so digits
-    never carry).  A coloured step shifts by B (by 0 without the marker),
-    and states that meet are merged by int addition.
+    The state after n steps is one column per class (``spec.classes``
+    order) whose index i holds the paths ending in that class at level
+    lo + 2i, lo = -n (n mod 2 for the floored families); zipped together,
+    the columns are the table's rows of packed ints (see
+    :class:`~skewdyck.paths.CountTable`).  A step sums, per class, the
+    columns of the classes its step may follow, shifts by B = ``table.bits``
+    for the coloured step (by 0 without the marker), pads at the bottom for
+    an up step or the top for a down step, and a floored family drops the
+    row that fell below the axis.
     """
     spec = family_spec(family)
     table = CountTable(family, max_length)
     shift = table.bits if with_color_marker else 0
-    # the allowed moves out of each class, named after the step into it:
-    # (level increment, class reached, shift); the seed (empty-path) class
-    # is the up class, so this also covers the start state
-    moves = {
-        cls: tuple(
-            (spec.incr[s], cls_s, shift if s == spec.colored else 0)
-            for s, cls_s in zip(spec.steps, spec.classes)
-            if (prev, s) not in spec.forbidden
-        )
-        for prev, cls in zip(spec.steps, spec.classes)
-    }
-
-    state = {0: {spec.empty_class: 1}}
+    # the step into each class: (level increment, shift, the positions of
+    # the classes it may follow); the empty path is in the up class
+    into = [
+        (spec.incr[s], shift if s == spec.colored else 0,
+         [i for i, prev in enumerate(spec.steps) if (prev, s) not in spec.forbidden])
+        for s in spec.steps
+    ]
+    columns = [[int(cls == spec.empty_class)] for cls in spec.classes]
     for n in range(max_length + 1):
-        for level, row in state.items():
-            table.entries[n, level] = row
+        levels = range(n % 2 if spec.floor else -n, n + 1, 2)
+        table.entries.update(zip(zip(repeat(n), levels), zip(*columns)))
         if n == max_length:
             break
-        nxt = {}
-        for level, row in state.items():
-            for cls, v in row.items():
-                for incr, cls_s, by in moves[cls]:
-                    nl = level + incr
-                    if spec.floor and nl < 0:
-                        continue
-                    out = nxt.setdefault(nl, {})
-                    out[cls_s] = out.get(cls_s, 0) + (v << by)
-        state = nxt
+        nxt = []
+        for incr, by, preds in into:
+            total = columns[preds[0]]
+            for i in preds[1:]:
+                total = map(add, total, columns[i])
+            if by:
+                total = map(lshift, total, repeat(by))
+            nxt.append([0, *total] if incr > 0 else [*total, 0])
+        columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
     return table
 
 

@@ -23,11 +23,24 @@ from functools import lru_cache
 from .series import WPoly, quadratic_power
 
 
+def _check_args(family=None, **args):
+    """The entry guard of the public functions: a ValueError that names the
+    first of ``args`` that is not an int, or a level ``j`` below the axis,
+    where ``family``'s paths never end (hot callers test ints first)."""
+    for name, value in args.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if family and args["j"] < 0:
+        raise ValueError(f"level j={args['j']}: {family} paths never end below the axis")
+
+
 def binom(n, k):
     """Binomial coefficient with integer upper index of either sign.
 
     For n < 0 uses C(-m, k) = (-1)^k * C(m+k-1, k); k < 0 gives 0.
     """
+    if not (isinstance(n, int) and isinstance(k, int)):
+        _check_args(n=n, k=k)
     if k < 0:
         return 0
     if n >= 0:
@@ -65,6 +78,8 @@ def trinomial(n, middle, k):
     so is the result.  Rows are memoized per (n, middle), the large ones
     one at a time (see ``_CACHED_ROW_MAX_N``).
     """
+    if not (isinstance(n, int) and isinstance(k, int)):
+        _check_args(n=n, k=k)
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
     if not isinstance(middle, (int, WPoly)):
@@ -76,11 +91,6 @@ def trinomial(n, middle, k):
 
 
 # --- primal level coefficients ------------------------------------------------
-
-
-def _check_level(j, family):
-    if j < 0:
-        raise ValueError(f"level j={j}: {family} paths never end below the axis")
 
 
 def kappa_coeff(j, k):
@@ -106,7 +116,7 @@ def primal_coeff_explicit(j, m):
     Requires j >= 0 (bounded paths never end below the axis) and m >= 1,
     so the trinomial upper index m-1+j is nonnegative.
     """
-    _check_level(j, "bounded")
+    _check_args("bounded", j=j, m=m)
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
     return sum(kappa_coeff(j, k) * trinomial(m - 1 + j, 3, m - k) for k in range(m + 1))
@@ -120,7 +130,7 @@ def mu_coeff(j, k):
 
     Equals [v^k]((3 - 7(2+v) + 5(2+v)^2 - (2+v)^3)(2+v)^j), for j >= 0.
     """
-    _check_level(j, "dual")
+    _check_args("dual", j=j, k=k)
 
     def term(c, n):
         # binom(n, k) vanishes for k > n >= 0, keeping the power of 2 integral
@@ -135,7 +145,7 @@ def dual_coeff_explicit(j, N):
 
     Sums k = 0..N inclusive (see module docstring); requires j >= 0.
     """
-    _check_level(j, "dual")
+    _check_args("dual", j=j, N=N)
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
     return sum(mu_coeff(j, k) * trinomial(N - 1, 3, N - k) for k in range(N + 1))
@@ -150,6 +160,7 @@ def red_coeff_explicit(n):
     Four-trinomial combination T(n) + T(n-1) - T(n-2) - T(n-3) with
     T(k) = trinomial(n-1, 2+w, k).
     """
+    _check_args(n=n)
     if n < 1:
         raise ValueError("red_coeff_explicit requires n >= 1")
     middle = WPoly((2, 1))

@@ -197,44 +197,48 @@ def enumerate_paths(family, n, end_level=None):
 class CountTable:
     """Exact counts indexed by (length, end level, last-step class, color count).
 
-    ``count(n, j, cls=None, k=None)`` sums over any index passed as None.
+    ``count(n, j, cls=None, k=None)`` sums over any index passed as None;
+    a ``cls`` not among ``classes`` (the family's) raises ``ValueError``.
 
-    Layout: ``entries`` maps a row key (n, j) to ``{cls: packed}``, where
-    ``packed`` holds the counts of every colour count k at once, count k
-    being digit k in base 2^B (Kronecker substitution).  B = ``bits`` =
-    bit_length(3^N) + 1 depends on ``max_length`` N alone, so two tables
-    of one length share it and compare equal exactly when they agree at
-    every (n, j, cls, k).  No count of paths of length n <= N exceeds 3^N,
-    so a digit never carries into the next, and the sum of the packed
-    values of several classes is the packed sum of their counts.  Every
-    lookup reads one row and unpacks only what it returns.
+    Layout: ``entries`` maps a row key (n, j) to a tuple with one int per
+    class, in ``classes`` order, which packs the counts of every colour
+    count k, count k being digit k in base 2^B (Kronecker substitution).
+    B = ``bits`` = bit_length(3^N) + 1 depends on ``max_length`` N alone,
+    so two tables of one length share it and compare equal exactly when
+    they agree at every (n, j, cls, k).  No count of paths of length
+    n <= N exceeds 3^N, so a digit never carries into the next, and the
+    sum of the packed values of several classes is the packed sum of their
+    counts.  Every lookup reads one row and unpacks only what it returns.
     """
 
     def __init__(self, family, max_length):
-        family_spec(family)
+        self.classes = family_spec(family).classes
         _check_length("max_length", max_length, cap=None)
         self.family = family
         self.max_length = max_length
         self.bits = (3**max_length).bit_length() + 1
         self.entries = {}
 
+    def _position(self, cls):
+        if cls not in self.classes:
+            raise ValueError(f"unknown class {cls!r}; expected one of {self.classes}")
+        return self.classes.index(cls)
+
     def add(self, n, j, cls, k, amount=1):
         """Add ``amount`` to the count at (n, j, cls, k); the count must stay
         a digit, in 0 .. 2^B - 1."""
+        i = self._position(cls)
         if k < 0:
             raise ValueError(f"color count {k} is negative")
-        row = self.entries.setdefault((n, j), {})
-        packed = row.get(cls, 0)
-        digit = self._digit(packed, k) + amount
+        row = self.entries.get((n, j)) or (0,) * len(self.classes)
+        digit = self._digit(row[i], k) + amount
         if not 0 <= digit < 1 << self.bits:
             raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is not a digit")
-        row[cls] = packed + (amount << (k * self.bits))
+        self.entries[n, j] = row[:i] + (row[i] + (amount << (k * self.bits)),) + row[i + 1:]
 
     def _packed(self, n, j, cls):
-        row = self.entries.get((n, j))
-        if not row:
-            return 0
-        return sum(row.values()) if cls is None else row.get(cls, 0)
+        row = self.entries.get((n, j)) or (0,) * len(self.classes)
+        return sum(row) if cls is None else row[self._position(cls)]
 
     def _digit(self, packed, k):
         return (packed >> (k * self.bits)) & ((1 << self.bits) - 1)
@@ -265,7 +269,7 @@ class CountTable:
         """Every nonzero count, as ``{(n, j, cls, k): count}``."""
         out = {}
         for (n, j), row in self.entries.items():
-            for cls, packed in row.items():
+            for cls, packed in zip(self.classes, row):
                 for k, c in enumerate(self._digits(packed)):
                     if c:
                         out[n, j, cls, k] = c

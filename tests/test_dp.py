@@ -3,6 +3,7 @@
 import pytest
 
 from skewdyck.dp import check_recursions, dp_table
+from skewdyck.formulas import red_coeff_explicit
 from skewdyck.paths import (
     BOUNDED,
     DUAL,
@@ -17,7 +18,7 @@ from skewdyck.series import WPoly
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_dp_matches_brute_force_refined(family):
-    for n in (0, 1, 2, 8, 10):  # the short lengths have the smallest digit widths
+    for n in (0, 1, 2, 8, 10, 11):  # the short lengths have the smallest digit widths
         brute = count_table(family, n)
         table = dp_table(family, n)
         assert brute.entries == table.entries, n
@@ -54,6 +55,27 @@ def test_dp_dual_axis_values():
     table = dp_table(DUAL, 12)
     assert [table.count(2 * n, 0) for n in range(7)] == [1, 1, 3, 10, 36, 137, 543]
     assert [table.count(2 * n + 2, 2) for n in range(6)] == [4, 8, 29, 111, 442, 1813]
+
+
+def test_rows_are_tuples_in_class_order():
+    bounded = dp_table(BOUNDED, 4)
+    assert bounded.classes == ("f", "g", "h")
+    B = bounded.bits
+    assert bounded.entries[2, 0] == (0, 1, 0)  # UD; a red step never meets an up step
+    assert bounded.entries[4, 0] == (0, 2, 1 << B)  # UDUD, UUDD; UUDR with one red
+    assert bounded.entries[4, 4] == (1, 0, 0)
+    dual = dp_table(DUAL, 2)
+    assert dual.classes == ("a", "b", "c")
+    B = dual.bits
+    assert dual.entries[2, 0] == (0, 1, 0)  # ud; a blue step never meets a down step
+    assert dual.entries[2, 2] == (1 + (1 << B), 0, (1 << B) + (1 << 2 * B))  # uu, Bu; uB, BB
+    assert sorted(dual.entries) == [(0, 0), (1, 1), (2, 0), (2, 2)]
+
+
+def test_axis_colour_polynomials_match_red_formula():
+    table = dp_table(BOUNDED, 96)
+    for m in range(1, 49):
+        assert table.wpoly(2 * m, 0) == red_coeff_explicit(m), m
 
 
 # the number of recursion instances at length L: it pins the identity set
@@ -132,10 +154,10 @@ def _reference_counts(family, max_length, with_color_marker):
 @pytest.mark.parametrize("marker", [True, False])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lookups_match_unpacked_reference(family, marker):
-    top = 20
+    top = 29  # odd, so its floored rows start at level 1
     ref = _reference_counts(family, top, marker)
     classes = family_spec(family).classes
-    for max_length in (0, 1, 2, 3, top):
+    for max_length in (0, 1, 2, 3, 20, top):
         table = dp_table(family, max_length, with_color_marker=marker)
         assert table.counts() == {key: v for key, v in ref.items() if key[0] <= max_length}
         for n in range(max_length + 1):

@@ -168,6 +168,24 @@ def test_explicit_formulas_reject_levels_below_the_axis():
         mu_coeff(-1, 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0])
+def test_explicit_formulas_reject_non_ints_by_name(bad):
+    calls = [
+        (binom, (bad, 1), "n"),
+        (binom, (2, bad), "k"),
+        (trinomial, (bad, 3, 1), "n"),
+        (trinomial, (2, 3, bad), "k"),
+        (primal_coeff_explicit, (bad, 2), "j"),
+        (primal_coeff_explicit, (0, bad), "m"),
+        (dual_coeff_explicit, (bad, 2), "j"),
+        (dual_coeff_explicit, (1, bad), "N"),
+        (red_coeff_explicit, (bad,), "n"),
+    ]
+    for fn, args, name in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad}$"):
+            fn(*args)
+
+
 def test_red_explicit_examples():
     assert red_coeff_explicit(1) == WPoly.const(1)
     assert red_coeff_explicit(3) == WPoly((5, 4, 1))

@@ -15,6 +15,7 @@ from skewdyck.paths import (
     render_ascii,
     reverse_dual,
 )
+from skewdyck.series import WPoly
 
 
 def test_ten_paths_of_length_six():
@@ -99,6 +100,28 @@ def test_non_int_lengths_rejected():
 def test_count_table_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
         CountTable("nonsense", 3)
+
+
+def test_count_table_rejects_unknown_classes():
+    table = count_table(BOUNDED, 4)
+    unknown = r"unknown class '%s'; expected one of \('f', 'g', 'h'\)"
+    for n, j in ((2, 0), (3, 0), (9, 9)):  # a row, an absent row of the table, a row past it
+        for cls in ("a", "zz"):
+            with pytest.raises(ValueError, match=unknown % cls):
+                table.count(n, j, cls=cls)
+            with pytest.raises(ValueError, match=unknown % cls):
+                table.count(n, j, cls=cls, k=0)
+            with pytest.raises(ValueError, match=unknown % cls):
+                table.wpoly(n, j, cls=cls)
+            with pytest.raises(ValueError, match=unknown % cls):
+                table.add(n, j, cls, 0)
+        with pytest.raises(ValueError, match=unknown % "a"):
+            table.coefficients(j, cls="a")
+    for cls in table.classes + (None,):  # absent rows and digits past the top read 0
+        assert table.count(9, 9, cls=cls) == table.count(3, 0, cls=cls, k=0) == 0
+        assert table.count(2, 0, cls=cls, k=5) == 0
+        assert table.wpoly(3, 0, cls=cls) == WPoly()
+    assert table.counts() == count_table(BOUNDED, 4).counts()  # the refused calls wrote nothing
 
 
 def test_word_properties():

@@ -86,8 +86,20 @@ def trinomial(n, middle, k):
         raise ValueError(f"trinomial middle must be an int or a WPoly, got {middle!r}")
     if k < 0 or k > 2 * n:
         return WPoly() if isinstance(middle, WPoly) else 0
-    row = _trinomial_row if n <= _CACHED_ROW_MAX_N else _large_trinomial_row
-    return row(n, middle)[min(k, 2 * n - k)]
+    return _half_row(n, middle)[min(k, 2 * n - k)]
+
+
+def _half_row(n, middle):
+    """The half row a_0..a_n of (1 + middle*t + t^2)^n, from the cache that
+    ``n`` selects."""
+    return (_trinomial_row if n <= _CACHED_ROW_MAX_N else _large_trinomial_row)(n, middle)
+
+
+def _row_3(n):
+    """The whole row trinomial(n, 3, 0..2n), for the level formulas' sums
+    (n >= 0: the callers' guards ensure it)."""
+    half = _half_row(n, 3)
+    return half + half[-2::-1]
 
 
 # --- primal level coefficients ------------------------------------------------
@@ -102,6 +114,7 @@ def kappa_coeff(j, k):
     (1+3v+v^2)^(j+1)/(1+2v)^(j+1) (P is a unit, so its reciprocal power is
     a power series, unlike the conjugate root).
     """
+    _check_args("bounded", j=j, k=k)
     total = 0
     for i, e in enumerate((1, 1, -1, -1)):
         if k - i >= 0:
@@ -119,7 +132,8 @@ def primal_coeff_explicit(j, m):
     _check_args("bounded", j=j, m=m)
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
-    return sum(kappa_coeff(j, k) * trinomial(m - 1 + j, 3, m - k) for k in range(m + 1))
+    row = _row_3(m - 1 + j)  # terms with m-k past the row's end vanish
+    return sum(kappa_coeff(j, k) * row[m - k] for k in range(max(0, m + 1 - len(row)), m + 1))
 
 
 # --- dual level coefficients --------------------------------------------------
@@ -148,7 +162,8 @@ def dual_coeff_explicit(j, N):
     _check_args("dual", j=j, N=N)
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
-    return sum(mu_coeff(j, k) * trinomial(N - 1, 3, N - k) for k in range(N + 1))
+    row = _row_3(N - 1)  # terms with N-k past the row's end vanish
+    return sum(mu_coeff(j, k) * row[N - k] for k in range(max(0, N + 1 - len(row)), N + 1))
 
 
 # --- red-marked axis coefficients --------------------------------------------

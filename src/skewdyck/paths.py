@@ -1,9 +1,13 @@
 """Brute-force enumeration of skew Dyck path families.
 
 Ground truth for everything else in the package: words over typed steps are
-generated depth-first, filtered by the forbidden-adjacency rules, and
-aggregated into exact count tables refined by length, end level, last-step
-class and colored-edge count.
+generated depth-first and counted one by one into exact count tables
+refined by length, end level, last-step class and colored-edge count.  Both
+enumerators walk one rule table (``_successors``), read off the family's
+increments and forbidden adjacent pairs: the steps that may follow each
+step, in canonical order.  A step is taken when the level stays at or above
+the family's floor.  ``is_valid`` reads the same rules literally, word by
+word, so it judges words that the walks did not make.
 
 Families:
 
@@ -166,10 +170,28 @@ def _check_length(name, n, cap=BRUTE_FORCE_CAP):
         raise ValueError(f"length {n} exceeds the brute-force cap {cap}")
 
 
+def _successors(spec):
+    """The adjacency rule as a table: for each step position p (in
+    ``spec.steps`` order), the (position, level increment) of every step
+    that may follow step p, in canonical order.  A walk starts after
+    position 0, the up step the empty path stands in for."""
+    return [
+        tuple((i, spec.incr[s]) for i, s in enumerate(spec.steps) if (prev, s) not in spec.forbidden)
+        for prev in spec.steps
+    ]
+
+
+def _lowest(spec, n):
+    """The lowest level a prefix of a length-n word may reach."""
+    return 0 if spec.floor else -n
+
+
 def enumerate_paths(family, n, end_level=None):
     """All valid words of length n, in lexicographic step order."""
     _check_length("n", n)
     spec = family_spec(family)
+    succ = _successors(spec)
+    lowest = _lowest(spec, n)
     out = []
     steps = []
 
@@ -178,19 +200,17 @@ def enumerate_paths(family, n, end_level=None):
             if end_level is None or level == end_level:
                 out.append(PathWord(tuple(steps), family))
             return
-        for s in spec.steps:
-            if (prev, s) in spec.forbidden:
-                continue
-            nl = level + spec.incr[s]
-            if spec.floor and nl < 0:
+        for s, d in succ[prev]:
+            nl = level + d
+            if nl < lowest:
                 continue
             if end_level is not None and abs(nl - end_level) > remaining - 1:
                 continue
-            steps.append(s)
+            steps.append(spec.steps[s])
             rec(nl, s, remaining - 1)
             steps.pop()
 
-    rec(0, spec.steps[0], n)
+    rec(0, 0, n)
     return out
 
 
@@ -279,31 +299,65 @@ class CountTable:
 def count_table(family, max_length):
     """Full refined table from depth-first enumeration (no words stored).
 
-    Each visited node adds one to a local tally of (n, level, cls, k); the
-    table is written once from the tally at the end.
+    Every valid word of length <= ``max_length`` is visited once and adds
+    one to a flat tally with a slot per (n, level, k, class).  A visit
+    carries the word's slot, level and last step.  The successor table of
+    that step (``_successors``) gives each next step's level increment and
+    the slot offset it moves by, so extending a word is one addition and
+    one floor test, level >= lowest.  The words of the last two lengths are
+    tallied in their parent's loop instead of in a call each.  There is no
+    memo and no two words share a visit: each tally write is one word.
+    The table is written from the tally once, a row of packed ints per
+    (n, j) that some word reaches.
     """
     _check_length("max_length", max_length)
     spec = family_spec(family)
-    cls_of = dict(zip(spec.steps, spec.classes))
-    tally = {}
+    lowest = _lowest(spec, max_length)
+    # slot = ((n * levels + level - lowest) * (max_length + 1) + k) * n_cls + class, with
+    # levels = max_length + 1 - lowest and a class the position of its step in spec.steps
+    n_cls = len(spec.classes)
+    level_stride = n_cls * (max_length + 1)
+    n_stride = level_stride * (max_length + 1 - lowest)
+    succ = [
+        tuple(
+            (s, d, n_stride + d * level_stride + (spec.steps[s] == spec.colored) * n_cls + s - prev)
+            for s, d in after
+        )
+        for prev, after in enumerate(_successors(spec))
+    ]
+    tally = [0] * (n_stride * (max_length + 1))
 
-    def rec(n, level, prev, cls, reds):
-        key = (n, level, cls, reds)
-        tally[key] = tally.get(key, 0) + 1
-        if n == max_length:
-            return
-        for s in spec.steps:
-            if (prev, s) in spec.forbidden:
-                continue
-            nl = level + spec.incr[s]
-            if spec.floor and nl < 0:
-                continue
-            rec(n + 1, nl, s, cls_of[s], reds + (1 if s == spec.colored else 0))
+    def walk(slot, level, prev, left):
+        """Tally the word at ``slot`` and each of its extensions by 1..left steps."""
+        tally[slot] += 1
+        if left > 2:
+            for s, d, move in succ[prev]:
+                if level + d >= lowest:
+                    walk(slot + move, level + d, s, left - 1)
+        elif left:
+            for s, d, move in succ[prev]:
+                level1 = level + d
+                if level1 >= lowest:
+                    slot1 = slot + move
+                    tally[slot1] += 1
+                    if left == 2:
+                        for _, d2, move2 in succ[s]:
+                            if level1 + d2 >= lowest:
+                                tally[slot1 + move2] += 1
 
-    rec(0, 0, spec.steps[0], spec.empty_class, 0)
+    # the empty word: level 0, after step 0 and in its class, ``spec.empty_class``
+    walk(-lowest * level_stride, 0, 0, max_length)
+
     table = CountTable(family, max_length)
-    for key, c in tally.items():
-        table.add(*key, c)
+    bits = table.bits  # every count is below 3^N < 2^bits, so it packs as a digit
+    for n in range(max_length + 1):
+        for j in range(max(lowest, -n), n + 1):
+            base = n * n_stride + (j - lowest) * level_stride
+            block = tally[base:base + level_stride]
+            if any(block):
+                table.entries[n, j] = tuple(
+                    sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for i in range(n_cls)
+                )
     return table
 
 

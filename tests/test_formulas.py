@@ -166,6 +166,8 @@ def test_explicit_formulas_reject_levels_below_the_axis():
         dual_coeff_explicit(-1, 2)
     with pytest.raises(ValueError, match="j=-1: dual paths never end below the axis"):
         mu_coeff(-1, 0)
+    with pytest.raises(ValueError, match="j=-1: bounded paths never end below the axis"):
+        kappa_coeff(-1, 2)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0])
@@ -180,6 +182,10 @@ def test_explicit_formulas_reject_non_ints_by_name(bad):
         (dual_coeff_explicit, (bad, 2), "j"),
         (dual_coeff_explicit, (1, bad), "N"),
         (red_coeff_explicit, (bad,), "n"),
+        (kappa_coeff, (bad, 1), "j"),
+        (kappa_coeff, (0, bad), "k"),
+        (mu_coeff, (bad, 1), "j"),
+        (mu_coeff, (0, bad), "k"),
     ]
     for fn, args, name in calls:
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {bad}$"):

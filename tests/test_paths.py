@@ -1,7 +1,11 @@
 """Tests for the brute-force path enumeration oracle."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
+from skewdyck.dp import dp_table
 from skewdyck.paths import (
     BOUNDED,
     DUAL,
@@ -140,16 +144,43 @@ def test_brute_force_cap():
         count_table(BOUNDED, 17)
 
 
+def _word_tally(family, max_length):
+    """Every word of length <= max_length from ``enumerate_paths``, counted
+    one by one at its (n, j, cls, k)."""
+    return Counter(
+        (len(w), w.end_level, w.last_class, w.colored_count)
+        for n in range(max_length + 1)
+        for w in enumerate_paths(family, n)
+    )
+
+
 def test_count_table_matches_enumeration():
-    n = 8
-    table = count_table(BOUNDED, n)
-    for j in (0, 1, 2):
-        words = enumerate_paths(BOUNDED, n, end_level=j)
-        assert table.count(n, j) == len(words)
-        for cls in ("f", "g", "h"):
-            assert table.count(n, j, cls=cls) == sum(
-                1 for w in words if w.last_class == cls
-            )
+    # at 0, 1 and 2 the walk starts inside its unrolled last two lengths
+    for family in (BOUNDED, DUAL, UNBOUNDED):
+        for max_length in (0, 1, 2, 3, 10):
+            got = count_table(family, max_length).counts()
+            assert got == _word_tally(family, max_length), (family, max_length)
+
+
+@pytest.mark.parametrize("family", [BOUNDED, DUAL, UNBOUNDED])
+def test_count_table_matches_dp_at_long_lengths(family, brute_tables):
+    for n in (12, 13):
+        assert count_table(family, n).entries == dp_table(family, n).entries, n
+    assert brute_tables[family].entries == dp_table(family, 14).entries
+
+
+@pytest.mark.parametrize("family", [BOUNDED, DUAL, UNBOUNDED])
+def test_enumeration_is_the_literal_rules_in_order(family):
+    # the walk's rule table against is_valid's word-by-word reading, over
+    # every word of the alphabet in lexicographic step order
+    steps = family_spec(family).steps
+    for n in range(8):
+        words = [PathWord(w, family) for w in product(steps, repeat=n)]
+        assert enumerate_paths(family, n) == [w for w in words if is_valid(w)]
+        for j in (-2, 0, 1):
+            assert enumerate_paths(family, n, end_level=j) == [
+                w for w in words if is_valid(w) and w.end_level == j
+            ]
 
 
 def test_count_table_wpoly_refinement():

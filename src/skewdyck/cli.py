@@ -225,11 +225,10 @@ def _verify_checks(args):
         yield _check_recursions(fam, table)
     levels = {}  # each family's levels, built once for dp-closed and closed-explicit
     for fam in families:
-        order = min(args.order, genfunc.DEFAULT_NEGATIVE_ORDER) if fam == "unbounded" else args.order
         # levels beyond the truncation order contribute nothing at this order
-        top = min(6, order) if fam == "unbounded" else min(8, order)
-        levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, order)
-        yield _check_dp_closed(fam, order, levels[fam], fault=args.inject_fault)
+        top = min(6, args.order) if fam == "unbounded" else min(8, args.order)
+        levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, args.order)
+        yield _check_dp_closed(fam, args.order, levels[fam], fault=args.inject_fault)
     # one red axis series in x, for closed-explicit:red (x^1..x^max_n) and
     # the substitution identity (x^0..x^20 at most)
     max_n = max(args.order // 2, 1)

@@ -1,23 +1,26 @@
 """Explicit coefficient formulas via weighted trinomial coefficients.
 
-This module is a purely arithmetic route to single series coefficients: no
-power-series division or square roots, only (generalized) binomials and the
-trinomial coefficients [t^k](1 + m*t + t^2)^n.  It cross-validates the
-kernel-method closed forms in :mod:`.genfunc` coefficient by coefficient.
+A purely arithmetic route to single series coefficients: no power-series
+division or square roots, only integer weights and the trinomial
+coefficients [t^k](1 + m*t + t^2)^n.  It cross-validates the kernel-method
+closed forms in :mod:`.genfunc` coefficient by coefficient.
 
-Conventions
------------
-* Negative upper index: C(-m, k) = (-1)^k * C(m+k-1, k), so that C(-j, k)
-  is [v^k](1+v)^{-j}.  ``kappa_coeff`` expands 1/(1+2v)^j with it, and the
-  test suite pins it against the series oracle
-  [v^k]((1+v)^2 (1-v) / (1+2v)^j).
-* ``dual_coeff_explicit`` sums k = 0..N inclusive.  The k = N term
-  multiplies trinomial(N-1; 0) = 1 by mu_{j;N}, which is nonzero whenever
-  N <= j+3, so it cannot be dropped; the equality test against the series
-  route pins this down.
+Every formula is one Lagrange-inversion sum (Flajolet & Sedgewick,
+*Analytic Combinatorics*, Thm A.2), :func:`_lagrange_sum`: under
+x = v/phi(v) with phi = 1 + m*v + v^2, [x^n] H(v) equals
+[v^n] H(v) (1 - v^2) phi(v)^(n-1) = sum_k c_k * trinomial(n', m, n - k).
+The weights c_k are the coefficients of the prefactor (1 + v)^2 (1 - v)
+times one power of a linear factor:
+
+* primal, ``kappa_coeff``: (1 + 2v)^(-j), with m = 3;
+* dual, ``mu_coeff``: (2 + v)^j, with m = 3 (the dual kernel's four terms
+  3 - 7y + 5y^2 - y^3 are (y - 1)^2 (3 - y) at y = 2 + v);
+* red: the factor 1, with m = 2 + w.
+
+``dual_coeff_explicit`` sums k = 0..N inclusive: the k = N term, mu_{j;N}
+times trinomial(N-1, 3, 0) = 1, is nonzero whenever N <= j+3.
 """
 
-import math
 from functools import lru_cache
 
 from .series import WPoly, quadratic_power
@@ -32,20 +35,6 @@ def _check_args(family=None, **args):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if family and args["j"] < 0:
         raise ValueError(f"level j={args['j']}: {family} paths never end below the axis")
-
-
-def binom(n, k):
-    """Binomial coefficient with integer upper index of either sign.
-
-    For n < 0 uses C(-m, k) = (-1)^k * C(m+k-1, k); k < 0 gives 0.
-    """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        _check_args(n=n, k=k)
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k)
-    return (-1) ** k * math.comb(-n + k - 1, k)
 
 
 # Rows up to this upper index are memoized, up to 128 of them.  A half row
@@ -95,31 +84,54 @@ def _half_row(n, middle):
     return (_trinomial_row if n <= _CACHED_ROW_MAX_N else _large_trinomial_row)(n, middle)
 
 
-def _row_3(n):
-    """The whole row trinomial(n, 3, 0..2n), for the level formulas' sums
-    (n >= 0: the callers' guards ensure it)."""
-    half = _half_row(n, 3)
-    return half + half[-2::-1]
+# (1 + v)^2 (1 - v) = 1 + v - v^2 - v^3: Lagrange inversion's 1 - v^2 times
+# 1 + v, the start of every weight list
+_PREFACTOR = (1, 1, -1, -1)
+
+
+def _weights(power, count):
+    """[v^0..v^(count-1)] of the prefactor times ``power``, coefficients [c]
+    as :func:`~skewdyck.series.quadratic_power` gives them, zero past its end."""
+    c = [a[0] for a in power] + [0] * count
+    return [sum(p * c[k - i] for i, p in enumerate(_PREFACTOR) if k >= i) for k in range(count)]
+
+
+def _kappa(j, count):
+    """kappa_{j;0..count-1}, with (1 + 2v)^(-j) as a series."""
+    return _weights(quadratic_power(count, (2,), (), -j, 1), count)
+
+
+def _mu(j):
+    """mu_{j;0..j+3}, with (2 + v)^j the reversed row of (1 + 2v)^j."""
+    return _weights(quadratic_power(j + 1, (2,), (), j, 1)[::-1], j + 4)
+
+
+def _lagrange_sum(weights, upper, middle, n):
+    """sum_k weights[k] * trinomial(upper, middle, n - k), over the k where
+    both can be nonzero (``upper >= 0``: the callers' guards ensure it).  A
+    weight of 1 or -1 adds or subtracts its row entry without a product."""
+    half = _half_row(upper, middle)
+    top = 2 * upper
+    total = WPoly() if isinstance(middle, WPoly) else 0
+    for k in range(max(0, n - top), min(n + 1, len(weights))):
+        c, a = weights[k], half[min(n - k, top - n + k)]
+        total = total + a if c == 1 else total - a if c == -1 else total + c * a
+    return total
 
 
 # --- primal level coefficients ------------------------------------------------
 
 
 def kappa_coeff(j, k):
-    """Integer weight kappa_{j;k} = [v^k]((1+v)^2 (1-v) / (1+2v)^j).
+    """Integer weight kappa_{j;k} = [v^k]((1+v)^2 (1-v) / (1+2v)^j); 0 for k < 0.
 
-    These arise from the residue computation of [z^(2m+j)] of the primal
-    level series under the substitution x = v/(1+3v+v^2), carried out with
-    the correct square-root branch: 1/P^(j+1) maps to
-    (1+3v+v^2)^(j+1)/(1+2v)^(j+1) (P is a unit, so its reciprocal power is
-    a power series, unlike the conjugate root).
+    From the primal level series under x = v/(1+3v+v^2), with the correct
+    square-root branch: 1/P^(j+1) maps to (1+3v+v^2)^(j+1)/(1+2v)^(j+1) (P
+    is a unit, so its reciprocal power is a power series, unlike the
+    conjugate root's).
     """
     _check_args("bounded", j=j, k=k)
-    total = 0
-    for i, e in enumerate((1, 1, -1, -1)):
-        if k - i >= 0:
-            total += e * binom(-j, k - i) * 2 ** (k - i)
-    return total
+    return _kappa(j, k + 1)[k] if k >= 0 else 0
 
 
 def primal_coeff_explicit(j, m):
@@ -132,38 +144,29 @@ def primal_coeff_explicit(j, m):
     _check_args("bounded", j=j, m=m)
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
-    row = _row_3(m - 1 + j)  # terms with m-k past the row's end vanish
-    return sum(kappa_coeff(j, k) * row[m - k] for k in range(max(0, m + 1 - len(row)), m + 1))
+    return _lagrange_sum(_kappa(j, m + 1), m - 1 + j, 3, m)
 
 
 # --- dual level coefficients --------------------------------------------------
 
 
 def mu_coeff(j, k):
-    """The four-term integer weight mu_{j;k}.
-
-    Equals [v^k]((3 - 7(2+v) + 5(2+v)^2 - (2+v)^3)(2+v)^j), for j >= 0.
-    """
+    """Integer weight mu_{j;k} = [v^k]((1+v)^2 (1-v) (2+v)^j), for j >= 0;
+    0 for k < 0 and k > j+3."""
     _check_args("dual", j=j, k=k)
-
-    def term(c, n):
-        # binom(n, k) vanishes for k > n >= 0, keeping the power of 2 integral
-        b = binom(n, k)
-        return 0 if b == 0 else c * b * 2 ** (n - k)
-
-    return term(3, j) + term(-7, j + 1) + term(5, j + 2) + term(-1, j + 3)
+    return _mu(j)[k] if 0 <= k <= j + 3 else 0
 
 
 def dual_coeff_explicit(j, N):
     """[z^(j+2N) u^j] of the dual kernel solution, as an exact integer.
 
-    Sums k = 0..N inclusive (see module docstring); requires j >= 0.
+    sum_{k=0}^{N} mu_{j;k} * trinomial(N-1, 3, N-k), k = N included (see
+    the module docstring); requires j >= 0 and N >= 1.
     """
     _check_args("dual", j=j, N=N)
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
-    row = _row_3(N - 1)  # terms with N-k past the row's end vanish
-    return sum(mu_coeff(j, k) * row[N - k] for k in range(max(0, N + 1 - len(row)), N + 1))
+    return _lagrange_sum(_mu(j), N - 1, 3, N)
 
 
 # --- red-marked axis coefficients --------------------------------------------
@@ -172,15 +175,10 @@ def dual_coeff_explicit(j, N):
 def red_coeff_explicit(n):
     """[x^n] of the w-marked axis series S(0), as a :class:`WPoly`.
 
-    Four-trinomial combination T(n) + T(n-1) - T(n-2) - T(n-3) with
-    T(k) = trinomial(n-1, 2+w, k).
+    S(0) = 1 + v under x = v/(1 + (2+w)v + v^2), so the weights are the
+    prefactor's: T(n) + T(n-1) - T(n-2) - T(n-3), T(k) = trinomial(n-1, 2+w, k).
     """
     _check_args(n=n)
     if n < 1:
         raise ValueError("red_coeff_explicit requires n >= 1")
-    middle = WPoly((2, 1))
-
-    def T(k):
-        return trinomial(n - 1, middle, k)
-
-    return T(n) + T(n - 1) - T(n - 2) - T(n - 3)
+    return _lagrange_sum(_PREFACTOR, n - 1, WPoly((2, 1)), n)

@@ -173,6 +173,8 @@ class WPoly:
 
     def __add__(self, other):
         other = WPoly.coerce(other)
+        if not self.coeffs:
+            return other
         n = max(len(self.coeffs), len(other.coeffs))
         return WPoly(self.coeff(k) + other.coeff(k) for k in range(n))
 
@@ -182,7 +184,9 @@ class WPoly:
         return WPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        return self + (-WPoly.coerce(other))
+        other = WPoly.coerce(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return WPoly(self.coeff(k) - other.coeff(k) for k in range(n))
 
     def __rsub__(self, other):
         return WPoly.coerce(other) + (-self)

@@ -16,6 +16,34 @@ from .paths import CountTable, family_spec
 from .series import compare
 
 
+def _sum_plan(into):
+    """How one DP step sums, per class, the columns of the classes it may
+    follow (the position lists of ``into``), so that a shared part is
+    added once.
+
+    Returns (class, start, rest, keep) per class, in the order the step
+    computes them: the sum starts from part ``start`` and adds the parts
+    ``rest``, where part i < K is column i and part K + c the sum into
+    class c, kept (``keep``) when a later sum starts from it.  A class
+    whose predecessor set contains another's starts from that sum, the
+    largest such, so the smaller sets come first.
+    """
+    K = len(into)
+    preds = [frozenset(p) for _, _, p in into]
+    order = sorted(range(K), key=lambda c: len(preds[c]))
+    plan = []
+    for t, c in enumerate(order):
+        inside = [b for b in order[:t] if preds[b] <= preds[c]]
+        if inside:
+            b = max(inside, key=lambda b: len(preds[b]))
+            start, rest = K + b, sorted(preds[c] - preds[b])
+        else:
+            start, *rest = sorted(preds[c])
+        plan.append((c, start, rest))
+    starts = {start for _, start, _ in plan}
+    return [(c, start, rest, K + c in starts) for c, start, rest in plan]
+
+
 def dp_table(family, max_length, with_color_marker=True):
     """Same semantics as brute-force ``count_table`` but polynomial cost.
 
@@ -25,13 +53,15 @@ def dp_table(family, max_length, with_color_marker=True):
 
     The state after n steps is one column per class (``spec.classes``
     order) whose index i holds the paths ending in that class at level
-    lo + 2i, lo = -n (n mod 2 for the floored families); zipped together,
-    the columns are the table's rows of packed ints (see
-    :class:`~skewdyck.paths.CountTable`).  A step sums, per class, the
-    columns of the classes its step may follow, shifts by B = ``table.bits``
-    for the coloured step (by 0 without the marker), pads at the bottom for
-    an up step or the top for a down step, and a floored family drops the
-    row that fell below the axis.
+    lo + 2i, lo = -n (n mod 2 for the floored families): exactly the
+    table's entry for length n (see :class:`~skewdyck.paths.CountTable`),
+    so the table stores each step's columns as they are.  A step sums, per
+    class, the columns of the classes its step may follow, starting from
+    another class's sum where that one's predecessors are a subset
+    (``_sum_plan``); it shifts by B = ``table.bits`` for the coloured step
+    (by 0 without the marker), pads at the bottom for an up step or the
+    top for a down step, and a floored family drops the row that fell
+    below the axis.
     """
     spec = family_spec(family)
     table = CountTable(family, max_length)
@@ -43,20 +73,24 @@ def dp_table(family, max_length, with_color_marker=True):
          [i for i, prev in enumerate(spec.steps) if (prev, s) not in spec.forbidden])
         for s in spec.steps
     ]
+    plan = _sum_plan(into)
     columns = [[int(cls == spec.empty_class)] for cls in spec.classes]
     for n in range(max_length + 1):
-        levels = range(n % 2 if spec.floor else -n, n + 1, 2)
-        table.entries.update(zip(zip(repeat(n), levels), zip(*columns)))
+        table.entries[n] = columns
         if n == max_length:
             break
-        nxt = []
-        for incr, by, preds in into:
-            total = columns[preds[0]]
-            for i in preds[1:]:
-                total = map(add, total, columns[i])
+        parts = columns + [None] * len(columns)
+        nxt = [None] * len(columns)
+        for c, start, rest, keep in plan:
+            total = parts[start]
+            for i in rest:
+                total = map(add, total, parts[i])
+            if keep:
+                total = parts[len(columns) + c] = list(total)
+            incr, by, _ = into[c]
             if by:
                 total = map(lshift, total, repeat(by))
-            nxt.append([0, *total] if incr > 0 else [*total, 0])
+            nxt[c] = [0, *total] if incr > 0 else [*total, 0]
         columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
     return table
 

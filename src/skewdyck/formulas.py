@@ -97,8 +97,22 @@ def _weights(power, count):
 
 
 def _kappa(j, count):
-    """kappa_{j;0..count-1}, with (1 + 2v)^(-j) as a series."""
+    """kappa_{j;0..count-1} or longer, with (1 + 2v)^(-j) as a series: the
+    cached row of level j when ``count`` is within it (the weights of every
+    m <= ``_CACHED_ROW_MAX_N``), else built for this call alone."""
+    if count <= _CACHED_ROW_MAX_N + 1:
+        return _kappa_row(j)
+    return _build_kappa(j, count)
+
+
+def _build_kappa(j, count):
     return _weights(quadratic_power(count, (2,), (), -j, 1), count)
+
+
+@lru_cache(maxsize=128)
+def _kappa_row(j):
+    """kappa_{j;0..N}, N = ``_CACHED_ROW_MAX_N``, for up to 128 levels."""
+    return tuple(_build_kappa(j, _CACHED_ROW_MAX_N + 1))
 
 
 def _mu(j):

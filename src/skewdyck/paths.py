@@ -113,6 +113,14 @@ class PathWord(Record):
                 raise ValueError(f"step {s!r} not in family {family}")
         self._set(steps, family)
 
+    @classmethod
+    def _unchecked(cls, steps, family):
+        """A word made without the step check, for steps taken from the
+        family's own rule table (``enumerate_paths``)."""
+        word = object.__new__(cls)
+        word._set(steps, family)
+        return word
+
     def __len__(self):
         return len(self.steps)
 
@@ -198,7 +206,7 @@ def enumerate_paths(family, n, end_level=None):
     def rec(level, prev, remaining):
         if remaining == 0:
             if end_level is None or level == end_level:
-                out.append(PathWord(tuple(steps), family))
+                out.append(PathWord._unchecked(tuple(steps), family))
             return
         for s, d in succ[prev]:
             nl = level + d
@@ -220,24 +228,35 @@ class CountTable:
     ``count(n, j, cls=None, k=None)`` sums over any index passed as None;
     a ``cls`` not among ``classes`` (the family's) raises ``ValueError``.
 
-    Layout: ``entries`` maps a row key (n, j) to a tuple with one int per
-    class, in ``classes`` order, which packs the counts of every colour
-    count k, count k being digit k in base 2^B (Kronecker substitution).
+    Layout: ``entries`` maps a length n to a list with one column per
+    class, in ``classes`` order.  A column is a list that holds, at index
+    i, the count at level lo(n) + 2i, for the levels of :meth:`levels`:
+    lo(n) = n mod 2 for the floored families and -n for the unbounded
+    one, up to n.  Each count packs the counts of every colour count k,
+    count k being digit k in base 2^B (Kronecker substitution).
     B = ``bits`` = bit_length(3^N) + 1 depends on ``max_length`` N alone,
     so two tables of one length share it and compare equal exactly when
     they agree at every (n, j, cls, k).  No count of paths of length
     n <= N exceeds 3^N, so a digit never carries into the next, and the
     sum of the packed values of several classes is the packed sum of their
-    counts.  Every lookup reads one row and unpacks only what it returns.
+    counts.  Every lookup makes one keyed read of ``entries`` and unpacks
+    only what it returns.
     """
 
     def __init__(self, family, max_length):
-        self.classes = family_spec(family).classes
+        spec = family_spec(family)
         _check_length("max_length", max_length, cap=None)
+        self.classes = spec.classes
         self.family = family
         self.max_length = max_length
         self.bits = (3**max_length).bit_length() + 1
         self.entries = {}
+        self._floor = spec.floor
+
+    def levels(self, n):
+        """The end levels a length-n path may reach, lo(n), lo(n) + 2, ..., n:
+        the levels of the columns at length n."""
+        return range(n % 2 if self._floor else -n, n + 1, 2)
 
     def _position(self, cls):
         if cls not in self.classes:
@@ -245,20 +264,32 @@ class CountTable:
         return self.classes.index(cls)
 
     def add(self, n, j, cls, k, amount=1):
-        """Add ``amount`` to the count at (n, j, cls, k); the count must stay
-        a digit, in 0 .. 2^B - 1."""
+        """Add ``amount`` to the count at (n, j, cls, k); (n, j) must be a
+        cell some path reaches, 0 <= n <= max_length and j in ``levels(n)``,
+        and the count must stay a digit, in 0 .. 2^B - 1."""
         i = self._position(cls)
         if k < 0:
             raise ValueError(f"color count {k} is negative")
-        row = self.entries.get((n, j)) or (0,) * len(self.classes)
-        digit = self._digit(row[i], k) + amount
+        levels = self.levels(n) if isinstance(n, int) and 0 <= n <= self.max_length else ()
+        if not (isinstance(j, int) and j in levels):
+            raise ValueError(f"no {self.family} path of length <= {self.max_length} ends at (n={n}, j={j})")
+        at = levels.index(j)
+        columns = self.entries.get(n)
+        digit = (self._digit(columns[i][at], k) if columns else 0) + amount
         if not 0 <= digit < 1 << self.bits:
             raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is not a digit")
-        self.entries[n, j] = row[:i] + (row[i] + (amount << (k * self.bits)),) + row[i + 1:]
+        if columns is None:
+            columns = self.entries[n] = [[0] * len(levels) for _ in self.classes]
+        columns[i][at] += amount << (k * self.bits)
 
     def _packed(self, n, j, cls):
-        row = self.entries.get((n, j)) or (0,) * len(self.classes)
-        return sum(row) if cls is None else row[self._position(cls)]
+        i = None if cls is None else self._position(cls)
+        columns = self.entries.get(n)
+        levels = self.levels(n) if columns else ()
+        if j not in levels:
+            return 0
+        at = levels.index(j)
+        return sum([col[at] for col in columns]) if i is None else columns[i][at]
 
     def _digit(self, packed, k):
         return (packed >> (k * self.bits)) & ((1 << self.bits) - 1)
@@ -288,11 +319,12 @@ class CountTable:
     def counts(self):
         """Every nonzero count, as ``{(n, j, cls, k): count}``."""
         out = {}
-        for (n, j), row in self.entries.items():
-            for cls, packed in zip(self.classes, row):
-                for k, c in enumerate(self._digits(packed)):
-                    if c:
-                        out[n, j, cls, k] = c
+        for n, columns in self.entries.items():
+            for cls, column in zip(self.classes, columns):
+                for j, packed in zip(self.levels(n), column):
+                    for k, c in enumerate(self._digits(packed)):
+                        if c:
+                            out[n, j, cls, k] = c
         return out
 
 
@@ -307,8 +339,9 @@ def count_table(family, max_length):
     one floor test, level >= lowest.  The words of the last two lengths are
     tallied in their parent's loop instead of in a call each.  There is no
     memo and no two words share a visit: each tally write is one word.
-    The table is written from the tally once, a row of packed ints per
-    (n, j) that some word reaches.
+    The table is written from the tally once, in the layout ``dp_table``
+    builds: per length n, one column of packed ints per class over the
+    levels ``CountTable.levels(n)``.
     """
     _check_length("max_length", max_length)
     spec = family_spec(family)
@@ -351,13 +384,12 @@ def count_table(family, max_length):
     table = CountTable(family, max_length)
     bits = table.bits  # every count is below 3^N < 2^bits, so it packs as a digit
     for n in range(max_length + 1):
-        for j in range(max(lowest, -n), n + 1):
-            base = n * n_stride + (j - lowest) * level_stride
-            block = tally[base:base + level_stride]
-            if any(block):
-                table.entries[n, j] = tuple(
-                    sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for i in range(n_cls)
-                )
+        starts = (n * n_stride + (j - lowest) * level_stride for j in table.levels(n))
+        blocks = [tally[b:b + level_stride] for b in starts]
+        table.entries[n] = [
+            [sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for block in blocks]
+            for i in range(n_cls)
+        ]
     return table
 
 

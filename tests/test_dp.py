@@ -57,19 +57,23 @@ def test_dp_dual_axis_values():
     assert [table.count(2 * n + 2, 2) for n in range(6)] == [4, 8, 29, 111, 442, 1813]
 
 
-def test_rows_are_tuples_in_class_order():
+def test_entries_are_per_length_columns_in_class_order():
     bounded = dp_table(BOUNDED, 4)
     assert bounded.classes == ("f", "g", "h")
     B = bounded.bits
-    assert bounded.entries[2, 0] == (0, 1, 0)  # UD; a red step never meets an up step
-    assert bounded.entries[4, 0] == (0, 2, 1 << B)  # UDUD, UUDD; UUDR with one red
-    assert bounded.entries[4, 4] == (1, 0, 0)
+    # length 2 at levels 0, 2: UD; UU.  A red step never meets an up step
+    assert list(bounded.levels(2)) == [0, 2]
+    assert bounded.entries[2] == [[0, 1], [1, 0], [0, 0]]
+    f, g, h = bounded.entries[4]  # levels 0, 2, 4
+    assert (f[0], g[0], h[0]) == (0, 2, 1 << B)  # UDUD, UUDD; UUDR with one red
+    assert (f[2], g[2], h[2]) == (1, 0, 0)
     dual = dp_table(DUAL, 2)
     assert dual.classes == ("a", "b", "c")
     B = dual.bits
-    assert dual.entries[2, 0] == (0, 1, 0)  # ud; a blue step never meets a down step
-    assert dual.entries[2, 2] == (1 + (1 << B), 0, (1 << B) + (1 << 2 * B))  # uu, Bu; uB, BB
-    assert sorted(dual.entries) == [(0, 0), (1, 1), (2, 0), (2, 2)]
+    # length 2 at levels 0, 2: ud (a blue step never meets a down step); uu, Bu; uB, BB
+    assert dual.entries[2] == [[0, 1 + (1 << B)], [1, 0], [0, (1 << B) + (1 << 2 * B)]]
+    assert sorted(dual.entries) == [0, 1, 2]
+    assert list(dp_table(UNBOUNDED, 3).levels(3)) == [-3, -1, 1, 3]
 
 
 def test_axis_colour_polynomials_match_red_formula():

@@ -117,6 +117,19 @@ def test_kappa_matches_series_oracle(j):
         assert kappa_coeff(j, k) == oracle.coeff(k), (j, k)
 
 
+def test_cached_primal_weights_match_a_fresh_build():
+    top = formulas._CACHED_ROW_MAX_N
+    formulas._kappa_row.cache_clear()
+    for j in range(9):
+        for m in range(1, 81):  # the weights of m <= top are cached, longer ones not
+            c = [0, 0, 0] + [a[0] for a in quadratic_power(m + 1, (2,), (), -j, 1)]  # (1+2v)^(-j)
+            fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(m + 1)]  # times 1+v-v^2-v^3
+            assert list(formulas._kappa(j, m + 1)[:m + 1]) == fresh, (j, m)
+        assert len(formulas._kappa_row(j)) == top + 1
+    assert formulas._kappa_row.cache_info().currsize == 9  # one row per level
+    assert formulas._kappa_row.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("j", range(9))
 def test_mu_matches_series_oracle(j):
     order = 22

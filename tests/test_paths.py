@@ -195,16 +195,34 @@ def test_largest_digit_unpacks_without_carry():
     for n in (1, 5, 14, 96):
         table = CountTable(BOUNDED, n)
         top = 3**n - 1
+        j = n % 2  # the lowest level a length-n path reaches
         for k in range(3):
-            table.add(n, 0, "f", k, top)
-        table.add(n, 0, "g", 1, top)
-        assert [table.count(n, 0, "f", k) for k in range(4)] == [top, top, top, 0]
-        assert table.count(n, 0, k=1) == 2 * top
-        assert table.count(n, 0) == 4 * top
-        assert table.wpoly(n, 0, "f").coeffs == (top, top, top)
+            table.add(n, j, "f", k, top)
+        table.add(n, j, "g", 1, top)
+        assert [table.count(n, j, "f", k) for k in range(4)] == [top, top, top, 0]
+        assert table.count(n, j, k=1) == 2 * top
+        assert table.count(n, j) == 4 * top
+        assert table.wpoly(n, j, "f").coeffs == (top, top, top)
         assert table.counts() == {
-            (n, 0, "f", 0): top, (n, 0, "f", 1): top, (n, 0, "f", 2): top, (n, 0, "g", 1): top,
+            (n, j, "f", 0): top, (n, j, "f", 1): top, (n, j, "f", 2): top, (n, j, "g", 1): top,
         }
+
+
+def test_add_rejects_cells_no_path_reaches():
+    for family, cells in (
+        (BOUNDED, [(4, 1), (3, 0), (4, 6), (4, -2), (5, 1), (-1, 1), (3, 3.0)]),
+        (DUAL, [(2, 1), (2, -2), (0, 2)]),
+        (UNBOUNDED, [(4, -5), (4, -3), (3, 5), (5, -5)]),
+    ):
+        table = CountTable(family, 4)
+        cls = table.classes[0]
+        for n, j in cells:  # wrong parity, above n, below the floor, n outside 0..4
+            with pytest.raises(ValueError, match=rf"ends at \(n={n}, j={j}\)"):
+                table.add(n, j, cls, 0)
+        assert table.entries == {}  # the refused calls wrote nothing
+    table = CountTable(UNBOUNDED, 4)
+    table.add(4, -4, "g", 0)  # the lowest cell below the axis is fine
+    assert table.count(4, -4) == 1
 
 
 def test_add_keeps_every_count_a_digit():

@@ -18,9 +18,11 @@ quadratic kernel is cancelled against the numerators:
   (:func:`negative_level_series`), with axis-return coefficients
   1, 2, 7, 29, 127, ...
 
-Only the second choice is enumerative: the first one, extended to levels
-below -1, produces negative coefficients.  Both are kept, cross-checked,
-and the divergence is deliberate and documented rather than glossed over.
+Both solutions share the upper kernel's class relations g0 = rho_g f0 and
+h0 = rho_h f0 (:func:`_class_ratios`) and differ only in f0.  Only the
+second choice is enumerative: the first one, extended to levels below -1,
+produces negative coefficients.  Both are kept, cross-checked, and the
+divergence is deliberate and documented rather than glossed over.
 """
 
 from functools import cached_property
@@ -43,7 +45,6 @@ from .series import (
     shift_up,
     specialize_w,
     w_derivative,
-    w_slice,
 )
 
 DEFAULT_ORDER = 40
@@ -51,6 +52,12 @@ DEFAULT_NEGATIVE_ORDER = 24
 
 PRIMAL_CLASSES = ("f", "g", "h", "total")
 DUAL_CLASSES = ("a", "b", "c", "total")
+
+
+def _units(order, ring=RATIONAL):
+    """The series 1, z and z^2 to z^order in ``ring``."""
+    one = Series.one(order, ring)
+    return one, Series.z(order, ring), shift_up(one, 2)
 
 
 def _kernel_root(order, a, b, ring):
@@ -98,8 +105,8 @@ class KernelBundle(Record):
 
     @cached_property
     def Pw(self):
-        one = Series.one(self.order, WPOLY)
-        return half(one + shift_up(one, 2) * W_VAR + self.Ww)
+        one, _, z2 = _units(self.order, WPOLY)
+        return half(one + z2 * W_VAR + self.Ww)
 
     @cached_property
     def bad_root(self):
@@ -115,8 +122,7 @@ def kernel_bundle(order=DEFAULT_ORDER):
     """
     _check_args(order)
     W = _kernel_root(order, (-6,), (5,), RATIONAL)
-    one = Series.one(order, RATIONAL)
-    z2 = shift_up(one, 2)
+    one, _, z2 = _units(order)
     P = half(one + z2 + W)
     Q = half(one + z2 - W)
     return KernelBundle(order=order, W=W, P=P, Q=Q)
@@ -132,11 +138,13 @@ def _bundle(bundle, order, need):
     return bundle
 
 
-def _check_args(order, family=None, **levels):
+def _check_args(order, family=None, cls=None, classes=None, **levels):
     """The entry guard of every public constructor: a ValueError that names
     the argument for an ``order`` or ``levels`` value that is not an int, a
-    negative ``order``, an empty range ``lo..hi``, or one of ``levels``
-    below the axis when ``family`` names paths that never end there."""
+    negative ``order``, an empty range ``lo..hi``, one of ``levels`` below
+    the axis when ``family`` names paths that never end there, or a ``cls``
+    not among ``classes`` (when given).  It runs before any bundle is
+    built."""
     for name, value in {"order": order, **levels}.items():
         if not isinstance(value, int):
             raise ValueError(f"{name} must be an int, got {value!r}")
@@ -147,6 +155,8 @@ def _check_args(order, family=None, **levels):
     for name, level in levels.items():
         if family and level < 0:
             raise ValueError(f"level {name}={level}: {family} paths never end below the axis")
+    if classes is not None and cls not in classes:
+        raise ValueError(f"unknown class {cls!r}; expected one of {classes}")
 
 
 def _ladder(num, den0, den1, lo, hi):
@@ -180,17 +190,14 @@ def _bounded_numerator(cls, root, w):
     """Class numerator of the bounded family over zu - P: the red-marked
     forms of :func:`red_level_series` (root = W_w, w = W_VAR), or with
     w := 1 the plain forms of :func:`primal_levels` (root = W, w = 1)."""
-    one = Series.one(root.order, root.ring)
-    z2 = shift_up(one, 2)
+    one, _, z2 = _units(root.order, root.ring)
     if cls == "f":
         return -half(one + z2 * w + root)
     if cls == "g":
         return half(-one + z2 * w + root)
     if cls == "h":
         return half(-one + z2 * (2 + w) + root) * w
-    if cls == "total":
-        return half(one * (-2) - one * w + z2 * (2 * w + w * w) + root * w)
-    raise ValueError(f"unknown primal class {cls!r}; expected one of {PRIMAL_CLASSES}")
+    return half(one * (-2) - one * w + z2 * (2 * w + w * w) + root * w)  # cls == "total"
 
 
 def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -200,7 +207,7 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     class numerators -(1+z^2+W)/2, (-1+z^2+W)/2, (-1+3z^2+W)/2 and their
     sum.  All levels come from one bundle and one ladder.
     """
-    _check_args(order, "bounded", lo=lo, hi=hi)
+    _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order)
     num = _bounded_numerator(cls, bundle.W, 1)
     z = Series.z(bundle.order, RATIONAL)
@@ -213,20 +220,26 @@ def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     return primal_levels(j, j, cls, order, bundle)[0]
 
 
+def _open_ended(order, numerator):
+    """numerator / (2z(z^2+2z-1)) to z^order: the free-endpoint (u := 1)
+    form both floored families share.  ``numerator(W, one, z, z2)`` builds
+    the numerator from the series at order + 1, one order of headroom for
+    the division by z, which is exact because its constant term vanishes."""
+    _check_args(order)
+    one, z, z2 = _units(order + 1)
+    num = numerator(kernel_bundle(order + 1).W, one, z, z2)
+    return div(shift_divide(num, 1), (z2 + 2 * z - one) * 2).truncate(order)
+
+
 def primal_open_ended(order=DEFAULT_ORDER):
     """Paths with free endpoint: the level series summed by setting u := 1.
 
     Closed form -((z+1)(z^2+3z-2) + (z+2)W) / (2z(z^2+2z-1)); the numerator
     has a vanishing constant term, so the division by z is exact.
     """
-    _check_args(order)
-    bundle = kernel_bundle(order + 1)
-    n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    num = -((z + one) * (z * z + 3 * z - 2 * one) + (z + 2 * one) * bundle.W)
-    den = (z * z + 2 * z - one) * 2
-    return div(shift_divide(num, 1), den).truncate(order)
+    return _open_ended(
+        order, lambda W, one, z, z2: -((z + one) * (z2 + 3 * z - 2 * one) + (z + 2 * one) * W)
+    )
 
 
 def red_level_series(j, cls="total", order=DEFAULT_ORDER):
@@ -238,7 +251,7 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
     """
-    _check_args(order, "bounded", j=j)
+    _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
     bundle = kernel_bundle(order)
     num = _bounded_numerator(cls, bundle.Ww, W_VAR)
     return _ladder((num,), -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
@@ -299,36 +312,31 @@ def average_red_series(order=DEFAULT_ORDER):
     the correct one, see the x^2 coefficient = 1.)
     """
     _check_args(order)
-    n = order
-    one = Series.one(n, RATIONAL)
-    x = Series.z(n, RATIONAL)
-    root = Series([c[0] for c in quadratic_power(n + 1, (-6,), (5,))], RATIONAL)
-    num = -one + 6 * x - 5 * x * x + (one - 3 * x) * root
+    one, x, x2 = _units(order)
+    root = Series([c[0] for c in quadratic_power(order + 1, (-6,), (5,))], RATIONAL)
+    num = -one + 6 * x - 5 * x2 + (one - 3 * x) * root
     den = (one - x) * (one - 5 * x) * 2
     closed = div(num, den)
 
-    deriv = specialize_w(w_derivative(red_axis_x(order=2 * n)), 1)
-    if closed.coeffs != deriv.coeffs[: n + 1]:
+    deriv = specialize_w(w_derivative(red_axis_x(order=2 * order)), 1)
+    if closed.coeffs != deriv.coeffs[: order + 1]:
         raise ExactnessError("closed-form and derivative routes disagree")
     return closed
 
 
-def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
-    """Axis-return paths with exactly k red edges, as a series in x.
+def red_w_power_slice(k, order=DEFAULT_ORDER):
+    """Axis-return paths with exactly k red edges, as a series in x, from
+    the algebraic closed forms, k = 0..4.
 
-    mode="closed" uses the algebraic closed forms (k <= 4 only);
-    mode="slice" extracts [w^k] from the trivariate axis series (any k).
+    The same series, for any k >= 0, is the composition
+    ``series.w_slice(red_axis_x(order=2 * order), k)``: [w^k] of the
+    trivariate axis series, which the test suite pins against these forms.
     """
     _check_args(order, k=k)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if mode == "slice":
-        return w_slice(red_axis_x(order=2 * order), k)
-    if mode != "closed":
-        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 <= k <= 4:
+        raise ValueError(f"k must be in 0..4 for the closed forms, got k={k}")
     n = order + 1  # headroom for the z-power shifts below
-    one = Series.one(n, RATIONAL)
-    x = Series.z(n, RATIONAL)
+    one, x, x2 = _units(n)
     R = Series([c[0] for c in quadratic_power(n + 1, (-4,), ())], RATIONAL)  # sqrt(1-4x)
     if k == 0:
         return half(shift_divide(one - R, 1)).truncate(order)
@@ -338,11 +346,7 @@ def red_w_power_slice(k, order=DEFAULT_ORDER, mode="closed"):
         return shift_up(inv((one - 4 * x) * R), 3).truncate(order)
     if k == 3:
         return shift_up(div(one - 2 * x, (one - 4 * x) ** 2 * R), 4).truncate(order)
-    if k == 4:
-        return shift_up(
-            div(one - 4 * x + 5 * x * x, (one - 4 * x) ** 3 * R), 5
-        ).truncate(order)
-    raise ValueError(f"closed slice forms are only available for k <= 4, got k={k}")
+    return shift_up(div(one - 4 * x + 5 * x2, (one - 4 * x) ** 3 * R), 5).truncate(order)
 
 
 # -- dual family -------------------------------------------------------
@@ -364,13 +368,11 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     built as ((3-3z^2-W) S/2)/(2-z^2) so that every intermediate series is
     integral.  The test suite pins total = a + b + c.
     """
-    _check_args(order, "dual", lo=lo, hi=hi)
+    _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
     # S = Q/z^2 needs two orders of headroom
     bundle = _bundle(bundle, order, order + 2 if cls == "total" else order)
     n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    z2 = shift_up(one, 2)
+    one, z, z2 = _units(n)
     if cls == "total":
         s = shift_divide(bundle.Q, 2)
         front_s = div(half((3 * one - 3 * z2 - bundle.W) * s), 2 * one - z2)
@@ -381,8 +383,6 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
             "b": (one - 2 * z2 - bundle.W,),
             "c": (Series.zero(n, RATIONAL), z * bundle.P),
         }
-        if cls not in nums:
-            raise ValueError(f"unknown dual class {cls!r}; expected one of {DUAL_CLASSES}")
         ladder = nums[cls], *_dual_linear(bundle)
     return [s.truncate(order) for s in _ladder(*ladder, lo, hi)]
 
@@ -401,14 +401,7 @@ def dual_open_ended(order=DEFAULT_ORDER):
     rationalizing u := 1 in the dual kernel solution; note the W belongs
     in the numerator.)
     """
-    _check_args(order)
-    bundle = kernel_bundle(order + 1)
-    n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    num = (one + z) * (one - 3 * z) - bundle.W
-    den = (z * z + 2 * z - one) * 2
-    return div(shift_divide(num, 1), den).truncate(order)
+    return _open_ended(order, lambda W, one, z, z2: (one + z) * (one - 3 * z) - W)
 
 
 def dual_blue_g0(order=DEFAULT_ORDER):
@@ -419,9 +412,7 @@ def dual_blue_g0(order=DEFAULT_ORDER):
     """
     _check_args(order)
     bundle = kernel_bundle(order + 2)
-    n = bundle.order
-    one = Series.one(n, WPOLY)
-    z2 = shift_up(one, 2)
+    one, _, z2 = _units(bundle.order, WPOLY)
     num = one - z2 * W_VAR - bundle.Ww
     return half(shift_divide(num, 2)).truncate(order)
 
@@ -432,11 +423,20 @@ def dual_blue_g0(order=DEFAULT_ORDER):
 NEGATIVE_AXIS_CLASSES = ("f0", "g0", "h0", "sum")
 
 
+def _class_ratios(bundle):
+    """(rho_g, rho_h), the class relations g0 = rho_g f0 and h0 = rho_h f0
+    of the upper (level >= 0) kernel: rho_h = z^4/(Q(z^2-1)+1-2z^2) and
+    rho_g = (z^2+rho_h)/(1-z^2).  Both axis solutions keep them."""
+    one, _, z2 = _units(bundle.order)
+    rho_h = div(shift_up(one, 4), bundle.Q * (z2 - one) + one - 2 * z2)
+    return div(z2 + rho_h, one - z2), rho_h
+
+
 def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     """The classical axis closed forms for the below-axis-allowed family.
 
-    f0 = (1+z^2-W)/(2z^2(2-z^2)),  h0 = z^4 f0 / (Q(z^2-1)+1-2z^2),
-    g0 = (z^2 f0 + h0)/(1-z^2),    sum = (1-3z^2+2z^4-W)/(2z^4(2-z^2)).
+    f0 = (1+z^2-W)/(2z^2(2-z^2)),  g0 = rho_g f0,  h0 = rho_h f0
+    (:func:`_class_ratios`),       sum = (1-3z^2+2z^4-W)/(2z^4(2-z^2)).
 
     The sum's coefficients 1, 2, 6, 21, 79, ... match OEIS A033321.  These
     closed forms arise from the axis system with the kernel condition
@@ -444,50 +444,36 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     level-0 series of :func:`negative_level_series` (see the module
     docstring) and are kept as reference data in their own right.
     """
-    _check_args(order)
+    _check_args(order, cls=cls, classes=NEGATIVE_AXIS_CLASSES)
     bundle = kernel_bundle(order + 4)
-    n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z2 = shift_up(one, 2)
+    one, _, z2 = _units(bundle.order)
     two_less = 2 * one - z2
-    f0 = div(shift_divide(bundle.Q, 2), two_less)
-    if cls == "f0":
-        return f0.truncate(order)
-    denh = bundle.Q * (z2 - one) + one - 2 * z2
-    h0 = div(shift_up(f0, 4), denh)
-    if cls == "h0":
-        return h0.truncate(order)
-    if cls == "g0":
-        return div(z2 * f0 + h0, one - z2).truncate(order)
     if cls == "sum":
         num = half(one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W)
         return div(shift_divide(num, 4), two_less).truncate(order)
-    raise ValueError(
-        f"unknown axis class {cls!r}; expected one of {NEGATIVE_AXIS_CLASSES}"
-    )
+    f0 = div(shift_divide(bundle.Q, 2), two_less)
+    if cls == "f0":
+        return f0.truncate(order)
+    rho_g, rho_h = _class_ratios(bundle)
+    return ((rho_g if cls == "g0" else rho_h) * f0).truncate(order)
 
 
 def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     """The enumerative boundary constants (f0, g0, h0) of the level system.
 
     The two class relations from the upper (level >= 0) kernel are kept:
-    h0 = rho_h f0 with rho_h = z^4/(Q(z^2-1)+1-2z^2), and
-    g0 = (z^2 f0 + h0)/(1-z^2).  The remaining condition is that the
-    numerator of the below-axis solution, -2z u^2 + (1+2z^2 f0+z^2 g0+
-    z^2 h0) u - z f0, vanishes at the bad (small) root u = z/P of the
-    quadratic kernel z(z^2-2)(u - P/(z(2-z^2)))(u - z/P).  Solving that
-    linear condition for f0 gives 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ...,
-    which matches the state-diagram walk counts exactly.
+    g0 = rho_g f0 and h0 = rho_h f0 (:func:`_class_ratios`).  The remaining
+    condition is that the numerator of the below-axis solution,
+    -2z u^2 + (1+2z^2 f0+z^2 g0+z^2 h0) u - z f0, vanishes at the bad
+    (small) root u = z/P of the quadratic kernel
+    z(z^2-2)(u - P/(z(2-z^2)))(u - z/P).  Solving that linear condition for
+    f0 gives 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ..., which matches the
+    state-diagram walk counts exactly.
     """
     _check_args(order)
     bundle = _bundle(bundle, order, order + 1)
-    n = bundle.order
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    z2 = shift_up(one, 2)
-    denh = bundle.Q * (z2 - one) + one - 2 * z2
-    rho_h = div(shift_up(one, 4), denh)
-    rho_g = div(z2 + rho_h, one - z2)
+    _, z, z2 = _units(bundle.order)
+    rho_g, rho_h = _class_ratios(bundle)
     s_bad = bundle.bad_root
     coef = (z2 * s_bad) * 2 + z2 * ((rho_g + rho_h) * s_bad) - z
     rhs = 2 * (z * (s_bad * s_bad)) - s_bad
@@ -510,19 +496,17 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.  Each
     sign runs one ladder.
     """
-    _check_args(order, lo=lo, hi=hi)
-    if cls not in ("f", "g", "h", "total"):
-        raise ValueError(f"unknown class {cls!r}; expected f, g, h or total")
+    _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
     # the boundary constants lose one order to their division by z
     bundle = _bundle(bundle, order, order + 1)
     z = Series.z(bundle.order, RATIONAL)
     boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
     out = []
     if lo < 0:
-        below = _negative_numerator(cls, bundle, boundary, bundle.bad_root)
+        below = _negative_numerators(bundle, boundary, bundle.bad_root)[cls]
         out += reversed(_ladder(below, *_dual_linear(bundle), max(-hi, 1), -lo))
     if hi >= 0:
-        above = _negative_numerator(cls, bundle, boundary, None)
+        above = _negative_numerators(bundle, boundary, None)[cls]
         out += _ladder(above, -bundle.P, z, max(lo, 0), hi)
     return [s.truncate(order) for s in out]
 
@@ -533,33 +517,27 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     return negative_levels(j, j, cls, order, bundle)[0]
 
 
-def _negative_numerator(cls, bundle, boundary, s1):
-    """Numerator parts of one class of :func:`negative_levels`: over
-    zu - P when the bad root ``s1`` is None (levels >= 0), else over the
-    dual denominator (levels < 0).  The classes share each denominator, so
-    the total adds their numerators."""
-    n = bundle.order
-    if cls == "total":
-        nums = [_negative_numerator(each, bundle, boundary, s1) for each in "fgh"]
-        zero = Series.zero(n, RATIONAL)
-        return [sum(parts, zero) for parts in zip_longest(*nums, fillvalue=zero)]
-    one = Series.one(n, RATIONAL)
-    z = Series.z(n, RATIONAL)
-    z2 = shift_up(one, 2)
+def _negative_numerators(bundle, boundary, s1):
+    """The numerator parts of :func:`negative_levels`, per class of
+    ``PRIMAL_CLASSES``, as a dict: over zu - P when the bad root ``s1`` is
+    None (levels >= 0), else over the dual denominator (levels < 0).  The
+    classes share each denominator, so the total adds their numerators."""
+    one, z, z2 = _units(bundle.order)
     f0, g0, h0 = boundary
+    z2f, z2g, z2h = z2 * f0, z2 * g0, z2 * h0
     if s1 is None:
-        if cls == "h":
-            return (-(z2 * (g0 + h0)),)
-        z2s = z2 * (f0 + g0 + h0)
-        return (z2s - f0,) if cls == "f" else (-z2s,)
-
-    if cls == "f":
-        return (
-            one + 2 * (z2 * f0) + z2 * g0 + z2 * h0 - 2 * (z * s1),
-            z * -2,
-        )
-    # the g and h parts share c = s1 z^2 - z^3 (f0 + g0) + z (g0 - h0)
-    c = s1 * z2 - shift_up(z, 2) * (f0 + g0) + z * (g0 - h0)
-    if cls == "g":
-        return (-(s1 * (c - z) + z2 * f0 - g0 + z2 * h0), z - c, -z2)
-    return (s1 * c + h0 - z2 * g0, c, z2)  # cls == "h"
+        z2s = z2f + z2g + z2h
+        nums = {"f": (z2s - f0,), "g": (-z2s,), "h": (-(z2g + z2h),)}
+    else:
+        zs = z * s1
+        # the g and h parts share c = s1 z^2 - z^3 (f0 + g0) + z (g0 - h0) and s1 c
+        c = shift_up(s1, 2) - shift_up(z, 2) * (f0 + g0) + z * (g0 - h0)
+        sc = s1 * c
+        nums = {
+            "f": (one + 2 * z2f + z2g + z2h - 2 * zs, z * -2),
+            "g": (-(sc - zs + z2f - g0 + z2h), z - c, -z2),
+            "h": (sc + h0 - z2g, c, z2),
+        }
+    zero = Series.zero(bundle.order, RATIONAL)
+    nums["total"] = tuple(sum(p, zero) for p in zip_longest(*nums.values(), fillvalue=zero))
+    return nums

@@ -195,8 +195,11 @@ def _lowest(spec, n):
 
 
 def enumerate_paths(family, n, end_level=None):
-    """All valid words of length n, in lexicographic step order."""
+    """All valid words of length n, in lexicographic step order; those that
+    end at level ``end_level`` only, unless it is None."""
     _check_length("n", n)
+    if not (end_level is None or isinstance(end_level, int)):
+        raise ValueError(f"end_level must be None or an int, got {end_level!r}")
     spec = family_spec(family)
     succ = _successors(spec)
     lowest = _lowest(spec, n)
@@ -225,8 +228,10 @@ def enumerate_paths(family, n, end_level=None):
 class CountTable:
     """Exact counts indexed by (length, end level, last-step class, color count).
 
-    ``count(n, j, cls=None, k=None)`` sums over any index passed as None;
-    a ``cls`` not among ``classes`` (the family's) raises ``ValueError``.
+    ``count(n, j, cls=None, k=None)`` sums over any index passed as None.
+    A lookup raises ``ValueError`` for a ``cls`` not among ``classes`` (the
+    family's), for a non-int n, j or k, and for n outside 0..max_length; a
+    level no path reaches counts 0.
 
     Layout: ``entries`` maps a length n to a list with one column per
     class, in ``classes`` order.  A column is a list that holds, at index
@@ -284,6 +289,10 @@ class CountTable:
 
     def _packed(self, n, j, cls):
         i = None if cls is None else self._position(cls)
+        if not (isinstance(n, int) and 0 <= n <= self.max_length):
+            raise ValueError(f"n must be an int in 0..{self.max_length}, got {n!r}")
+        if not isinstance(j, int):
+            raise ValueError(f"j must be an int, got {j!r}")
         columns = self.entries.get(n)
         levels = self.levels(n) if columns else ()
         if j not in levels:
@@ -306,6 +315,8 @@ class CountTable:
         packed = self._packed(n, j, cls)
         if k is None:
             return sum(self._digits(packed))
+        if not isinstance(k, int):
+            raise ValueError(f"k must be an int, got {k!r}")
         return self._digit(packed, k) if k >= 0 else 0
 
     def wpoly(self, n, j, cls=None):

@@ -236,8 +236,8 @@ def test_criterion_5_red_edge_statistics(capsys):
 def test_criterion_6_slice_closed_forms(capsys):
     failures = []
     for k in range(5):
-        closed = genfunc.red_w_power_slice(k, order=20, mode="closed")
-        sliced = genfunc.red_w_power_slice(k, order=20, mode="slice")
+        closed = genfunc.red_w_power_slice(k, order=20)
+        sliced = w_slice(genfunc.red_axis_x(order=40), k)
         _check(failures, closed == sliced, f"slice k={k}")
     _report(capsys, 6, "w-power slice closed forms", failures)
 

@@ -12,7 +12,16 @@ import skewdyck
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import NonUnitError, Series, SeriesError, WPoly, specialize_w, w_slice
+from skewdyck.series import (
+    NonUnitError,
+    Series,
+    SeriesError,
+    WPoly,
+    div,
+    shift_up,
+    specialize_w,
+    w_slice,
+)
 
 # golden coefficient lists for the level series (nonzero entries only;
 # each series is supported on one parity class)
@@ -166,7 +175,7 @@ def test_constructors_hold_integers_only():
     made += [genfunc.negative_axis_series(cls, 24) for cls in genfunc.NEGATIVE_AXIS_CLASSES]
     made += [*genfunc.negative_boundary_series(24), genfunc.average_red_series(12)]
     for k in range(5):
-        made += [genfunc.red_w_power_slice(k, 12, mode) for mode in ("closed", "slice")]
+        made += [genfunc.red_w_power_slice(k, 12), w_slice(genfunc.red_axis_x(order=24), k)]
     assert all(type(c) is int for s in made for c in s.coeffs)
     red = [genfunc.dual_blue_g0(14)]
     for cls in genfunc.PRIMAL_CLASSES:
@@ -213,8 +222,6 @@ def test_constructors_reject_bad_ints_by_name(name, data):
     args = {p: data.draw(value, label=p) for p in _INTS if p in params}
     if name == "negative_axis_series":
         args["cls"] = data.draw(st.sampled_from(genfunc.NEGATIVE_AXIS_CLASSES))
-    if name == "red_w_power_slice":
-        args["mode"] = data.draw(st.sampled_from(["closed", "slice"]))
     try:
         made = make(**args)
     except ValueError as exc:  # not a SeriesError from deep inside the engine
@@ -498,8 +505,8 @@ def test_average_red_series_builds_one_bundle(monkeypatch):
 
 @pytest.mark.parametrize("k", range(5))
 def test_w_power_slices(k):
-    closed = genfunc.red_w_power_slice(k, order=20, mode="closed")
-    sliced = genfunc.red_w_power_slice(k, order=20, mode="slice")
+    closed = genfunc.red_w_power_slice(k, order=20)
+    sliced = w_slice(genfunc.red_axis_x(order=40), k)
     assert closed == sliced
 
 
@@ -566,6 +573,48 @@ def test_negative_level_axis_values():
     assert [s.coeff(2 * n + 1) for n in range(7)] == [1, 4, 17, 75, 339, 1558, 7247]
     s = genfunc.negative_level_series(-2, order=14)
     assert [s.coeff(2 * n) for n in range(8)] == [0, 2, 9, 41, 189, 880, 4131, 19522]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: genfunc.primal_levels(0, 2, "a", order=6),
+        lambda: genfunc.dual_levels(0, 2, "f", order=6),
+        lambda: genfunc.negative_levels(-2, 2, "a", order=6),
+        lambda: genfunc.red_level_series(0, "a", order=6),
+        lambda: genfunc.negative_axis_series("f", order=6),
+    ],
+)
+def test_bad_class_builds_no_bundle(monkeypatch, make):
+    calls = []
+    real = genfunc.kernel_bundle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genfunc, "kernel_bundle", counting)
+    with pytest.raises(ValueError, match="unknown class"):
+        make()
+    assert calls == []
+
+
+def test_axis_solutions_share_the_class_relations():
+    # both solutions keep the upper kernel's g0 = rho_g f0 and h0 = rho_h f0
+    # and differ only in f0, first at z^4 (2 against 3)
+    order = 16
+    one = Series.one(order + 4)
+    z2 = shift_up(one, 2)
+    Q = genfunc.kernel_bundle(order + 4).Q
+    rho_h = div(shift_up(one, 4), Q * (z2 - one) + one - 2 * z2)
+    rho_g = div(z2 + rho_h, one - z2)
+    axis = [genfunc.negative_axis_series(cls, order) for cls in ("f0", "g0", "h0")]
+    boundary = genfunc.negative_boundary_series(order)
+    for f0, g0, h0 in (axis, boundary):
+        assert g0 == (rho_g * f0).truncate(order)
+        assert h0 == (rho_h * f0).truncate(order)
+    differ = [n for n in range(order + 1) if axis[0].coeff(n) != boundary[0].coeff(n)]
+    assert differ[0] == 4 and (axis[0].coeff(4), boundary[0].coeff(4)) == (2, 3)
 
 
 def test_bad_class_rejected():

@@ -122,7 +122,9 @@ def test_count_table_rejects_unknown_classes():
         with pytest.raises(ValueError, match=unknown % "a"):
             table.coefficients(j, cls="a")
     for cls in table.classes + (None,):  # absent rows and digits past the top read 0
-        assert table.count(9, 9, cls=cls) == table.count(3, 0, cls=cls, k=0) == 0
+        assert table.count(4, 6, cls=cls) == table.count(3, 0, cls=cls, k=0) == 0
+        with pytest.raises(ValueError, match="^n must be an int in 0..4, got 9$"):
+            table.count(9, 9, cls=cls)  # a row past the table is no row of it
         assert table.count(2, 0, cls=cls, k=5) == 0
         assert table.wpoly(3, 0, cls=cls) == WPoly()
     assert table.counts() == count_table(BOUNDED, 4).counts()  # the refused calls wrote nothing
@@ -235,6 +237,41 @@ def test_add_keeps_every_count_a_digit():
     with pytest.raises(ValueError):
         table.add(4, 0, "g", -1)
     assert table.counts() == {(4, 0, "g", 1): 2}
+
+
+@pytest.mark.parametrize(
+    "lookup, name",
+    [
+        (lambda t: t.count(10, 0), "n"),  # past max_length: 137 paths, not 0
+        (lambda t: t.wpoly(8, 0), "n"),
+        (lambda t: t.count(-2, 0), "n"),
+        (lambda t: t.count(5, 1, "f"), "n"),
+        (lambda t: t.count(2.0, 0), "n"),
+        (lambda t: t.count(2, 0.0), "j"),
+        (lambda t: t.wpoly(2, "0"), "j"),
+        (lambda t: t.coefficients(1.5), "j"),
+        (lambda t: t.count(2, 0, k=0.5), "k"),
+        (lambda t: t.coefficients(0, k="1"), "k"),
+    ],
+)
+def test_lookups_outside_the_table_rejected(lookup, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int"):
+        lookup(dp_table(BOUNDED, 4))
+    assert dp_table(BOUNDED, 10).count(10, 0) == 137
+
+
+def test_lookups_at_levels_no_path_reaches_count_zero():
+    table = dp_table(BOUNDED, 4)
+    assert (table.count(0, 0), table.count(4, 0)) == (1, 3)  # both ends of 0..max_length
+    for n, j in ((3, 0), (4, 6), (4, -2), (0, 1)):  # wrong parity, above n, below the floor
+        assert table.count(n, j) == 0 and table.count(n, j, "g", k=1) == 0
+        assert table.wpoly(n, j) == WPoly()
+
+
+@pytest.mark.parametrize("end_level", ["a", 2.5, 2.0])
+def test_enumerate_paths_rejects_non_int_end_level(end_level):
+    with pytest.raises(ValueError, match=r"^end_level must be None or an int"):
+        enumerate_paths(BOUNDED, 4, end_level=end_level)
 
 
 def test_render_ascii_deterministic():

@@ -7,12 +7,18 @@ length, one whole column of levels per last-step class at a time.
 (which on their own are identities, not an algorithm) against the finished
 table.  The recursions are one rule table, ``_RECURSIONS``, copied from the
 paper per family; one loop reads it for the table's own family and length.
+
+Finished tables are kept in a small per-process cache keyed by (family,
+max_length, with_color_marker), so a process that asks for one table again
+builds it once; every :func:`dp_table` call still returns a table of its
+own.
 """
 
+from functools import lru_cache
 from itertools import repeat
 from operator import add, lshift
 
-from .paths import CountTable, family_spec
+from .paths import CountTable, _check_length, family_spec
 from .series import compare
 
 
@@ -44,6 +50,13 @@ def _sum_plan(into):
     return [(c, start, rest, K + c in starts) for c, start, rest in plan]
 
 
+# Tables up to this length are cached.  A table's ints, the larger part of
+# its size, grow with the length: at length 96 a table with the colour
+# marker holds 2.3 (bounded), 6.7 (dual) or 8.9 MiB (unbounded), by
+# sys.getsizeof; 6.8, 20.6 and 27.5 MiB at length 128.
+_CACHED_MAX_LENGTH = 96
+
+
 def dp_table(family, max_length, with_color_marker=True):
     """Same semantics as brute-force ``count_table`` but polynomial cost.
 
@@ -62,7 +75,25 @@ def dp_table(family, max_length, with_color_marker=True):
     (by 0 without the marker), pads at the bottom for an up step or the
     top for a down step, and a floored family drops the row that fell
     below the axis.
+
+    Tables up to length ``_CACHED_MAX_LENGTH`` come from a cache of the 4
+    last used, keyed by (family, max_length, with_color_marker) after the
+    arguments are checked.  It holds at most ~36 MiB, four unbounded
+    tables of length 96 with the marker; a longer table is built for this
+    call alone.  The caller owns the table either way: a cached one is
+    returned as a :meth:`~skewdyck.paths.CountTable.copy`, with its own
+    ``entries`` dict and column lists, so changing it changes no later
+    call's table.
     """
+    name = family_spec(family).name
+    _check_length("max_length", max_length, cap=None)
+    if max_length > _CACHED_MAX_LENGTH:
+        return _build_table(name, max_length, with_color_marker)
+    return _cached_table(name, int(max_length), bool(with_color_marker)).copy()
+
+
+def _build_table(family, max_length, with_color_marker):
+    """The DP of :func:`dp_table`, on checked arguments, uncached."""
     spec = family_spec(family)
     table = CountTable(family, max_length)
     shift = table.bits if with_color_marker else 0
@@ -93,6 +124,9 @@ def dp_table(family, max_length, with_color_marker=True):
             nxt[c] = [0, *total] if incr > 0 else [*total, 0]
         columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
     return table
+
+
+_cached_table = lru_cache(maxsize=4)(_build_table)
 
 
 # The paper's level-coupled recursions per family, for a table of length L:

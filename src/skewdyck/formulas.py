@@ -116,8 +116,18 @@ def _kappa_row(j):
 
 
 def _mu(j):
+    """mu_{j;0..j+3}: the cached row of level j up to ``_CACHED_ROW_MAX_N``
+    (up to 128 of them, j + 4 ints of at most about 2j bits each), else
+    built for this call alone."""
+    return _mu_row(j) if j <= _CACHED_ROW_MAX_N else _build_mu(j)
+
+
+def _build_mu(j):
     """mu_{j;0..j+3}, with (2 + v)^j the reversed row of (1 + 2v)^j."""
-    return _weights(quadratic_power(j + 1, (2,), (), j, 1)[::-1], j + 4)
+    return tuple(_weights(quadratic_power(j + 1, (2,), (), j, 1)[::-1], j + 4))
+
+
+_mu_row = lru_cache(maxsize=128)(_build_mu)
 
 
 def _lagrange_sum(weights, upper, middle, n):

@@ -96,7 +96,7 @@ _SPECS = {
 def family_spec(family):
     try:
         return _SPECS[family]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable family
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -168,9 +168,9 @@ def is_valid(word):
 
 
 def _check_length(name, n, cap=BRUTE_FORCE_CAP):
-    """Reject a length, named ``name``, that is not an int, is negative or
-    is above ``cap`` (None for no cap)."""
-    if not isinstance(n, int):
+    """Reject a length, named ``name``, that is not an int (a bool is not
+    one), is negative or is above ``cap`` (None for no cap)."""
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"{name} must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
@@ -257,6 +257,14 @@ class CountTable:
         self.bits = (3**max_length).bit_length() + 1
         self.entries = {}
         self._floor = spec.floor
+
+    def copy(self):
+        """An equal table with its own ``entries``: a new dict of new column
+        lists (the packed ints, immutable, are shared)."""
+        new = object.__new__(CountTable)
+        vars(new).update(vars(self))
+        new.entries = {n: [col[:] for col in columns] for n, columns in self.entries.items()}
+        return new
 
     def levels(self, n):
         """The end levels a length-n path may reach, lo(n), lo(n) + 2, ..., n:

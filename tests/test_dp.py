@@ -1,7 +1,10 @@
 """Tests for the state-diagram dynamic programming route."""
 
+import re
+
 import pytest
 
+from skewdyck import dp
 from skewdyck.dp import check_recursions, dp_table
 from skewdyck.formulas import red_coeff_explicit
 from skewdyck.paths import (
@@ -132,6 +135,67 @@ def test_unknown_family():
         dp_table("nonsense", 4)
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
         check_recursions(CountTable("nonsense", 3))
+
+
+@pytest.mark.parametrize("change", ["add", "entries", "column"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cached_tables_are_owned_by_the_caller(family, change):
+    table = dp_table(family, 8)
+    if change == "add":
+        table.add(4, 0, table.classes[1], 0)
+    elif change == "entries":
+        table.entries = {}
+    else:
+        table.entries[4][0][0] += 1
+    again = dp_table(family, 8)
+    assert again.entries == dp._build_table(family, 8, True).entries
+    assert again.entries is not table.entries
+
+
+@pytest.mark.parametrize("args, message", [
+    ((BOUNDED, [3]), "max_length must be an int, got [3]"),
+    ((BOUNDED, True), "max_length must be an int, got True"),
+    ((BOUNDED, -1), "max_length must be >= 0, got -1"),
+    (("nonsense", 4), "unknown family 'nonsense'"),
+    (([BOUNDED], 4), "unknown family ['bounded']"),
+])
+def test_bad_arguments_are_rejected_before_the_cache(args, message):
+    before = dp._cached_table.cache_info()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dp_table(*args)
+    assert dp._cached_table.cache_info() == before
+
+
+def test_equal_arguments_share_one_entry():
+    dp._cached_table.cache_clear()
+    dp_table(BOUNDED, 5)
+    dp_table(BOUNDED, max_length=5)
+    dp_table(BOUNDED, 5, with_color_marker=1)
+    dp_table(family=BOUNDED, max_length=5, with_color_marker=True)
+    info = dp._cached_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_cache_is_bounded():
+    info = dp._cached_table.cache_info
+    for n in range(info().maxsize + 3):
+        dp_table(DUAL, n, with_color_marker=False)
+    assert info().currsize <= info().maxsize
+    dp._cached_table.cache_clear()
+    top = dp._CACHED_MAX_LENGTH
+    dp_table(DUAL, top + 1, with_color_marker=False)  # longer than the cap: not kept
+    assert info().currsize == 0
+    dp_table(DUAL, top, with_color_marker=False)
+    assert info().currsize == 1
+
+
+@pytest.mark.parametrize("marker", [True, False])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cached_and_uncached_builds_agree(family, marker):
+    for n in range(41):
+        fresh = dp._build_table(family, n, marker).entries
+        assert dp_table(family, n, marker).entries == fresh, n  # a miss
+        assert dp_table(family, n, marker).entries == fresh, n  # a hit
 
 
 def _reference_counts(family, max_length, with_color_marker):

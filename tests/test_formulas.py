@@ -130,6 +130,17 @@ def test_cached_primal_weights_match_a_fresh_build():
     assert formulas._kappa_row.cache_info().maxsize is not None
 
 
+def test_cached_dual_weights_match_a_fresh_build():
+    top = formulas._CACHED_ROW_MAX_N
+    formulas._mu_row.cache_clear()
+    for j in (0, 1, 4, top, top + 1, 100):  # the rows of j <= top are cached, longer ones not
+        c = [0, 0, 0] + [comb(j, i) * 2 ** (j - i) for i in range(j + 1)] + [0, 0, 0]  # (2+v)^j
+        fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(j + 4)]  # times 1+v-v^2-v^3
+        assert formulas._mu(j) == tuple(fresh), j
+    assert formulas._mu_row.cache_info().currsize == 4
+    assert formulas._mu_row.cache_info().maxsize is not None
+
+
 @pytest.mark.parametrize("j", range(9))
 def test_mu_matches_series_oracle(j):
     order = 22

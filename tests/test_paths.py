@@ -101,6 +101,18 @@ def test_non_int_lengths_rejected():
         CountTable(BOUNDED, 2.5)
 
 
+def test_bool_lengths_rejected():
+    # a bool is an int, but True is no length
+    with pytest.raises(ValueError, match="^n must be an int, got True$"):
+        enumerate_paths(BOUNDED, True)
+    with pytest.raises(ValueError, match="^max_length must be an int, got False$"):
+        count_table(BOUNDED, False)
+    with pytest.raises(ValueError, match="^max_length must be an int, got True$"):
+        CountTable(DUAL, True)
+    with pytest.raises(ValueError, match="^max_length must be an int, got True$"):
+        dp_table(UNBOUNDED, True)
+
+
 def test_count_table_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
         CountTable("nonsense", 3)

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import dp, formulas, genfunc, paths, refs
-from .series import WPOLY, W_VAR, Check, Series, compare, first_mismatch
+from .series import WPOLY, W_VAR, Check, Series, compare, first_mismatch, specialize_w, w_derivative
 
 # CLI family -> (paths family, name of its level-range constructor in
 # genfunc); "primal" is the floored primal family.  Names, not functions, so
@@ -159,6 +159,17 @@ def _check_closed_explicit_red(max_n, sx):
     )
 
 
+def _check_closed_derivative_red(max_n, sx):
+    closed = genfunc.average_red_series(order=max_n)
+    deriv = specialize_w(w_derivative(sx), 1)
+    return compare(
+        "closed-derivative:red",
+        ((f"x^{n}", closed.coeff(n), deriv.coeff(n)) for n in range(max_n + 1)),
+        f"(n <= {max_n})",
+        "first mismatch at %s: closed %s != derivative %s",
+    )
+
+
 def _check_kernel_identities(order, sx):
     b = genfunc.kernel_bundle(max(order, 8))
     n = b.order
@@ -229,13 +240,15 @@ def _verify_checks(args):
         top = min(6, args.order) if fam == "unbounded" else min(8, args.order)
         levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, args.order)
         yield _check_dp_closed(fam, args.order, levels[fam], fault=args.inject_fault)
-    # one red axis series in x, for closed-explicit:red (x^1..x^max_n) and
-    # the substitution identity (x^0..x^20 at most)
+    # one red axis series in x, for closed-explicit:red (x^1..x^max_n),
+    # closed-derivative:red (x^0..x^max_n) and the substitution identity
+    # (x^0..x^20 at most)
     max_n = max(args.order // 2, 1)
     sx = genfunc.red_axis_x(order=2 * max(max_n, min(args.order, 20)))
     if "primal" in families:
         yield _check_closed_explicit("primal", args.order, levels["primal"])
         yield _check_closed_explicit_red(max_n, sx)
+        yield _check_closed_derivative_red(max_n, sx)
     if "dual" in families:
         yield _check_closed_explicit("dual", args.order, levels["dual"])
     yield _check_kernel_identities(args.order, sx)

@@ -7,19 +7,13 @@ length, one whole column of levels per last-step class at a time.
 (which on their own are identities, not an algorithm) against the finished
 table.  The recursions are one rule table, ``_RECURSIONS``, copied from the
 paper per family; one loop reads it for the table's own family and length.
-
-Finished tables are kept in a small per-process cache keyed by (family,
-max_length, with_color_marker), so a process that asks for one table again
-builds it once; every :func:`dp_table` call still returns a table of its
-own.
 """
 
-from functools import lru_cache
 from itertools import repeat
 from operator import add, lshift
 
 from .paths import CountTable, _check_length, family_spec
-from .series import compare
+from .series import bounded_cache, compare
 
 
 def _sum_plan(into):
@@ -50,10 +44,8 @@ def _sum_plan(into):
     return [(c, start, rest, K + c in starts) for c, start, rest in plan]
 
 
-# Tables up to this length are cached.  A table's ints, the larger part of
-# its size, grow with the length: at length 96 a table with the colour
-# marker holds 2.3 (bounded), 6.7 (dual) or 8.9 MiB (unbounded), by
-# sys.getsizeof; 6.8, 20.6 and 27.5 MiB at length 128.
+# Tables up to this length are cached; the README states what the cache
+# holds at most.
 _CACHED_MAX_LENGTH = 96
 
 
@@ -78,17 +70,13 @@ def dp_table(family, max_length, with_color_marker=True):
 
     Tables up to length ``_CACHED_MAX_LENGTH`` come from a cache of the 4
     last used, keyed by (family, max_length, with_color_marker) after the
-    arguments are checked.  It holds at most ~36 MiB, four unbounded
-    tables of length 96 with the marker; a longer table is built for this
-    call alone.  The caller owns the table either way: a cached one is
-    returned as a :meth:`~skewdyck.paths.CountTable.copy`, with its own
-    ``entries`` dict and column lists, so changing it changes no later
-    call's table.
+    arguments are checked; a longer table is built for this call alone.
+    The caller owns the table either way: it is returned as a
+    :meth:`~skewdyck.paths.CountTable.copy`, with its own ``entries`` dict
+    and column lists, so changing it changes no later call's table.
     """
     name = family_spec(family).name
     _check_length("max_length", max_length, cap=None)
-    if max_length > _CACHED_MAX_LENGTH:
-        return _build_table(name, max_length, with_color_marker)
     return _cached_table(name, int(max_length), bool(with_color_marker)).copy()
 
 
@@ -126,7 +114,7 @@ def _build_table(family, max_length, with_color_marker):
     return table
 
 
-_cached_table = lru_cache(maxsize=4)(_build_table)
+_cached_table = bounded_cache(4, lambda family, n, marker: n <= _CACHED_MAX_LENGTH)(_build_table)
 
 
 # The paper's level-coupled recursions per family, for a table of length L:

@@ -21,29 +21,25 @@ times one power of a linear factor:
 times trinomial(N-1, 3, 0) = 1, is nonzero whenever N <= j+3.
 """
 
-from functools import lru_cache
-
-from .series import WPoly, quadratic_power
+from .series import WPoly, bounded_cache, check_int, quadratic_power
 
 
 def _check_args(family=None, **args):
     """The entry guard of the public functions: a ValueError that names the
-    first of ``args`` that is not an int, or a level ``j`` below the axis,
-    where ``family``'s paths never end (hot callers test ints first)."""
+    first of ``args`` that is not an int (:func:`~skewdyck.series.check_int`),
+    or a level ``j`` below the axis, where ``family``'s paths never end."""
     for name, value in args.items():
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        check_int(name, value)
     if family and args["j"] < 0:
         raise ValueError(f"level j={args['j']}: {family} paths never end below the axis")
 
 
-# Rows up to this upper index are memoized, up to 128 of them.  A half row
-# of 2+w holds about n^2/2 ints of about 2n bits: 0.1 MiB at n = 64, so the
-# cache stays below ~13 MiB.  A larger row is kept only until the next one.
+# The caches below keep rows and weights up to this index; the README
+# states what they hold at most.
 _CACHED_ROW_MAX_N = 64
 
 
-@lru_cache(maxsize=128)
+@bounded_cache(128, lambda n, middle: n <= _CACHED_ROW_MAX_N)
 def _trinomial_row(n, middle):
     """The first half a_0..a_n of the coefficients of (1 + middle*t + t^2)^n.
 
@@ -57,31 +53,21 @@ def _trinomial_row(n, middle):
     return tuple(a[0] for a in quadratic_power(n + 1, (middle,), (1,), n, 1))
 
 
-_large_trinomial_row = lru_cache(maxsize=1)(_trinomial_row.__wrapped__)
-
-
 def trinomial(n, middle, k):
     """[t^k](1 + middle*t + t^2)^n; zero outside 0 <= k <= 2n.
 
     ``middle`` is an integer or an integer :class:`WPoly` (e.g. 2+w), and
-    so is the result.  Rows are memoized per (n, middle), the large ones
-    one at a time (see ``_CACHED_ROW_MAX_N``).
+    so is the result.  Rows up to n = ``_CACHED_ROW_MAX_N`` are memoized
+    per (n, middle); a larger one is built for its call alone.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        _check_args(n=n, k=k)
+    _check_args(n=n, k=k)
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
-    if not isinstance(middle, (int, WPoly)):
+    if isinstance(middle, bool) or not isinstance(middle, (int, WPoly)):
         raise ValueError(f"trinomial middle must be an int or a WPoly, got {middle!r}")
     if k < 0 or k > 2 * n:
         return WPoly() if isinstance(middle, WPoly) else 0
-    return _half_row(n, middle)[min(k, 2 * n - k)]
-
-
-def _half_row(n, middle):
-    """The half row a_0..a_n of (1 + middle*t + t^2)^n, from the cache that
-    ``n`` selects."""
-    return (_trinomial_row if n <= _CACHED_ROW_MAX_N else _large_trinomial_row)(n, middle)
+    return _trinomial_row(n, middle)[min(k, 2 * n - k)]
 
 
 # (1 + v)^2 (1 - v) = 1 + v - v^2 - v^3: Lagrange inversion's 1 - v^2 times
@@ -97,44 +83,28 @@ def _weights(power, count):
 
 
 def _kappa(j, count):
-    """kappa_{j;0..count-1} or longer, with (1 + 2v)^(-j) as a series: the
-    cached row of level j when ``count`` is within it (the weights of every
-    m <= ``_CACHED_ROW_MAX_N``), else built for this call alone."""
-    if count <= _CACHED_ROW_MAX_N + 1:
-        return _kappa_row(j)
-    return _build_kappa(j, count)
+    """kappa_{j;0..count-1} or longer: at least the weights of every
+    m <= ``_CACHED_ROW_MAX_N``, so that one row per level serves them all."""
+    return _kappa_row(j, max(count, _CACHED_ROW_MAX_N + 1))
 
 
-def _build_kappa(j, count):
-    return _weights(quadratic_power(count, (2,), (), -j, 1), count)
+@bounded_cache(128, lambda j, count: j <= _CACHED_ROW_MAX_N and count <= _CACHED_ROW_MAX_N + 1)
+def _kappa_row(j, count):
+    """kappa_{j;0..count-1}, with (1 + 2v)^(-j) as a series."""
+    return tuple(_weights(quadratic_power(count, (2,), (), -j, 1), count))
 
 
-@lru_cache(maxsize=128)
-def _kappa_row(j):
-    """kappa_{j;0..N}, N = ``_CACHED_ROW_MAX_N``, for up to 128 levels."""
-    return tuple(_build_kappa(j, _CACHED_ROW_MAX_N + 1))
-
-
+@bounded_cache(128, lambda j: j <= _CACHED_ROW_MAX_N)
 def _mu(j):
-    """mu_{j;0..j+3}: the cached row of level j up to ``_CACHED_ROW_MAX_N``
-    (up to 128 of them, j + 4 ints of at most about 2j bits each), else
-    built for this call alone."""
-    return _mu_row(j) if j <= _CACHED_ROW_MAX_N else _build_mu(j)
-
-
-def _build_mu(j):
     """mu_{j;0..j+3}, with (2 + v)^j the reversed row of (1 + 2v)^j."""
     return tuple(_weights(quadratic_power(j + 1, (2,), (), j, 1)[::-1], j + 4))
-
-
-_mu_row = lru_cache(maxsize=128)(_build_mu)
 
 
 def _lagrange_sum(weights, upper, middle, n):
     """sum_k weights[k] * trinomial(upper, middle, n - k), over the k where
     both can be nonzero (``upper >= 0``: the callers' guards ensure it).  A
     weight of 1 or -1 adds or subtracts its row entry without a product."""
-    half = _half_row(upper, middle)
+    half = _trinomial_row(upper, middle)
     top = 2 * upper
     total = WPoly() if isinstance(middle, WPoly) else 0
     for k in range(max(0, n - top), min(n + 1, len(weights))):

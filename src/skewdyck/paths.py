@@ -25,7 +25,7 @@ empty path sits in the ``f`` (resp. ``a``) class, consistent with the seed
 of the level recursions.
 """
 
-from .series import Record, WPoly
+from .series import Record, WPoly, check_int
 
 BRUTE_FORCE_CAP = 16
 
@@ -101,13 +101,14 @@ def family_spec(family):
 
 
 class PathWord(Record):
-    """A finite sequence of typed steps in one of the three families."""
+    """A finite sequence of typed steps, kept as a tuple, in one of the three families."""
 
     _fields = ("steps", "family")
     __slots__ = _fields
 
     def __init__(self, steps, family):
         spec = family_spec(family)
+        steps = tuple(steps)
         for s in steps:
             if s not in spec.steps:
                 raise ValueError(f"step {s!r} not in family {family}")
@@ -168,10 +169,10 @@ def is_valid(word):
 
 
 def _check_length(name, n, cap=BRUTE_FORCE_CAP):
-    """Reject a length, named ``name``, that is not an int (a bool is not
-    one), is negative or is above ``cap`` (None for no cap)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"{name} must be an int, got {n!r}")
+    """Reject a length, named ``name``, that is not an int
+    (:func:`~skewdyck.series.check_int`), is negative or is above ``cap``
+    (None for no cap)."""
+    check_int(name, n)
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
     if cap is not None and n > cap:
@@ -198,8 +199,8 @@ def enumerate_paths(family, n, end_level=None):
     """All valid words of length n, in lexicographic step order; those that
     end at level ``end_level`` only, unless it is None."""
     _check_length("n", n)
-    if not (end_level is None or isinstance(end_level, int)):
-        raise ValueError(f"end_level must be None or an int, got {end_level!r}")
+    if end_level is not None:
+        check_int("end_level", end_level)
     spec = family_spec(family)
     succ = _successors(spec)
     lowest = _lowest(spec, n)
@@ -281,10 +282,12 @@ class CountTable:
         cell some path reaches, 0 <= n <= max_length and j in ``levels(n)``,
         and the count must stay a digit, in 0 .. 2^B - 1."""
         i = self._position(cls)
+        for name, value in (("n", n), ("j", j), ("k", k), ("amount", amount)):
+            check_int(name, value)
         if k < 0:
             raise ValueError(f"color count {k} is negative")
-        levels = self.levels(n) if isinstance(n, int) and 0 <= n <= self.max_length else ()
-        if not (isinstance(j, int) and j in levels):
+        levels = self.levels(n) if 0 <= n <= self.max_length else ()
+        if j not in levels:
             raise ValueError(f"no {self.family} path of length <= {self.max_length} ends at (n={n}, j={j})")
         at = levels.index(j)
         columns = self.entries.get(n)
@@ -297,10 +300,10 @@ class CountTable:
 
     def _packed(self, n, j, cls):
         i = None if cls is None else self._position(cls)
-        if not (isinstance(n, int) and 0 <= n <= self.max_length):
+        check_int("n", n)
+        if not 0 <= n <= self.max_length:
             raise ValueError(f"n must be an int in 0..{self.max_length}, got {n!r}")
-        if not isinstance(j, int):
-            raise ValueError(f"j must be an int, got {j!r}")
+        check_int("j", j)
         columns = self.entries.get(n)
         levels = self.levels(n) if columns else ()
         if j not in levels:
@@ -323,8 +326,7 @@ class CountTable:
         packed = self._packed(n, j, cls)
         if k is None:
             return sum(self._digits(packed))
-        if not isinstance(k, int):
-            raise ValueError(f"k must be an int, got {k!r}")
+        check_int("k", k)
         return self._digit(packed, k) if k >= 0 else 0
 
     def wpoly(self, n, j, cls=None):

@@ -14,6 +14,8 @@ guarantee; where an order cannot be preserved it shrinks.
 All values are immutable; all operations are pure functions.
 """
 
+from functools import lru_cache, update_wrapper
+
 RATIONAL = "rational"
 WPOLY = "wpoly"
 
@@ -76,6 +78,32 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def bounded_cache(maxsize, admit):
+    """Decorator: keep a call in an ``lru_cache(maxsize)`` when ``admit(*args)``
+    accepts its (positional) arguments, and build any other call for that
+    call alone, kept nowhere.  So the cache holds at most ``maxsize``
+    results, each no larger than ``admit`` lets it be.  The wrapper exposes
+    the cache's ``cache_info`` and ``cache_clear``."""
+
+    def wrap(build):
+        cached = lru_cache(maxsize)(build)
+
+        def call(*args):
+            return cached(*args) if admit(*args) else build(*args)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return update_wrapper(call, build)
+
+    return wrap
+
+
+def check_int(name, value):
+    """The package's integer guard: a ValueError that names ``name`` unless
+    ``value`` is an int; a bool is none (``True`` is no length or order)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class Check(Record):

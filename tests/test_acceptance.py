@@ -15,7 +15,7 @@ from skewdyck.formulas import (
     red_coeff_explicit,
 )
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import RATIONAL, Series, WPoly, W_VAR, specialize_w, w_slice
+from skewdyck.series import RATIONAL, Series, WPoly, W_VAR, specialize_w, w_derivative, w_slice
 
 BRUTE_LENGTH = 14
 
@@ -220,6 +220,9 @@ def test_criterion_5_red_edge_statistics(capsys):
     failures = []
     n_max = 30
     reds = genfunc.average_red_series(order=n_max)
+    # the closed form against the derivative route, d/dw at w = 1
+    deriv = specialize_w(w_derivative(genfunc.red_axis_x(order=2 * n_max)), 1)
+    _check(failures, reds == deriv, "closed form != derivative route at n <= 30")
     axis = genfunc.primal_level_series(0, order=2 * n_max)
     avg3 = Fraction(reds.coeff(3), axis.coeff(6))
     _check(failures, avg3 == Fraction(3, 5), f"average at n=3 is {avg3}")

@@ -32,6 +32,8 @@ class TestTrinomial:
             trinomial(-1, 3, 0)
         with pytest.raises(ValueError):
             trinomial(2, Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match="middle must be an int or a WPoly, got True"):
+            trinomial(2, True, 1)
 
     def test_symmetry(self):
         for n in (3, 7, 12, 40):
@@ -85,19 +87,20 @@ class TestTrinomial:
     def test_row_cache_is_bounded(self):
         assert formulas._trinomial_row.cache_info().maxsize is not None
 
-    def test_large_rows_are_kept_one_at_a_time(self):
+    def test_large_rows_are_built_per_call(self, monkeypatch):
         # a half row of 2+w holds about n^2/2 big ints; rows above the
-        # cached size are kept only until the next one
+        # cached size are kept nowhere
         cached = formulas._trinomial_row.cache_info().currsize
         top = formulas._CACHED_ROW_MAX_N
         for n in range(top + 2, top + 6):
             red_coeff_explicit(n)
         assert formulas._trinomial_row.cache_info().currsize == cached
-        assert formulas._large_trinomial_row.cache_info().currsize == 1
-        # one red coefficient reads one large row
-        before = formulas._large_trinomial_row.cache_info().misses
+        # one red coefficient builds its row once
+        builds = []
+        real = formulas.quadratic_power
+        monkeypatch.setattr(formulas, "quadratic_power", lambda *a: builds.append(a) or real(*a))
         red_coeff_explicit(top + 10)
-        assert formulas._large_trinomial_row.cache_info().misses == before + 1
+        assert len(builds) == 1
 
 
 def _rational_poly(coeffs, order):
@@ -120,25 +123,25 @@ def test_kappa_matches_series_oracle(j):
 def test_cached_primal_weights_match_a_fresh_build():
     top = formulas._CACHED_ROW_MAX_N
     formulas._kappa_row.cache_clear()
-    for j in range(9):
+    for j in (*range(9), top, top + 1):  # levels j <= top are cached, higher ones not
         for m in range(1, 81):  # the weights of m <= top are cached, longer ones not
             c = [0, 0, 0] + [a[0] for a in quadratic_power(m + 1, (2,), (), -j, 1)]  # (1+2v)^(-j)
             fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(m + 1)]  # times 1+v-v^2-v^3
             assert list(formulas._kappa(j, m + 1)[:m + 1]) == fresh, (j, m)
-        assert len(formulas._kappa_row(j)) == top + 1
-    assert formulas._kappa_row.cache_info().currsize == 9  # one row per level
+            assert len(formulas._kappa(j, m + 1)) == max(m, top) + 1
+    assert formulas._kappa_row.cache_info().currsize == 10  # one row per cached level
     assert formulas._kappa_row.cache_info().maxsize is not None
 
 
 def test_cached_dual_weights_match_a_fresh_build():
     top = formulas._CACHED_ROW_MAX_N
-    formulas._mu_row.cache_clear()
+    formulas._mu.cache_clear()
     for j in (0, 1, 4, top, top + 1, 100):  # the rows of j <= top are cached, longer ones not
         c = [0, 0, 0] + [comb(j, i) * 2 ** (j - i) for i in range(j + 1)] + [0, 0, 0]  # (2+v)^j
         fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(j + 4)]  # times 1+v-v^2-v^3
         assert formulas._mu(j) == tuple(fresh), j
-    assert formulas._mu_row.cache_info().currsize == 4
-    assert formulas._mu_row.cache_info().maxsize is not None
+    assert formulas._mu.cache_info().currsize == 4
+    assert formulas._mu.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("j", range(9))

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from skewdyck import formulas, genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import (
     BOUNDED,
@@ -113,6 +114,29 @@ def test_bool_lengths_rejected():
         dp_table(UNBOUNDED, True)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dp_table(BOUNDED, True), "max_length"),
+        (lambda: enumerate_paths(BOUNDED, 4, end_level=True), "end_level"),
+        (lambda: genfunc.kernel_bundle(True), "order"),
+        (lambda: genfunc.primal_levels(0, True), "hi"),
+        (lambda: formulas.primal_coeff_explicit(True, 1), "j"),
+        (lambda: formulas.trinomial(True, 3, 0), "n"),
+        (lambda: formulas.red_coeff_explicit(True), "n"),
+        (lambda: dp_table(BOUNDED, 4).count(True, 0), "n"),
+        (lambda: dp_table(BOUNDED, 4).wpoly(2, True), "j"),
+        (lambda: dp_table(BOUNDED, 4).count(2, 0, k=True), "k"),
+        (lambda: dp_table(BOUNDED, 4).add(True, 1, "f", 0), "n"),
+        (lambda: dp_table(BOUNDED, 4).add(4, 0, "g", 0, True), "amount"),
+    ],
+)
+def test_a_bool_is_no_int(call, name):
+    # one guard, series.check_int, for every entry point: True is no 1
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got True$"):
+        call()
+
+
 def test_count_table_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
         CountTable("nonsense", 3)
@@ -149,6 +173,12 @@ def test_word_properties():
     assert w.colored_count == 1
     assert w.word() == "UUDR"
     assert PathWord((), BOUNDED).last_class == "f"
+
+
+def test_words_from_a_list_and_a_tuple_are_equal():
+    listed, tupled = PathWord(["U", "D"], BOUNDED), PathWord(("U", "D"), BOUNDED)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.steps == ("U", "D")
 
 
 def test_brute_force_cap():
@@ -224,7 +254,7 @@ def test_largest_digit_unpacks_without_carry():
 
 def test_add_rejects_cells_no_path_reaches():
     for family, cells in (
-        (BOUNDED, [(4, 1), (3, 0), (4, 6), (4, -2), (5, 1), (-1, 1), (3, 3.0)]),
+        (BOUNDED, [(4, 1), (3, 0), (4, 6), (4, -2), (5, 1), (-1, 1)]),
         (DUAL, [(2, 1), (2, -2), (0, 2)]),
         (UNBOUNDED, [(4, -5), (4, -3), (3, 5), (5, -5)]),
     ):
@@ -233,6 +263,8 @@ def test_add_rejects_cells_no_path_reaches():
         for n, j in cells:  # wrong parity, above n, below the floor, n outside 0..4
             with pytest.raises(ValueError, match=rf"ends at \(n={n}, j={j}\)"):
                 table.add(n, j, cls, 0)
+        with pytest.raises(ValueError, match=r"^j must be an int, got 3.0$"):
+            table.add(3, 3.0, cls, 0)
         assert table.entries == {}  # the refused calls wrote nothing
     table = CountTable(UNBOUNDED, 4)
     table.add(4, -4, "g", 0)  # the lowest cell below the axis is fine
@@ -282,7 +314,7 @@ def test_lookups_at_levels_no_path_reaches_count_zero():
 
 @pytest.mark.parametrize("end_level", ["a", 2.5, 2.0])
 def test_enumerate_paths_rejects_non_int_end_level(end_level):
-    with pytest.raises(ValueError, match=r"^end_level must be None or an int"):
+    with pytest.raises(ValueError, match=r"^end_level must be an int"):
         enumerate_paths(BOUNDED, 4, end_level=end_level)
 
 

@@ -18,6 +18,7 @@ from skewdyck.series import (
     SeriesError,
     WPoly,
     W_VAR,
+    bounded_cache,
     compare,
     div,
     first_mismatch,
@@ -257,3 +258,21 @@ def test_quadratic_power_is_exact():
     assert quadratic_power(1, (1,), ()) == [[1]]
     with pytest.raises(ExactnessError, match=r"t\^1 "):
         quadratic_power(2, (1,), ())  # (1 + t)^(1/2) = 1 + t/2 + ...
+
+
+def test_bounded_cache_keeps_only_admitted_calls():
+    builds = []
+
+    @bounded_cache(2, lambda n: n <= 10)
+    def square(n):
+        """n squared."""
+        builds.append(n)
+        return n * n
+
+    assert [square(n) for n in (3, 3, 11, 11, 4, 5, 3)] == [9, 9, 121, 121, 16, 25, 9]
+    assert builds == [3, 11, 11, 4, 5, 3]  # 11 is built per call; 3 fell out of two slots
+    info = square.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 4, 2, 2)
+    square.cache_clear()
+    assert square.cache_info().currsize == 0
+    assert square.__doc__ == "n squared."

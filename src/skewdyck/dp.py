@@ -56,11 +56,12 @@ def dp_table(family, max_length, with_color_marker=True):
     count k (entries are w-polynomials via ``CountTable.wpoly``); without
     it all counts are lumped at k=0.
 
-    The state after n steps is one column per class (``spec.classes``
-    order) whose index i holds the paths ending in that class at level
-    lo + 2i, lo = -n (n mod 2 for the floored families): exactly the
-    table's entry for length n (see :class:`~skewdyck.paths.CountTable`),
-    so the table stores each step's columns as they are.  A step sums, per
+    The state after n steps is one tuple column per class
+    (``spec.classes`` order) whose index i holds the paths ending in that
+    class at level lo + 2i, lo = -n (n mod 2 for the floored families):
+    exactly the table's entry for length n (see
+    :class:`~skewdyck.paths.CountTable`), so the table stores each step's
+    columns as they are.  A step sums, per
     class, the columns of the classes its step may follow, starting from
     another class's sum where that one's predecessors are a subset
     (``_sum_plan``); it shifts by B = ``table.bits`` for the coloured step
@@ -73,7 +74,9 @@ def dp_table(family, max_length, with_color_marker=True):
     arguments are checked; a longer table is built for this call alone.
     The caller owns the table either way: it is returned as a
     :meth:`~skewdyck.paths.CountTable.copy`, with its own ``entries`` dict
-    and column lists, so changing it changes no later call's table.
+    that shares the cached table's column tuples.  Those cannot change in
+    place, and ``add`` or replacing ``entries`` changes only the caller's
+    dict, so no later call's table changes.
     """
     name = family_spec(family).name
     _check_length("max_length", max_length, cap=None)
@@ -93,9 +96,9 @@ def _build_table(family, max_length, with_color_marker):
         for s in spec.steps
     ]
     plan = _sum_plan(into)
-    columns = [[int(cls == spec.empty_class)] for cls in spec.classes]
+    columns = [(int(cls == spec.empty_class),) for cls in spec.classes]
     for n in range(max_length + 1):
-        table.entries[n] = columns
+        table.entries[n] = tuple(columns)
         if n == max_length:
             break
         parts = columns + [None] * len(columns)
@@ -105,11 +108,11 @@ def _build_table(family, max_length, with_color_marker):
             for i in rest:
                 total = map(add, total, parts[i])
             if keep:
-                total = parts[len(columns) + c] = list(total)
+                total = parts[len(columns) + c] = tuple(total)
             incr, by, _ = into[c]
             if by:
                 total = map(lshift, total, repeat(by))
-            nxt[c] = [0, *total] if incr > 0 else [*total, 0]
+            nxt[c] = (0, *total) if incr > 0 else (*total, 0)
         columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
     return table
 

@@ -234,19 +234,26 @@ class CountTable:
     family's), for a non-int n, j or k, and for n outside 0..max_length; a
     level no path reaches counts 0.
 
-    Layout: ``entries`` maps a length n to a list with one column per
-    class, in ``classes`` order.  A column is a list that holds, at index
+    Layout: ``entries`` maps a length n to a tuple with one column per
+    class, in ``classes`` order.  A column is a tuple that holds, at index
     i, the count at level lo(n) + 2i, for the levels of :meth:`levels`:
     lo(n) = n mod 2 for the floored families and -n for the unbounded
     one, up to n.  Each count packs the counts of every colour count k,
     count k being digit k in base 2^B (Kronecker substitution).
     B = ``bits`` = bit_length(3^N) + 1 depends on ``max_length`` N alone,
     so two tables of one length share it and compare equal exactly when
-    they agree at every (n, j, cls, k).  No count of paths of length
-    n <= N exceeds 3^N, so a digit never carries into the next, and the
-    sum of the packed values of several classes is the packed sum of their
-    counts.  Every lookup makes one keyed read of ``entries`` and unpacks
-    only what it returns.
+    they agree at every (n, j, cls, k).  Columns never change: :meth:`add`
+    builds new tuples for the one length it touches, so a :meth:`copy`
+    shares them.
+
+    The rule that makes the packing exact: the total of a cell (n, j),
+    over classes and colour counts, is at most 3^N.  No count of paths of
+    length n <= N exceeds it, and :meth:`add` refuses an amount that would.
+    So a digit never carries into the next, the sum of the packed values
+    of several classes is the packed sum of their counts, and a total is
+    its packed value mod 2^B - 1 (2^B is 1 mod 2^B - 1, and the digit sum,
+    at most 3^N, is below 2^B - 1).  Every lookup makes one keyed read of
+    ``entries`` and unpacks only what it returns.
     """
 
     def __init__(self, family, max_length):
@@ -256,15 +263,16 @@ class CountTable:
         self.family = family
         self.max_length = max_length
         self.bits = (3**max_length).bit_length() + 1
+        self._mask = (1 << self.bits) - 1
         self.entries = {}
         self._floor = spec.floor
 
     def copy(self):
-        """An equal table with its own ``entries``: a new dict of new column
-        lists (the packed ints, immutable, are shared)."""
+        """An equal table with its own ``entries``, a plain dict; the column
+        tuples, which never change, are shared."""
         new = object.__new__(CountTable)
         vars(new).update(vars(self))
-        new.entries = {n: [col[:] for col in columns] for n, columns in self.entries.items()}
+        new.entries = dict(self.entries)
         return new
 
     def levels(self, n):
@@ -280,7 +288,9 @@ class CountTable:
     def add(self, n, j, cls, k, amount=1):
         """Add ``amount`` to the count at (n, j, cls, k); (n, j) must be a
         cell some path reaches, 0 <= n <= max_length and j in ``levels(n)``,
-        and the count must stay a digit, in 0 .. 2^B - 1."""
+        the count must stay >= 0 and the cell's total over classes and
+        colour counts at most 3^max_length.  The columns of length n are
+        replaced by new tuples."""
         i = self._position(cls)
         for name, value in (("n", n), ("j", j), ("k", k), ("amount", amount)):
             check_int(name, value)
@@ -289,14 +299,17 @@ class CountTable:
         levels = self.levels(n) if 0 <= n <= self.max_length else ()
         if j not in levels:
             raise ValueError(f"no {self.family} path of length <= {self.max_length} ends at (n={n}, j={j})")
-        at = levels.index(j)
-        columns = self.entries.get(n)
-        digit = (self._digit(columns[i][at], k) if columns else 0) + amount
-        if not 0 <= digit < 1 << self.bits:
-            raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is not a digit")
-        if columns is None:
-            columns = self.entries[n] = [[0] * len(levels) for _ in self.classes]
-        columns[i][at] += amount << (k * self.bits)
+        digit = self.count(n, j, cls, k) + amount
+        if digit < 0:
+            raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is negative")
+        total = self.count(n, j) + amount
+        if total > 3**self.max_length:
+            raise ValueError(f"total {total} at (n={n}, j={j}) exceeds 3^{self.max_length}")
+        columns = list(self.entries.get(n) or [(0,) * len(levels) for _ in self.classes])
+        column = list(columns[i])
+        column[levels.index(j)] += amount << (k * self.bits)
+        columns[i] = tuple(column)
+        self.entries[n] = tuple(columns)
 
     def _packed(self, n, j, cls):
         i = None if cls is None else self._position(cls)
@@ -312,10 +325,10 @@ class CountTable:
         return sum([col[at] for col in columns]) if i is None else columns[i][at]
 
     def _digit(self, packed, k):
-        return (packed >> (k * self.bits)) & ((1 << self.bits) - 1)
+        return (packed >> (k * self.bits)) & self._mask
 
     def _digits(self, packed):
-        mask = (1 << self.bits) - 1
+        mask = self._mask
         out = []
         while packed:
             out.append(packed & mask)
@@ -325,13 +338,13 @@ class CountTable:
     def count(self, n, j, cls=None, k=None):
         packed = self._packed(n, j, cls)
         if k is None:
-            return sum(self._digits(packed))
+            return packed % self._mask  # the digit sum (see the class docstring)
         check_int("k", k)
         return self._digit(packed, k) if k >= 0 else 0
 
     def wpoly(self, n, j, cls=None):
         """Counts at (n, j) as a polynomial in the color marker w."""
-        return WPoly(self._digits(self._packed(n, j, cls)))
+        return WPoly._trusted(self._digits(self._packed(n, j, cls)))
 
     def coefficients(self, j, cls=None, k=None):
         """[count(0, j), count(1, j), ...] up to max_length."""
@@ -361,8 +374,8 @@ def count_table(family, max_length):
     tallied in their parent's loop instead of in a call each.  There is no
     memo and no two words share a visit: each tally write is one word.
     The table is written from the tally once, in the layout ``dp_table``
-    builds: per length n, one column of packed ints per class over the
-    levels ``CountTable.levels(n)``.
+    builds: per length n, one tuple column of packed ints per class over
+    the levels ``CountTable.levels(n)``.
     """
     _check_length("max_length", max_length)
     spec = family_spec(family)
@@ -407,10 +420,10 @@ def count_table(family, max_length):
     for n in range(max_length + 1):
         starts = (n * n_stride + (j - lowest) * level_stride for j in table.levels(n))
         blocks = [tally[b:b + level_stride] for b in starts]
-        table.entries[n] = [
-            [sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for block in blocks]
+        table.entries[n] = tuple(
+            tuple([sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for block in blocks])
             for i in range(n_cls)
-        ]
+        )
     return table
 
 

@@ -15,6 +15,7 @@ All values are immutable; all operations are pure functions.
 """
 
 from functools import lru_cache, update_wrapper
+from itertools import zip_longest
 
 RATIONAL = "rational"
 WPOLY = "wpoly"
@@ -144,7 +145,7 @@ def _divide_exactly(c, d):
     """c / d for an int d != 0 and c an int or a :class:`WPoly`; a
     remainder raises :class:`ExactnessError`."""
     if isinstance(c, WPoly):
-        return WPoly(_divide_exactly(x, d) for x in c.coeffs)
+        return WPoly._trusted([_divide_exactly(x, d) for x in c.coeffs])
     q, r = divmod(c, d)
     if r:
         raise ExactnessError(f"{c} is not divisible by {d}")
@@ -165,6 +166,16 @@ class WPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs):
+        """A polynomial from a list of ints the package computed itself:
+        trailing zeros are trimmed, the int check is skipped."""
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("WPoly is immutable")
@@ -203,18 +214,16 @@ class WPoly:
         other = WPoly.coerce(other)
         if not self.coeffs:
             return other
-        n = max(len(self.coeffs), len(other.coeffs))
-        return WPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return WPoly._trusted([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WPoly(-c for c in self.coeffs)
+        return WPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = WPoly.coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return WPoly(self.coeff(k) - other.coeff(k) for k in range(n))
+        return WPoly._trusted([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __rsub__(self, other):
         return WPoly.coerce(other) + (-self)
@@ -228,7 +237,7 @@ class WPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return WPoly(out)
+        return WPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -241,7 +250,7 @@ class WPoly:
         return acc
 
     def deriv(self):
-        return WPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return WPoly._trusted([k * c for k, c in enumerate(self.coeffs) if k >= 1])
 
     def __repr__(self):
         if not self.coeffs:

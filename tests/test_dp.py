@@ -66,7 +66,7 @@ def test_entries_are_per_length_columns_in_class_order():
     B = bounded.bits
     # length 2 at levels 0, 2: UD; UU.  A red step never meets an up step
     assert list(bounded.levels(2)) == [0, 2]
-    assert bounded.entries[2] == [[0, 1], [1, 0], [0, 0]]
+    assert bounded.entries[2] == ((0, 1), (1, 0), (0, 0))
     f, g, h = bounded.entries[4]  # levels 0, 2, 4
     assert (f[0], g[0], h[0]) == (0, 2, 1 << B)  # UDUD, UUDD; UUDR with one red
     assert (f[2], g[2], h[2]) == (1, 0, 0)
@@ -74,7 +74,7 @@ def test_entries_are_per_length_columns_in_class_order():
     assert dual.classes == ("a", "b", "c")
     B = dual.bits
     # length 2 at levels 0, 2: ud (a blue step never meets a down step); uu, Bu; uB, BB
-    assert dual.entries[2] == [[0, 1 + (1 << B)], [1, 0], [0, (1 << B) + (1 << 2 * B)]]
+    assert dual.entries[2] == ((0, 1 + (1 << B)), (1, 0), (0, (1 << B) + (1 << 2 * B)))
     assert sorted(dual.entries) == [0, 1, 2]
     assert list(dp_table(UNBOUNDED, 3).levels(3)) == [-3, -1, 1, 3]
 
@@ -145,8 +145,9 @@ def test_cached_tables_are_owned_by_the_caller(family, change):
         table.add(4, 0, table.classes[1], 0)
     elif change == "entries":
         table.entries = {}
-    else:
-        table.entries[4][0][0] += 1
+    else:  # the columns are shared with the cache, and cannot change
+        with pytest.raises(TypeError):
+            table.entries[4][0][0] += 1
     again = dp_table(family, 8)
     assert again.entries == dp._build_table(family, 8, True).entries
     assert again.entries is not table.entries

@@ -236,20 +236,75 @@ def test_count_table_wpoly_refinement():
 
 
 def test_largest_digit_unpacks_without_carry():
+    # a cell's total over classes and colour counts may reach 3^n, and no more
     for n in (1, 5, 14, 96):
-        table = CountTable(BOUNDED, n)
-        top = 3**n - 1
+        top, third = 3**n, 3 ** (n - 1)
         j = n % 2  # the lowest level a length-n path reaches
-        for k in range(3):
-            table.add(n, j, "f", k, top)
-        table.add(n, j, "g", 1, top)
-        assert [table.count(n, j, "f", k) for k in range(4)] == [top, top, top, 0]
-        assert table.count(n, j, k=1) == 2 * top
-        assert table.count(n, j) == 4 * top
-        assert table.wpoly(n, j, "f").coeffs == (top, top, top)
-        assert table.counts() == {
-            (n, j, "f", 0): top, (n, j, "f", 1): top, (n, j, "f", 2): top, (n, j, "g", 1): top,
-        }
+        over = rf"^total \d+ at \(n={n}, j={j}\) exceeds 3\^{n}$"
+        table = CountTable(BOUNDED, n)
+        table.add(n, j, "h", 2, top)  # the whole total in one digit
+        assert table.count(n, j) == table.count(n, j, "h") == table.count(n, j, k=2) == top
+        assert [table.count(n, j, "h", k) for k in range(4)] == [0, 0, top, 0]
+        assert table.wpoly(n, j).coeffs == table.wpoly(n, j, "h").coeffs == (0, 0, top)
+        assert table.counts() == {(n, j, "h", 2): top}
+        with pytest.raises(ValueError, match=over):
+            table.add(n, j, "f", 0)
+        table = CountTable(BOUNDED, n)
+        table.add(n, j, "f", 0, top - 1)
+        for cls, k in (("f", 1), ("f", 2), ("g", 1)):  # four digits of 3^n - 1 would not fit
+            with pytest.raises(ValueError, match=over):
+                table.add(n, j, cls, k, top - 1)
+        table = CountTable(BOUNDED, n)
+        for cls, k in (("f", 0), ("f", 2), ("g", 1)):  # the total spread over three digits
+            table.add(n, j, cls, k, third)
+        with pytest.raises(ValueError, match=over):
+            table.add(n, j, "h", 3)
+        assert table.count(n, j) == top
+        assert table.count(n, j, "f") == 2 * third
+        assert [table.count(n, j, k=k) for k in range(4)] == [third, third, third, 0]
+        assert [table.count(n, j, "f", k) for k in range(4)] == [third, 0, third, 0]
+        assert table.wpoly(n, j).coeffs == (third, third, third)
+        assert table.wpoly(n, j, "f").coeffs == (third, 0, third)
+        assert table.wpoly(n, j, "g").coeffs == (0, third)
+        assert table.counts() == {(n, j, "f", 0): third, (n, j, "f", 2): third, (n, j, "g", 1): third}
+
+
+def test_add_refuses_a_total_above_three_to_the_n():
+    # at length 1 a digit has B = 3 bits: two classes' digits of 7 each fit,
+    # but their sum would carry when a lookup adds the classes up
+    table = CountTable(BOUNDED, 1)
+    assert table.bits == 3
+    with pytest.raises(ValueError, match=r"^total 7 at \(n=1, j=1\) exceeds 3\^1$"):
+        table.add(1, 1, "f", 0, 7)
+    table.add(1, 1, "f", 0, 3)
+    with pytest.raises(ValueError, match=r"^total 4 at \(n=1, j=1\) exceeds 3\^1$"):
+        table.add(1, 1, "g", 0, 1)
+    assert table.count(1, 1) == 3
+    assert table.wpoly(1, 1) == 3
+    assert table.counts() == {(1, 1, "f", 0): 3}
+
+
+def _assert_totals(table, lengths):
+    """count(n, j, cls), read with one modulo, against the sum over colour
+    counts and against the w-polynomial at w = 1, at every cell and class."""
+    for n in lengths:
+        for j in table.levels(n):
+            for cls in (None, *table.classes):
+                total = table.count(n, j, cls)
+                by_k = sum(table.count(n, j, cls, k=k) for k in range(n + 1))
+                assert total == by_k == table.wpoly(n, j, cls).eval(1), (n, j, cls)
+
+
+@pytest.mark.parametrize("family", [BOUNDED, DUAL, UNBOUNDED])
+def test_totals_read_with_one_modulo(family, brute_tables):
+    for marker in (True, False):
+        table = dp_table(family, 40, marker)
+        _assert_totals(table, range(41))
+        for n in range(40):  # the top length of each shorter table has the tightest digits
+            _assert_totals(dp_table(family, n, marker), [n])
+    _assert_totals(brute_tables[family], range(15))
+    for n in range(11):
+        _assert_totals(count_table(family, n), [n])
 
 
 def test_add_rejects_cells_no_path_reaches():

@@ -18,6 +18,7 @@ from skewdyck.series import (
     SeriesError,
     WPoly,
     W_VAR,
+    _divide_exactly,
     bounded_cache,
     compare,
     div,
@@ -74,6 +75,44 @@ class TestWPoly:
 
     def test_hashable(self):
         assert len({WPoly((1, 2)), WPoly((1, 2)), WPoly((2, 1))}) == 2
+
+
+def _at(xs, k):
+    return xs[k] if k < len(xs) else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(integers, max_size=8),  # trailing zeros and the zero polynomial included
+    st.lists(integers, max_size=8),
+    integers,
+    st.integers(min_value=1, max_value=9) | st.integers(min_value=-9, max_value=-1),
+)
+def test_wpoly_results_match_the_checked_constructor(xs, ys, c, d):
+    # arithmetic builds its results without the per-coefficient check; each
+    # must equal the public constructor's polynomial, trailing zeros trimmed
+    p, q = WPoly(xs), WPoly(ys)
+    n = max(len(xs), len(ys))
+    cases = [
+        ("+", p + q, [_at(xs, k) + _at(ys, k) for k in range(n)]),
+        ("-", p - q, [_at(xs, k) - _at(ys, k) for k in range(n)]),
+        ("neg", -p, [-x for x in xs]),
+        ("*", p * q, [sum(_at(xs, i) * _at(ys, k - i) for i in range(k + 1)) for k in range(len(xs) + len(ys))]),
+        ("deriv", p.deriv(), [k * x for k, x in enumerate(xs)][1:]),
+        ("/d", _divide_exactly(WPoly([d * x for x in xs]), d), xs),
+        ("+int", p + c, [_at(xs, 0) + c, *xs[1:]]),
+        ("int-", c - p, [c - _at(xs, 0), *(-x for x in xs[1:])]),
+        ("*int", c * p, [c * x for x in xs]),
+    ]
+    for op, got, want in cases:
+        assert got.coeffs == WPoly(want).coeffs, op
+        assert not got.coeffs or got.coeffs[-1] != 0, op
+        assert all(type(x) is int for x in got.coeffs), op
+    if any(x % d for x in xs):
+        with pytest.raises(ExactnessError):
+            _divide_exactly(p, d)
+    with pytest.raises(TypeError):
+        WPoly((1.5,))
 
 
 class TestSeriesBasics:

@@ -12,7 +12,7 @@ paper per family; one loop reads it for the table's own family and length.
 from itertools import repeat
 from operator import add, lshift
 
-from .paths import CountTable, _check_length, family_spec
+from .paths import CountTable, _check_length, _digit_bits, family_spec
 from .series import bounded_cache, compare
 
 
@@ -71,23 +71,19 @@ def dp_table(family, max_length, with_color_marker=True):
 
     Tables up to length ``_CACHED_MAX_LENGTH`` come from a cache of the 4
     last used, keyed by (family, max_length, with_color_marker) after the
-    arguments are checked; a longer table is built for this call alone.
-    The caller owns the table either way: it is returned as a
-    :meth:`~skewdyck.paths.CountTable.copy`, with its own ``entries`` dict
-    that shares the cached table's column tuples.  Those cannot change in
-    place, and ``add`` or replacing ``entries`` changes only the caller's
-    dict, so no later call's table changes.
+    arguments are checked; a longer table is built for this call alone.  A
+    table is an immutable value, so every caller of one key shares the
+    cached table itself.
     """
     name = family_spec(family).name
     _check_length("max_length", max_length, cap=None)
-    return _cached_table(name, int(max_length), bool(with_color_marker)).copy()
+    return _cached_table(name, int(max_length), bool(with_color_marker))
 
 
 def _build_table(family, max_length, with_color_marker):
     """The DP of :func:`dp_table`, on checked arguments, uncached."""
     spec = family_spec(family)
-    table = CountTable(family, max_length)
-    shift = table.bits if with_color_marker else 0
+    shift = _digit_bits(max_length) if with_color_marker else 0
     # the step into each class: (level increment, shift, the positions of
     # the classes it may follow); the empty path is in the up class
     into = [
@@ -97,8 +93,9 @@ def _build_table(family, max_length, with_color_marker):
     ]
     plan = _sum_plan(into)
     columns = [(int(cls == spec.empty_class),) for cls in spec.classes]
+    entries = []
     for n in range(max_length + 1):
-        table.entries[n] = tuple(columns)
+        entries.append(tuple(columns))
         if n == max_length:
             break
         parts = columns + [None] * len(columns)
@@ -114,7 +111,7 @@ def _build_table(family, max_length, with_color_marker):
                 total = map(lshift, total, repeat(by))
             nxt[c] = (0, *total) if incr > 0 else (*total, 0)
         columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
-    return table
+    return CountTable(family, max_length, tuple(entries))
 
 
 _cached_table = bounded_cache(4, lambda family, n, marker: n <= _CACHED_MAX_LENGTH)(_build_table)

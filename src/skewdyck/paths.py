@@ -226,90 +226,75 @@ def enumerate_paths(family, n, end_level=None):
     return out
 
 
-class CountTable:
+def _levels(floor, n):
+    """The end levels a length-n path may reach, lo(n), lo(n) + 2, ..., n,
+    with lo(n) = n mod 2 for a floored family and -n otherwise."""
+    return range(n % 2 if floor else -n, n + 1, 2)
+
+
+def _digit_bits(max_length):
+    """B, the bits of one colour digit in a table of length ``max_length``."""
+    return (3**max_length).bit_length() + 1
+
+
+class CountTable(Record):
     """Exact counts indexed by (length, end level, last-step class, color count).
+
+    An immutable value, built whole by :func:`count_table` or
+    :func:`~skewdyck.dp.dp_table` and never changed, so a cached table is
+    shared by every caller.  Two tables compare equal when their
+    ``family``, ``max_length`` and ``entries`` are equal, that is, when they
+    agree at every (n, j, cls, k).
 
     ``count(n, j, cls=None, k=None)`` sums over any index passed as None.
     A lookup raises ``ValueError`` for a ``cls`` not among ``classes`` (the
     family's), for a non-int n, j or k, and for n outside 0..max_length; a
     level no path reaches counts 0.
 
-    Layout: ``entries`` maps a length n to a tuple with one column per
-    class, in ``classes`` order.  A column is a tuple that holds, at index
-    i, the count at level lo(n) + 2i, for the levels of :meth:`levels`:
-    lo(n) = n mod 2 for the floored families and -n for the unbounded
-    one, up to n.  Each count packs the counts of every colour count k,
-    count k being digit k in base 2^B (Kronecker substitution).
-    B = ``bits`` = bit_length(3^N) + 1 depends on ``max_length`` N alone,
-    so two tables of one length share it and compare equal exactly when
-    they agree at every (n, j, cls, k).  Columns never change: :meth:`add`
-    builds new tuples for the one length it touches, so a :meth:`copy`
-    shares them.
+    Layout: ``entries[n]``, for n = 0..max_length, is a tuple with one
+    column per class, in ``classes`` order.  A column is a tuple that
+    holds, at index i, the count at level lo(n) + 2i, for the levels of
+    :meth:`levels`: lo(n) = n mod 2 for the floored families and -n for
+    the unbounded one, up to n.  Each count packs the counts of every
+    colour count k, count k being digit k in base 2^B (Kronecker
+    substitution).  B = ``bits`` = bit_length(3^N) + 1 depends on
+    ``max_length`` N alone, so two tables of one length share it.
 
-    The rule that makes the packing exact: the total of a cell (n, j),
-    over classes and colour counts, is at most 3^N.  No count of paths of
-    length n <= N exceeds it, and :meth:`add` refuses an amount that would.
-    So a digit never carries into the next, the sum of the packed values
-    of several classes is the packed sum of their counts, and a total is
-    its packed value mod 2^B - 1 (2^B is 1 mod 2^B - 1, and the digit sum,
-    at most 3^N, is below 2^B - 1).  Every lookup makes one keyed read of
-    ``entries`` and unpacks only what it returns.
+    The builders' guarantee that makes the packing exact: the total of a
+    cell (n, j), over classes and colour counts, is at most 3^N, since it
+    counts paths of one length n <= N, of which there are at most 3^n.  No
+    lookup checks it.  So a digit never carries into the next, the sum of
+    the packed values of several classes is the packed sum of their
+    counts, and a total is its packed value mod 2^B - 1 (2^B is 1 mod
+    2^B - 1, and the digit sum, at most 3^N, is below 2^B - 1).  Every
+    lookup makes one indexed read of ``entries`` and unpacks only what it
+    returns.
     """
 
-    def __init__(self, family, max_length):
+    _fields = ("family", "max_length", "entries")
+    __slots__ = _fields + ("classes", "bits", "_mask", "_floor")
+
+    def __init__(self, family, max_length, entries):
         spec = family_spec(family)
         _check_length("max_length", max_length, cap=None)
-        self.classes = spec.classes
-        self.family = family
-        self.max_length = max_length
-        self.bits = (3**max_length).bit_length() + 1
-        self._mask = (1 << self.bits) - 1
-        self.entries = {}
-        self._floor = spec.floor
+        self._set(family, max_length, entries)
+        bits = _digit_bits(max_length)
+        for name, value in (("classes", spec.classes), ("bits", bits), ("_mask", (1 << bits) - 1),
+                            ("_floor", spec.floor)):
+            object.__setattr__(self, name, value)
 
-    def copy(self):
-        """An equal table with its own ``entries``, a plain dict; the column
-        tuples, which never change, are shared."""
-        new = object.__new__(CountTable)
-        vars(new).update(vars(self))
-        new.entries = dict(self.entries)
-        return new
+    def __repr__(self):
+        return f"CountTable(family={self.family!r}, max_length={self.max_length})"
 
     def levels(self, n):
-        """The end levels a length-n path may reach, lo(n), lo(n) + 2, ..., n:
-        the levels of the columns at length n."""
-        return range(n % 2 if self._floor else -n, n + 1, 2)
+        """The end levels a length-n path may reach: the levels of the
+        columns at length n."""
+        return _levels(self._floor, n)
 
     def _position(self, cls):
         if cls not in self.classes:
             raise ValueError(f"unknown class {cls!r}; expected one of {self.classes}")
         return self.classes.index(cls)
-
-    def add(self, n, j, cls, k, amount=1):
-        """Add ``amount`` to the count at (n, j, cls, k); (n, j) must be a
-        cell some path reaches, 0 <= n <= max_length and j in ``levels(n)``,
-        the count must stay >= 0 and the cell's total over classes and
-        colour counts at most 3^max_length.  The columns of length n are
-        replaced by new tuples."""
-        i = self._position(cls)
-        for name, value in (("n", n), ("j", j), ("k", k), ("amount", amount)):
-            check_int(name, value)
-        if k < 0:
-            raise ValueError(f"color count {k} is negative")
-        levels = self.levels(n) if 0 <= n <= self.max_length else ()
-        if j not in levels:
-            raise ValueError(f"no {self.family} path of length <= {self.max_length} ends at (n={n}, j={j})")
-        digit = self.count(n, j, cls, k) + amount
-        if digit < 0:
-            raise ValueError(f"count {digit} at (n={n}, j={j}, cls={cls}, k={k}) is negative")
-        total = self.count(n, j) + amount
-        if total > 3**self.max_length:
-            raise ValueError(f"total {total} at (n={n}, j={j}) exceeds 3^{self.max_length}")
-        columns = list(self.entries.get(n) or [(0,) * len(levels) for _ in self.classes])
-        column = list(columns[i])
-        column[levels.index(j)] += amount << (k * self.bits)
-        columns[i] = tuple(column)
-        self.entries[n] = tuple(columns)
 
     def _packed(self, n, j, cls):
         i = None if cls is None else self._position(cls)
@@ -317,11 +302,11 @@ class CountTable:
         if not 0 <= n <= self.max_length:
             raise ValueError(f"n must be an int in 0..{self.max_length}, got {n!r}")
         check_int("j", j)
-        columns = self.entries.get(n)
-        levels = self.levels(n) if columns else ()
+        levels = _levels(self._floor, n)
         if j not in levels:
             return 0
         at = levels.index(j)
+        columns = self.entries[n]
         return sum([col[at] for col in columns]) if i is None else columns[i][at]
 
     def _digit(self, packed, k):
@@ -353,7 +338,7 @@ class CountTable:
     def counts(self):
         """Every nonzero count, as ``{(n, j, cls, k): count}``."""
         out = {}
-        for n, columns in self.entries.items():
+        for n, columns in enumerate(self.entries):
             for cls, column in zip(self.classes, columns):
                 for j, packed in zip(self.levels(n), column):
                     for k, c in enumerate(self._digits(packed)):
@@ -373,7 +358,7 @@ def count_table(family, max_length):
     one floor test, level >= lowest.  The words of the last two lengths are
     tallied in their parent's loop instead of in a call each.  There is no
     memo and no two words share a visit: each tally write is one word.
-    The table is written from the tally once, in the layout ``dp_table``
+    The table is built whole from the tally, in the layout ``dp_table``
     builds: per length n, one tuple column of packed ints per class over
     the levels ``CountTable.levels(n)``.
     """
@@ -415,16 +400,16 @@ def count_table(family, max_length):
     # the empty word: level 0, after step 0 and in its class, ``spec.empty_class``
     walk(-lowest * level_stride, 0, 0, max_length)
 
-    table = CountTable(family, max_length)
-    bits = table.bits  # every count is below 3^N < 2^bits, so it packs as a digit
+    bits = _digit_bits(max_length)  # every count is below 3^N < 2^bits, so it packs as a digit
+    entries = []
     for n in range(max_length + 1):
-        starts = (n * n_stride + (j - lowest) * level_stride for j in table.levels(n))
+        starts = (n * n_stride + (j - lowest) * level_stride for j in _levels(spec.floor, n))
         blocks = [tally[b:b + level_stride] for b in starts]
-        table.entries[n] = tuple(
+        entries.append(tuple(
             tuple([sum(c << k * bits for k, c in enumerate(block[i::n_cls])) for block in blocks])
             for i in range(n_cls)
-        )
-    return table
+        ))
+    return CountTable(family, max_length, tuple(entries))
 
 
 _GLYPHS = {"U": "/", "D": "\\", "R": "r", "u": "/", "B": "b", "d": "\\"}

@@ -85,11 +85,13 @@ def bounded_cache(maxsize, admit):
     """Decorator: keep a call in an ``lru_cache(maxsize)`` when ``admit(*args)``
     accepts its (positional) arguments, and build any other call for that
     call alone, kept nowhere.  So the cache holds at most ``maxsize``
-    results, each no larger than ``admit`` lets it be.  The wrapper exposes
-    the cache's ``cache_info`` and ``cache_clear``."""
+    results, each no larger than ``admit`` lets it be.  The cache is typed:
+    an int and the equal constant :class:`WPoly` are different keys, so a
+    result keeps its argument's ring.  The wrapper exposes the cache's
+    ``cache_info`` and ``cache_clear``."""
 
     def wrap(build):
-        cached = lru_cache(maxsize)(build)
+        cached = lru_cache(maxsize, typed=True)(build)
 
         def call(*args):
             return cached(*args) if admit(*args) else build(*args)
@@ -208,7 +210,9 @@ class WPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("WPoly", self.coeffs))
+        # equal values hash equal: a constant, 0 included, hashes as its int
+        cs = self.coeffs
+        return hash(cs[0] if cs else 0) if len(cs) < 2 else hash(("WPoly", cs))
 
     def __add__(self, other):
         other = WPoly.coerce(other)

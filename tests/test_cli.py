@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import bumped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,13 +314,7 @@ def _bump_value(fn, at):
 
 def _bump_table(fn, key):
     """Wrap ``count_table``: add 1 to one entry of the brute-force table."""
-
-    def faulty(family, max_length, *rest):
-        table = fn(family, max_length, *rest)
-        table.add(*key)
-        return table
-
-    return faulty
+    return lambda *args: bumped(fn(*args), *key)
 
 
 def _break_image(fn, word, image):
@@ -406,9 +401,7 @@ def test_verify_recursions_fail_line(monkeypatch, capsys):
 
     def faulty(family, max_length, with_color_marker=True):
         table = real(family, max_length, with_color_marker)
-        if with_color_marker:
-            table.add(4, 0, "g", 0)
-        return table
+        return bumped(table, 4, 0, "g", 0) if with_color_marker else table
 
     monkeypatch.setattr(dp, "dp_table", faulty)
     argv = ["verify", "--order", "8", "--max-brute-length", "6", "--family", "primal"]

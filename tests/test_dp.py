@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from conftest import bumped
 
 from skewdyck import dp
 from skewdyck.dp import check_recursions, dp_table
@@ -75,7 +76,7 @@ def test_entries_are_per_length_columns_in_class_order():
     B = dual.bits
     # length 2 at levels 0, 2: ud (a blue step never meets a down step); uu, Bu; uB, BB
     assert dual.entries[2] == ((0, 1 + (1 << B)), (1, 0), (0, (1 << B) + (1 << 2 * B)))
-    assert sorted(dual.entries) == [0, 1, 2]
+    assert len(dual.entries) == 3  # lengths 0, 1, 2
     assert list(dp_table(UNBOUNDED, 3).levels(3)) == [-3, -1, 1, 3]
 
 
@@ -124,8 +125,7 @@ def test_recursion_checker_flags_corruption():
         (UNBOUNDED, (8, 2, "f"), [("f_2 = [i=0] + z f_1 + z g_1", "z^8: 41 != 40")]),
     ]
     for family, key, failures in corrupt:
-        table = dp_table(family, 8)
-        table.add(*key, 0)
+        table = bumped(dp_table(family, 8), *key, 0)
         got = [(c.name, c.detail) for c in check_recursions(table) if not c.ok]
         assert got == [(name, f"first mismatch at {at}") for name, at in failures], key
 
@@ -134,23 +134,44 @@ def test_unknown_family():
     with pytest.raises(ValueError):
         dp_table("nonsense", 4)
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
-        check_recursions(CountTable("nonsense", 3))
+        check_recursions(CountTable("nonsense", 3, ()))
 
 
 @pytest.mark.parametrize("change", ["add", "entries", "column"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_cached_tables_are_owned_by_the_caller(family, change):
+    """The cached table is shared, so no caller may change what the next
+    one gets: every route to a change fails or builds a new table."""
     table = dp_table(family, 8)
     if change == "add":
-        table.add(4, 0, table.classes[1], 0)
+        assert not hasattr(table, "add") and not hasattr(table, "copy")
+        changed = bumped(table, 4, 0, table.classes[1], 0)
+        assert changed != table and changed.entries is not table.entries
     elif change == "entries":
-        table.entries = {}
-    else:  # the columns are shared with the cache, and cannot change
+        for name in ("family", "max_length", "entries", "classes", "bits", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, None)
+    else:  # the columns are tuples too
         with pytest.raises(TypeError):
             table.entries[4][0][0] += 1
     again = dp_table(family, 8)
     assert again.entries == dp._build_table(family, 8, True).entries
-    assert again.entries is not table.entries
+    assert again is table  # the cached table itself, unchanged
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_table_is_a_shared_value(family):
+    for marker in (True, False):
+        for n in range(dp._CACHED_MAX_LENGTH + 1):
+            table = dp_table(family, n, marker)
+            assert dp_table(family, n, marker) is table, (n, marker)  # the cached table itself
+            assert table == dp._build_table(family, n, marker), (n, marker)
+    brute = count_table(family, 12)
+    assert brute == dp_table(family, 12) and hash(brute) == hash(dp_table(family, 12))
+    assert dp_table(family, 12, True) != dp_table(family, 12, False)
+    cls = brute.classes[1]
+    assert bumped(brute, 4, 0, cls, 0) != brute and bumped(bumped(brute, 4, 0, cls, 0), 4, 0, cls, 0, -1) == brute
+    assert repr(brute) == f"CountTable(family={family!r}, max_length=12)"
 
 
 @pytest.mark.parametrize("args, message", [

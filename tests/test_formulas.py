@@ -72,6 +72,21 @@ class TestTrinomial:
             sum(c * (39 - 2 * i) * 2 ** (38 - 2 * i) for i, c in enumerate(ways)),
         )
 
+    def test_equal_middles_hash_equal_and_keep_their_ring(self):
+        # an int and the equal constant WPoly are one key of a set or dict,
+        # but the row cache keeps them apart, so a result keeps its ring
+        for c in (0, 3, -7, 3**100):
+            assert WPoly.const(c) == c and hash(WPoly.const(c)) == hash(c)
+        three = WPoly.const(3)
+        assert len({3, three}) == 1 and {3: "x"}.get(three) == "x" and {three: "x"}.get(3) == "x"
+        assert hash(WPoly()) == hash(0) and {0: "zero"}[WPoly()] == "zero"
+        for first, then in ((3, three), (three, 3)):
+            formulas._trinomial_row.cache_clear()
+            for n, k in ((5, 2), (5, 5), (0, 0)):
+                assert trinomial(n, first, k) == trinomial(n, then, k)
+                assert type(trinomial(n, first, k)) is type(first), (n, k)
+                assert type(trinomial(n, then, k)) is type(then), (n, k)
+
     def test_cold_row_needs_no_deep_recursion(self):
         formulas._trinomial_row.cache_clear()
         frame, depth = sys._getframe(), 0

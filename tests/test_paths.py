@@ -90,7 +90,7 @@ def test_negative_lengths_rejected():
     with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
         count_table(UNBOUNDED, -1)
     with pytest.raises(ValueError, match="max_length must be >= 0, got -1"):
-        CountTable(DUAL, -1)
+        CountTable(DUAL, -1, ())
 
 
 def test_non_int_lengths_rejected():
@@ -99,7 +99,7 @@ def test_non_int_lengths_rejected():
     with pytest.raises(ValueError, match="max_length must be an int, got 2.5"):
         count_table(BOUNDED, 2.5)
     with pytest.raises(ValueError, match="max_length must be an int, got 2.5"):
-        CountTable(BOUNDED, 2.5)
+        CountTable(BOUNDED, 2.5, ())
 
 
 def test_bool_lengths_rejected():
@@ -109,7 +109,7 @@ def test_bool_lengths_rejected():
     with pytest.raises(ValueError, match="^max_length must be an int, got False$"):
         count_table(BOUNDED, False)
     with pytest.raises(ValueError, match="^max_length must be an int, got True$"):
-        CountTable(DUAL, True)
+        CountTable(DUAL, True, ())
     with pytest.raises(ValueError, match="^max_length must be an int, got True$"):
         dp_table(UNBOUNDED, True)
 
@@ -127,8 +127,6 @@ def test_bool_lengths_rejected():
         (lambda: dp_table(BOUNDED, 4).count(True, 0), "n"),
         (lambda: dp_table(BOUNDED, 4).wpoly(2, True), "j"),
         (lambda: dp_table(BOUNDED, 4).count(2, 0, k=True), "k"),
-        (lambda: dp_table(BOUNDED, 4).add(True, 1, "f", 0), "n"),
-        (lambda: dp_table(BOUNDED, 4).add(4, 0, "g", 0, True), "amount"),
     ],
 )
 def test_a_bool_is_no_int(call, name):
@@ -139,7 +137,7 @@ def test_a_bool_is_no_int(call, name):
 
 def test_count_table_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
-        CountTable("nonsense", 3)
+        CountTable("nonsense", 3, ())
 
 
 def test_count_table_rejects_unknown_classes():
@@ -153,8 +151,6 @@ def test_count_table_rejects_unknown_classes():
                 table.count(n, j, cls=cls, k=0)
             with pytest.raises(ValueError, match=unknown % cls):
                 table.wpoly(n, j, cls=cls)
-            with pytest.raises(ValueError, match=unknown % cls):
-                table.add(n, j, cls, 0)
         with pytest.raises(ValueError, match=unknown % "a"):
             table.coefficients(j, cls="a")
     for cls in table.classes + (None,):  # absent rows and digits past the top read 0
@@ -163,7 +159,6 @@ def test_count_table_rejects_unknown_classes():
             table.count(9, 9, cls=cls)  # a row past the table is no row of it
         assert table.count(2, 0, cls=cls, k=5) == 0
         assert table.wpoly(3, 0, cls=cls) == WPoly()
-    assert table.counts() == count_table(BOUNDED, 4).counts()  # the refused calls wrote nothing
 
 
 def test_word_properties():
@@ -235,30 +230,29 @@ def test_count_table_wpoly_refinement():
     assert poly.eval(1) == 10
 
 
+def _cell_table(n, j, digits):
+    """A bounded table of length n whose one nonzero cell (n, j) holds
+    ``digits``, {(cls, k): count}, built directly: no route builds it."""
+    shape = dp_table(BOUNDED, n)  # for its levels, classes and digit width
+    zeros = [tuple((0,) * len(shape.levels(m)) for _ in shape.classes) for m in range(n + 1)]
+    top = [list(column) for column in zeros[n]]
+    for (cls, k), c in digits.items():
+        top[shape.classes.index(cls)][shape.levels(n).index(j)] += c << (k * shape.bits)
+    return CountTable(BOUNDED, n, tuple(zeros[:n]) + (tuple(map(tuple, top)),))
+
+
 def test_largest_digit_unpacks_without_carry():
     # a cell's total over classes and colour counts may reach 3^n, and no more
     for n in (1, 5, 14, 96):
         top, third = 3**n, 3 ** (n - 1)
         j = n % 2  # the lowest level a length-n path reaches
-        over = rf"^total \d+ at \(n={n}, j={j}\) exceeds 3\^{n}$"
-        table = CountTable(BOUNDED, n)
-        table.add(n, j, "h", 2, top)  # the whole total in one digit
+        table = _cell_table(n, j, {("h", 2): top})  # the whole total in one digit
         assert table.count(n, j) == table.count(n, j, "h") == table.count(n, j, k=2) == top
         assert [table.count(n, j, "h", k) for k in range(4)] == [0, 0, top, 0]
         assert table.wpoly(n, j).coeffs == table.wpoly(n, j, "h").coeffs == (0, 0, top)
         assert table.counts() == {(n, j, "h", 2): top}
-        with pytest.raises(ValueError, match=over):
-            table.add(n, j, "f", 0)
-        table = CountTable(BOUNDED, n)
-        table.add(n, j, "f", 0, top - 1)
-        for cls, k in (("f", 1), ("f", 2), ("g", 1)):  # four digits of 3^n - 1 would not fit
-            with pytest.raises(ValueError, match=over):
-                table.add(n, j, cls, k, top - 1)
-        table = CountTable(BOUNDED, n)
-        for cls, k in (("f", 0), ("f", 2), ("g", 1)):  # the total spread over three digits
-            table.add(n, j, cls, k, third)
-        with pytest.raises(ValueError, match=over):
-            table.add(n, j, "h", 3)
+        # the total spread over three digits of two classes
+        table = _cell_table(n, j, {("f", 0): third, ("f", 2): third, ("g", 1): third})
         assert table.count(n, j) == top
         assert table.count(n, j, "f") == 2 * third
         assert [table.count(n, j, k=k) for k in range(4)] == [third, third, third, 0]
@@ -267,21 +261,6 @@ def test_largest_digit_unpacks_without_carry():
         assert table.wpoly(n, j, "f").coeffs == (third, 0, third)
         assert table.wpoly(n, j, "g").coeffs == (0, third)
         assert table.counts() == {(n, j, "f", 0): third, (n, j, "f", 2): third, (n, j, "g", 1): third}
-
-
-def test_add_refuses_a_total_above_three_to_the_n():
-    # at length 1 a digit has B = 3 bits: two classes' digits of 7 each fit,
-    # but their sum would carry when a lookup adds the classes up
-    table = CountTable(BOUNDED, 1)
-    assert table.bits == 3
-    with pytest.raises(ValueError, match=r"^total 7 at \(n=1, j=1\) exceeds 3\^1$"):
-        table.add(1, 1, "f", 0, 7)
-    table.add(1, 1, "f", 0, 3)
-    with pytest.raises(ValueError, match=r"^total 4 at \(n=1, j=1\) exceeds 3\^1$"):
-        table.add(1, 1, "g", 0, 1)
-    assert table.count(1, 1) == 3
-    assert table.wpoly(1, 1) == 3
-    assert table.counts() == {(1, 1, "f", 0): 3}
 
 
 def _assert_totals(table, lengths):
@@ -305,37 +284,6 @@ def test_totals_read_with_one_modulo(family, brute_tables):
     _assert_totals(brute_tables[family], range(15))
     for n in range(11):
         _assert_totals(count_table(family, n), [n])
-
-
-def test_add_rejects_cells_no_path_reaches():
-    for family, cells in (
-        (BOUNDED, [(4, 1), (3, 0), (4, 6), (4, -2), (5, 1), (-1, 1)]),
-        (DUAL, [(2, 1), (2, -2), (0, 2)]),
-        (UNBOUNDED, [(4, -5), (4, -3), (3, 5), (5, -5)]),
-    ):
-        table = CountTable(family, 4)
-        cls = table.classes[0]
-        for n, j in cells:  # wrong parity, above n, below the floor, n outside 0..4
-            with pytest.raises(ValueError, match=rf"ends at \(n={n}, j={j}\)"):
-                table.add(n, j, cls, 0)
-        with pytest.raises(ValueError, match=r"^j must be an int, got 3.0$"):
-            table.add(3, 3.0, cls, 0)
-        assert table.entries == {}  # the refused calls wrote nothing
-    table = CountTable(UNBOUNDED, 4)
-    table.add(4, -4, "g", 0)  # the lowest cell below the axis is fine
-    assert table.count(4, -4) == 1
-
-
-def test_add_keeps_every_count_a_digit():
-    table = CountTable(BOUNDED, 4)
-    table.add(4, 0, "g", 1, 2)
-    with pytest.raises(ValueError):
-        table.add(4, 0, "g", 1, -3)  # would borrow from the next digit
-    with pytest.raises(ValueError):
-        table.add(4, 0, "g", 0, 1 << table.bits)  # would carry into the next digit
-    with pytest.raises(ValueError):
-        table.add(4, 0, "g", -1)
-    assert table.counts() == {(4, 0, "g", 1): 2}
 
 
 @pytest.mark.parametrize(

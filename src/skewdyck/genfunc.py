@@ -6,6 +6,9 @@ r_1 = P/z, r_2 = Q/z of the kernel and their reciprocals carry 1/z poles, so
 no root is ever materialized as a series: each formula is normalized first
 so that every division is by a unit-constant series or an exact power of z.
 
+A family's classes share one denominator, linear in u, so a level's total
+has the sum of the class numerators as its numerator (:func:`_with_total`).
+
 Negative territory deserves a warning.  The level-indexed system below the
 axis has two natural "solved" forms, depending on which factor of the
 quadratic kernel is cancelled against the numerators:
@@ -89,7 +92,7 @@ class KernelBundle(Record):
     the instance; only the red-marked constructors, ``dual_blue_g0`` and
     the identity checks read it.  The bad root z/P of the below-axis
     kernel is built and kept the same way, for the negative-level
-    constructors.
+    constructors and for :func:`negative_axis_series`.
     """
 
     _fields = ("order", "W", "P", "Q")
@@ -185,32 +188,38 @@ def _ladder(num, den0, den1, lo, hi):
     return out
 
 
-def _bounded_numerator(cls, root, w):
-    """Class numerator of the bounded family over zu - P: the red-marked
-    forms of :func:`red_level_series` (root = W_w, w = W_VAR), or with
-    w := 1 the plain forms of :func:`primal_levels` (root = W, w = 1)."""
-    one, _, z2 = _units(root.order, root.ring)
-    if cls == "f":
-        return -half(one + z2 * w + root)
-    if cls == "g":
-        return half(-one + z2 * w + root)
-    if cls == "h":
-        return half(-one + z2 * (2 + w) + root) * w
-    return half(one * (-2) - one * w + z2 * (2 * w + w * w) + root * w)  # cls == "total"
+def _with_total(nums):
+    """``nums``, a dict from class to numerator parts over one shared
+    denominator, with "total" added as the sum of the parts."""
+    first = next(iter(nums.values()))[0]
+    zero = Series.zero(first.order, first.ring)
+    nums["total"] = tuple(sum(p, zero) for p in zip_longest(*nums.values(), fillvalue=zero))
+    return nums
+
+
+def _bounded_numerators(P, w):
+    """The class numerators of the bounded family over zu - P, with their
+    total: f = -P, g = P - 1, h = w(P - 1 + z^2).  The red-marked forms of
+    :func:`red_level_series` take P = P_w and w = W_VAR, the plain forms of
+    :func:`primal_levels` P and w = 1."""
+    one, _, z2 = _units(P.order, P.ring)
+    g = P - one
+    return _with_total({"f": (-P,), "g": (g,), "h": ((g + z2) * w,)})
 
 
 def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     """Levels lo..hi of the bounded family, per last-step class, as a list.
 
     Level j is [u^j] of num/(zu - P), that is -num z^j / P^(j+1), with the
-    class numerators -(1+z^2+W)/2, (-1+z^2+W)/2, (-1+3z^2+W)/2 and their
-    sum.  All levels come from one bundle and one ladder.
+    class numerators -(1+z^2+W)/2 = -P, (-1+z^2+W)/2 = P - 1 and
+    (-1+3z^2+W)/2 = P - 1 + z^2 (:func:`_bounded_numerators`).  All levels
+    come from one bundle and one ladder.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order)
-    num = _bounded_numerator(cls, bundle.W, 1)
+    num = _bounded_numerators(bundle.P, 1)[cls]
     z = Series.z(bundle.order, RATIONAL)
-    return [s.truncate(order) for s in _ladder((num,), -bundle.P, z, lo, hi)]
+    return [s.truncate(order) for s in _ladder(num, -bundle.P, z, lo, hi)]
 
 
 def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -244,16 +253,17 @@ def primal_open_ended(order=DEFAULT_ORDER):
 def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     """[u^j] of the red-edge-marked solution, per last-step class.
 
-    The solution is num/(zu - P_w) with class numerators
-    f: -(1+wz^2+W_w)/2 = -P_w,   g: (-1+wz^2+W_w)/2,
-    h: w(-1+(2+w)z^2+W_w)/2,     total: (-2-w+z^2(2w+w^2)+wW_w)/2.
+    The solution is num/(zu - P_w), P_w = (1+wz^2+W_w)/2, with class
+    numerators (:func:`_bounded_numerators`)
+    f: -(1+wz^2+W_w)/2 = -P_w,   g: (-1+wz^2+W_w)/2 = P_w - 1,
+    h: w(-1+(2+w)z^2+W_w)/2 = w(P_w - 1 + z^2).
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
     bundle = kernel_bundle(order)
-    num = _bounded_numerator(cls, bundle.Ww, W_VAR)
-    return _ladder((num,), -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
+    num = _bounded_numerators(bundle.Pw, W_VAR)[cls]
+    return _ladder(num, -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
 
 
 def even_to_x(s):
@@ -357,29 +367,16 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
 
     Classes (a = up-black, b = down, c = up-blue) come from
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
-    D = P - z(2-z^2)u.  The total is computed independently as
-    front * z^j * S^(j+1) with front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2:
-    level j of front S/(1 - zSu), one factor zS per level, with front S
-    built as ((3-3z^2-W) S/2)/(2-z^2) so that every intermediate series is
-    integral.  The test suite pins total = a + b + c.
+    D = P - z(2-z^2)u, and the total from the sum of their numerators.
+    It equals front * z^j * S^(j+1), front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2.
     """
     _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
-    # S = Q/z^2 needs two orders of headroom
-    bundle = _bundle(bundle, order, order + 2 if cls == "total" else order)
-    n = bundle.order
-    one, z, z2 = _units(n)
-    if cls == "total":
-        s = shift_divide(bundle.Q, 2)
-        front_s = div(half((3 * one - 3 * z2 - bundle.W) * s), 2 * one - z2)
-        ladder = (front_s,), Series.one(s.order, RATIONAL), -(z * s)
-    else:
-        nums = {
-            "a": (bundle.P, -(z * bundle.P)),
-            "b": (one - 2 * z2 - bundle.W,),
-            "c": (Series.zero(n, RATIONAL), z * bundle.P),
-        }
-        ladder = nums[cls], *_dual_linear(bundle)
-    return [s.truncate(order) for s in _ladder(*ladder, lo, hi)]
+    bundle = _bundle(bundle, order, order)
+    one, z, z2 = _units(bundle.order)
+    zp, zero = z * bundle.P, Series.zero(bundle.order, RATIONAL)
+    nums = {"a": (bundle.P, -zp), "b": (one - 2 * z2 - bundle.W,), "c": (zero, zp)}
+    num = _with_total(nums)[cls]
+    return [s.truncate(order) for s in _ladder(num, *_dual_linear(bundle), lo, hi)]
 
 
 def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -430,8 +427,9 @@ def _class_ratios(bundle):
 def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     """The classical axis closed forms for the below-axis-allowed family.
 
-    f0 = (1+z^2-W)/(2z^2(2-z^2)),  g0 = rho_g f0,  h0 = rho_h f0
-    (:func:`_class_ratios`),       sum = (1-3z^2+2z^4-W)/(2z^4(2-z^2)).
+    f0 = (1+z^2-W)/(2z^2(2-z^2)) = (z/P)/z (the bad root over z),
+    g0 = rho_g f0, h0 = rho_h f0 (:func:`_class_ratios`) and
+    sum = (f0-1)/z^2 = (1-3z^2+2z^4-W)/(2z^4(2-z^2)) = f0 + g0 + h0.
 
     The sum's coefficients 1, 2, 6, 21, 79, ... match OEIS A033321.  These
     closed forms arise from the axis system with the kernel condition
@@ -440,13 +438,10 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     docstring) and are kept as reference data in their own right.
     """
     _check_args(order, cls=cls, classes=NEGATIVE_AXIS_CLASSES)
-    bundle = kernel_bundle(order + 4)
-    one, _, z2 = _units(bundle.order)
-    two_less = 2 * one - z2
+    bundle = kernel_bundle(order + 3)
+    f0 = shift_divide(bundle.bad_root, 1)
     if cls == "sum":
-        num = half(one - 3 * z2 + 2 * shift_up(one, 4) - bundle.W)
-        return div(shift_divide(num, 4), two_less).truncate(order)
-    f0 = div(shift_divide(bundle.Q, 2), two_less)
+        return shift_divide(f0 - Series.one(f0.order, RATIONAL), 2)
     if cls == "f0":
         return f0.truncate(order)
     rho_g, rho_h = _class_ratios(bundle)
@@ -515,8 +510,7 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
 def _negative_numerators(bundle, boundary, s1):
     """The numerator parts of :func:`negative_levels`, per class of
     ``PRIMAL_CLASSES``, as a dict: over zu - P when the bad root ``s1`` is
-    None (levels >= 0), else over the dual denominator (levels < 0).  The
-    classes share each denominator, so the total adds their numerators."""
+    None (levels >= 0), else over the dual denominator (levels < 0)."""
     one, z, z2 = _units(bundle.order)
     f0, g0, h0 = boundary
     z2f, z2g, z2h = z2 * f0, z2 * g0, z2 * h0
@@ -533,6 +527,4 @@ def _negative_numerators(bundle, boundary, s1):
             "g": (-(sc - zs + z2f - g0 + z2h), z - c, -z2),
             "h": (sc + h0 - z2g, c, z2),
         }
-    zero = Series.zero(bundle.order, RATIONAL)
-    nums["total"] = tuple(sum(p, zero) for p in zip_longest(*nums.values(), fillvalue=zero))
-    return nums
+    return _with_total(nums)

@@ -416,7 +416,8 @@ _GLYPHS = {"U": "/", "D": "\\", "R": "r", "u": "/", "B": "b", "d": "\\"}
 
 
 def render_ascii(word):
-    """Deterministic grid rendering; colored steps get their own glyph."""
+    """Deterministic grid rendering, the axis line at level 0 (edges below
+    it are drawn under it); colored steps get their own glyph."""
     spec = family_spec(word.family)
     levels = [0]
     for s in word.steps:
@@ -431,8 +432,8 @@ def render_ascii(word):
         row = hi - row_level
         grid[row][i] = _GLYPHS[s]
     lines = ["".join(r).rstrip() for r in grid]
-    baseline = "-" * len(word.steps)
-    return "\n".join(lines + [baseline])
+    lines.insert(hi, "-" * len(word.steps))
+    return "\n".join(lines)
 
 
 def reverse_dual(word):

@@ -104,22 +104,20 @@ def test_primal_classes_match_dp():
     order = 14
     table = dp_table(BOUNDED, order)
     for j in range(5):
-        for cls in "fgh":
+        for cls in genfunc.PRIMAL_CLASSES:
             s = genfunc.primal_level_series(j, cls=cls, order=order)
-            assert [s.coeff(n) for n in range(order + 1)] == [
-                table.count(n, j, cls=cls) for n in range(order + 1)
-            ], (j, cls)
+            want = table.coefficients(j, cls=None if cls == "total" else cls)
+            assert list(s.coeffs) == want, (j, cls)
 
 
 def test_dual_classes_match_dp():
     order = 14
     table = dp_table(DUAL, order)
     for j in range(5):
-        for cls in "abc":
+        for cls in genfunc.DUAL_CLASSES:
             s = genfunc.dual_level_series(j, cls=cls, order=order)
-            assert [s.coeff(n) for n in range(order + 1)] == [
-                table.count(n, j, cls=cls) for n in range(order + 1)
-            ], (j, cls)
+            want = table.coefficients(j, cls=None if cls == "total" else cls)
+            assert list(s.coeffs) == want, (j, cls)
 
 
 def test_kernel_bundle_identities():
@@ -268,13 +266,18 @@ def test_given_bundle_yields_exactly_the_order(name, args):
     bundle = genfunc.kernel_bundle(24)
     for order in (0, 5, 16):
         assert make(*args, order=order, bundle=bundle) == make(*args, order=order)
+    if name.startswith("dual"):
+        # every dual class, the total too, reads a bundle of exactly the order
+        for j in range(21):
+            exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(16))
+            assert exact == make(j, *args[1:], order=16), j
 
 
 @pytest.mark.parametrize(
     "name, args, order, bundle_order",
     [
         ("primal_level_series", (0,), 30, 10),
-        ("dual_level_series", (3,), 16, 16),
+        ("dual_level_series", (3,), 16, 15),
         ("dual_level_series", (3, "a"), 16, 15),
         ("negative_level_series", (1,), 16, 16),
         ("negative_boundary_series", (), 16, 16),
@@ -316,8 +319,17 @@ def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("j", [-2, 3])
-def test_negative_total_extracts_once(monkeypatch, j):
+@pytest.mark.parametrize(
+    "name, j",
+    [
+        pytest.param("primal_level_series", 3, id="primal-3"),
+        pytest.param("dual_level_series", 3, id="dual-3"),
+        pytest.param("red_level_series", 3, id="red-3"),
+        pytest.param("negative_level_series", -2, id="-2"),
+        pytest.param("negative_level_series", 3, id="3"),
+    ],
+)
+def test_negative_total_extracts_once(monkeypatch, name, j):
     # the total adds the class numerators over their shared denominator,
     # so one level of it runs one ladder, not one per class
     calls = []
@@ -328,15 +340,8 @@ def test_negative_total_extracts_once(monkeypatch, j):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(genfunc, "_ladder", counting)
-    genfunc.negative_level_series(j, "total", order=10)
+    getattr(genfunc, name)(j, "total", order=10)
     assert len(calls) == 1
-
-
-def test_dual_total_needs_two_orders_of_headroom():
-    bundle = genfunc.kernel_bundle(18)
-    for j in range(21):
-        got = genfunc.dual_level_series(j, "total", order=16, bundle=bundle)
-        assert got == genfunc.dual_level_series(j, "total", order=16), j
 
 
 _LEVELS = {
@@ -458,10 +463,11 @@ def test_red_classes_match_color_dp():
     order = 12
     table = dp_table(BOUNDED, order, with_color_marker=True)
     for j in range(4):
-        for cls in "fgh":
+        for cls in genfunc.PRIMAL_CLASSES:
             s = genfunc.red_level_series(j, cls=cls, order=order)
             for n in range(order + 1):
-                assert s.coeff(n) == table.wpoly(n, j, cls=cls), (j, cls, n)
+                want = table.wpoly(n, j, cls=None if cls == "total" else cls)
+                assert s.coeff(n) == want, (j, cls, n)
 
 
 def test_substitution_identities():
@@ -613,6 +619,7 @@ def test_axis_solutions_share_the_class_relations():
     for f0, g0, h0 in (axis, boundary):
         assert g0 == (rho_g * f0).truncate(order)
         assert h0 == (rho_h * f0).truncate(order)
+    assert genfunc.negative_axis_series("sum", order) == axis[0] + axis[1] + axis[2]
     differ = [n for n in range(order + 1) if axis[0].coeff(n) != boundary[0].coeff(n)]
     assert differ[0] == 4 and (axis[0].coeff(4), boundary[0].coeff(4)) == (2, 3)
 

@@ -325,6 +325,10 @@ def test_render_ascii_deterministic():
     w = PathWord(("U", "U", "D", "R"), BOUNDED)
     assert render_ascii(w) == " /\\\n/  r\n----"
     assert render_ascii(PathWord((), BOUNDED)) == "-"
+    # the axis line is level 0, with the edges below it drawn under it
+    assert render_ascii(PathWord(tuple("UDDD"), UNBOUNDED)) == "/\\\n----\n  \\\n   \\"
+    assert render_ascii(PathWord(tuple("DD"), UNBOUNDED)) == "--\n\\\n \\"
+    assert render_ascii(PathWord(tuple("DUUD"), UNBOUNDED)) == "  /\\\n----\n\\/"
 
 
 def test_reverse_dual_is_bijection():

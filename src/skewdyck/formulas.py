@@ -1,13 +1,14 @@
 """Explicit coefficient formulas via weighted trinomial coefficients.
 
 A purely arithmetic route to single series coefficients: no power-series
-division or square roots, only integer weights and the trinomial
-coefficients [t^k](1 + m*t + t^2)^n.  It cross-validates the kernel-method
-closed forms in :mod:`.genfunc` coefficient by coefficient.
+division or square roots, only integer weights, the trinomial
+coefficients [t^k](1 + m*t + t^2)^n and products of binomials.  It
+cross-validates the kernel-method closed forms in :mod:`.genfunc`
+coefficient by coefficient.
 
-Every formula is one Lagrange-inversion sum (Flajolet & Sedgewick,
-*Analytic Combinatorics*, Thm A.2), :func:`_lagrange_sum`: under
-x = v/phi(v) with phi = 1 + m*v + v^2, [x^n] H(v) equals
+Every formula comes from one Lagrange-inversion sum (Flajolet & Sedgewick,
+*Analytic Combinatorics*, Thm A.2): under x = v/phi(v) with
+phi = 1 + m*v + v^2, [x^n] H(v) equals
 [v^n] H(v) (1 - v^2) phi(v)^(n-1) = sum_k c_k * trinomial(n', m, n - k).
 The weights c_k are the coefficients of the prefactor (1 + v)^2 (1 - v)
 times one power of a linear factor:
@@ -16,6 +17,11 @@ times one power of a linear factor:
 * dual, ``mu_coeff``: (2 + v)^j, with m = 3 (the dual kernel's four terms
   3 - 7y + 5y^2 - y^3 are (y - 1)^2 (3 - y) at y = 2 + v);
 * red: the factor 1, with m = 2 + w.
+
+The primal and dual sums are evaluated as they stand, by
+:func:`_lagrange_sum` over one row over 3.  The red sum collapses to a
+product of a binomial and a Catalan number per power of w (see
+:func:`red_coeff_explicit`), so red builds no row.
 
 ``dual_coeff_explicit`` sums k = 0..N inclusive: the k = N term, mu_{j;N}
 times trinomial(N-1, 3, 0) = 1, is nonzero whenever N <= j+3.
@@ -45,12 +51,13 @@ def _trinomial_row(n, middle):
 
     The row is palindromic, a_k = a_{2n-k}, so the half fixes it.  It comes
     from :func:`~skewdyck.series.quadratic_power` at p/q = n, a = middle,
-    b = 1, on integer lists (a_k as its w-coefficients): O(n) steps and no
-    other row, so a cold row neither recurses nor fills the cache.
+    b = 1, on ints for an int middle and on integer lists (a_k as its
+    w-coefficients) for a WPoly: O(n) steps and no other row, so a cold row
+    neither recurses nor fills the cache.
     """
     if isinstance(middle, WPoly):
         return tuple(map(WPoly, quadratic_power(n + 1, middle.coeffs, (1,), n, 1)))
-    return tuple(a[0] for a in quadratic_power(n + 1, (middle,), (1,), n, 1))
+    return tuple(quadratic_power(n + 1, middle, 1, n, 1))
 
 
 def trinomial(n, middle, k):
@@ -76,9 +83,9 @@ _PREFACTOR = (1, 1, -1, -1)
 
 
 def _weights(power, count):
-    """[v^0..v^(count-1)] of the prefactor times ``power``, coefficients [c]
-    as :func:`~skewdyck.series.quadratic_power` gives them, zero past its end."""
-    c = [a[0] for a in power] + [0] * count
+    """[v^0..v^(count-1)] of the prefactor times ``power``, an int list
+    from :func:`~skewdyck.series.quadratic_power`, zero past its end."""
+    c = list(power) + [0] * count
     return [sum(p * c[k - i] for i, p in enumerate(_PREFACTOR) if k >= i) for k in range(count)]
 
 
@@ -91,26 +98,22 @@ def _kappa(j, count):
 @bounded_cache(128, lambda j, count: j <= _CACHED_ROW_MAX_N and count <= _CACHED_ROW_MAX_N + 1)
 def _kappa_row(j, count):
     """kappa_{j;0..count-1}, with (1 + 2v)^(-j) as a series."""
-    return tuple(_weights(quadratic_power(count, (2,), (), -j, 1), count))
+    return tuple(_weights(quadratic_power(count, 2, 0, -j, 1), count))
 
 
 @bounded_cache(128, lambda j: j <= _CACHED_ROW_MAX_N)
 def _mu(j):
     """mu_{j;0..j+3}, with (2 + v)^j the reversed row of (1 + 2v)^j."""
-    return tuple(_weights(quadratic_power(j + 1, (2,), (), j, 1)[::-1], j + 4))
+    return tuple(_weights(quadratic_power(j + 1, 2, 0, j, 1)[::-1], j + 4))
 
 
-def _lagrange_sum(weights, upper, middle, n):
-    """sum_k weights[k] * trinomial(upper, middle, n - k), over the k where
-    both can be nonzero (``upper >= 0``: the callers' guards ensure it).  A
-    weight of 1 or -1 adds or subtracts its row entry without a product."""
-    half = _trinomial_row(upper, middle)
+def _lagrange_sum(weights, upper, n):
+    """sum_k weights[k] * trinomial(upper, 3, n - k), an int, over the k
+    where both can be nonzero (``upper >= 0``: the callers' guards ensure it)."""
+    half = _trinomial_row(upper, 3)
     top = 2 * upper
-    total = WPoly() if isinstance(middle, WPoly) else 0
-    for k in range(max(0, n - top), min(n + 1, len(weights))):
-        c, a = weights[k], half[min(n - k, top - n + k)]
-        total = total + a if c == 1 else total - a if c == -1 else total + c * a
-    return total
+    ks = range(max(0, n - top), min(n + 1, len(weights)))
+    return sum(weights[k] * half[min(n - k, top - n + k)] for k in ks)
 
 
 # --- primal level coefficients ------------------------------------------------
@@ -138,7 +141,7 @@ def primal_coeff_explicit(j, m):
     _check_args("bounded", j=j, m=m)
     if m < 1:
         raise ValueError("primal_coeff_explicit requires m >= 1")
-    return _lagrange_sum(_kappa(j, m + 1), m - 1 + j, 3, m)
+    return _lagrange_sum(_kappa(j, m + 1), m - 1 + j, m)
 
 
 # --- dual level coefficients --------------------------------------------------
@@ -160,7 +163,7 @@ def dual_coeff_explicit(j, N):
     _check_args("dual", j=j, N=N)
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
-    return _lagrange_sum(_mu(j), N - 1, 3, N)
+    return _lagrange_sum(_mu(j), N - 1, N)
 
 
 # --- red-marked axis coefficients --------------------------------------------
@@ -169,10 +172,32 @@ def dual_coeff_explicit(j, N):
 def red_coeff_explicit(n):
     """[x^n] of the w-marked axis series S(0), as a :class:`WPoly`.
 
-    S(0) = 1 + v under x = v/(1 + (2+w)v + v^2), so the weights are the
-    prefactor's: T(n) + T(n-1) - T(n-2) - T(n-3), T(k) = trinomial(n-1, 2+w, k).
+    S(0) = 1 + v under x = v/(1 + (2+w)v + v^2), so the Lagrange sum with
+    the prefactor's weights is T(n) + T(n-1) - T(n-2) - T(n-3), with
+    T(k) = trinomial(n-1, 2+w, k).  That sum collapses.  With M = n - 1,
+
+        (1 + (2+w)t + t^2)^M = sum_i C(M, i) w^i t^i (1 + t)^(2(M-i)),
+
+    so with m = M - i the four terms give [w^i] the factor C(M, i) times
+    C(2m, m+1) + C(2m, m) - C(2m, m-1) - C(2m, m-2) = C(2m, m) - C(2m, m-2)
+    = Cat(m+1), and
+
+        [w^i x^n] S(0) = C(n-1, i) * Cat(n-i),   i = 0..n-1:
+
+    S(0) = C(x/(1 - wx)), with C the Catalan series.  At w = 1, A002212 is
+    the binomial transform of the Catalan numbers; at w = 0 the paths with
+    no red step are the Dyck paths.  Both factors come from running ratios,
+    Cat(k+1) = Cat(k) 2(2k+1)/(k+2) and C(M, i+1) = C(M, i) (M-i)/(i+1):
+    O(n) integer steps and no trinomial row.
     """
     _check_args(n=n)
     if n < 1:
         raise ValueError("red_coeff_explicit requires n >= 1")
-    return _lagrange_sum(_PREFACTOR, n - 1, WPoly((2, 1)), n)
+    catalan = [1]  # Cat(1), Cat(2), ..., Cat(n)
+    for k in range(1, n):
+        catalan.append(catalan[-1] * 2 * (2 * k + 1) // (k + 2))
+    coeffs, binom = [], 1
+    for i in range(n):
+        coeffs.append(binom * catalan[n - 1 - i])
+        binom = binom * (n - 1 - i) // (i + 1)
+    return WPoly._trusted(coeffs)

@@ -64,11 +64,12 @@ def _units(order, ring=RATIONAL):
 
 
 def _kernel_root(order, a, b, ring):
-    """sqrt(1 + a z^2 + b z^4) to z^order, a and b integer lists in w: the
+    """sqrt(1 + a z^2 + b z^4) to z^order, a and b ints (``RATIONAL``) or
+    integer lists in w (``WPOLY``): the
     :func:`~skewdyck.series.quadratic_power` c_n in x = z^2, at z^{2n}."""
     xs = quadratic_power(order // 2 + 1, a, b)
     coeffs = [0] * (order + 1)
-    coeffs[::2] = [WPoly(c) for c in xs] if ring == WPOLY else [c[0] for c in xs]
+    coeffs[::2] = [WPoly(c) for c in xs] if ring == WPOLY else xs
     return Series(coeffs, ring)
 
 
@@ -124,7 +125,7 @@ def kernel_bundle(order=DEFAULT_ORDER):
     Ww and Pw only when first read.
     """
     _check_args(order)
-    W = _kernel_root(order, (-6,), (5,), RATIONAL)
+    W = _kernel_root(order, -6, 5, RATIONAL)
     one, _, z2 = _units(order)
     P = half(one + z2 + W)
     Q = half(one + z2 - W)
@@ -324,7 +325,7 @@ def average_red_series(order=DEFAULT_ORDER):
     """
     _check_args(order)
     one, x, x2 = _units(order)
-    root = Series([c[0] for c in quadratic_power(order + 1, (-6,), (5,))], RATIONAL)
+    root = Series(quadratic_power(order + 1, -6, 5), RATIONAL)
     num = -one + 6 * x - 5 * x2 + (one - 3 * x) * root
     return div(num, (one - x) * (one - 5 * x) * 2)
 
@@ -342,7 +343,7 @@ def red_w_power_slice(k, order=DEFAULT_ORDER):
         raise ValueError(f"k must be in 0..4 for the closed forms, got k={k}")
     n = order + 1  # headroom for the z-power shifts below
     one, x, x2 = _units(n)
-    R = Series([c[0] for c in quadratic_power(n + 1, (-4,), ())], RATIONAL)  # sqrt(1-4x)
+    R = Series(quadratic_power(n + 1, -4, 0), RATIONAL)  # sqrt(1-4x)
     if k == 0:
         return half(shift_divide(one - R, 1)).truncate(order)
     if k == 1:

@@ -233,6 +233,8 @@ class WPoly:
         return WPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return WPoly._trusted([c * other for c in self.coeffs])
         other = WPoly.coerce(other)
         if not self.coeffs or not other.coeffs:
             return WPoly()
@@ -244,6 +246,12 @@ class WPoly:
         return WPoly._trusted(out)
 
     __rmul__ = __mul__
+
+    def __divmod__(self, d):
+        """(quotient, remainder) of each coefficient by an int d != 0, as
+        two polynomials: the remainder is zero when d divides them all."""
+        pairs = [divmod(c, d) for c in self.coeffs]
+        return WPoly._trusted([q for q, _ in pairs]), WPoly._trusted([r for _, r in pairs])
 
     def eval(self, value):
         """Evaluate at an integer value of w (a ring homomorphism)."""
@@ -471,40 +479,33 @@ def sqrt_one(a):
 
 
 def quadratic_power(count, a, b, p=1, q=2):
-    """c_0..c_{count-1} of (1 + a t + b t^2)^(p/q), as integer lists in w.
+    """c_0..c_{count-1} of (1 + a t + b t^2)^(p/q), exact integers.
 
-    ``a``, ``b`` and each c_k are polynomials in w as integer coefficient
-    lists.  Differentiating T = (1 + a t + b t^2)^(p/q) gives
-    q (1 + a t + b t^2) T' = p (a + 2b t) T, whose t^k coefficient is
+    ``a`` and ``b`` are ints, and then so is each c_k; or they are
+    polynomials in w as integer coefficient lists, and then each c_k is such
+    a list, trailing zeros trimmed.  Differentiating
+    T = (1 + a t + b t^2)^(p/q) gives q (1 + a t + b t^2) T' = p (a + 2b t) T,
+    whose t^k coefficient is
 
       q(k+1) c_{k+1} = a(p - qk) c_k + b(2p - q(k-1)) c_{k-1},   c_0 = 1:
 
-    O(count) steps.  p/q = 1/2 gives the kernel roots W, W_w and
-    sqrt(1 - 4x), p/q = n with b = 1 the trinomial rows.  A coefficient
-    that is not integral raises :class:`ExactnessError`.
+    O(count) steps of one loop, on plain ints, or on :class:`WPoly` values
+    for lists.  p/q = 1/2 gives the kernel roots W, W_w and sqrt(1 - 4x),
+    p/q = n with b = 1 the trinomial rows, and b = 0 the powers of 1 + a t.
+    A coefficient that is not integral raises :class:`ExactnessError`.
     """
-    out = [[1]]
-    prev, cur = [], [1]
+    if isinstance(a, (list, tuple)):  # the loop below, run on WPoly values
+        terms = quadratic_power(count, WPoly(a), WPoly(b), p, q)
+        return [list(WPoly.coerce(c).coeffs) for c in terms]
+    out = [1]
+    prev, cur = 0, 1
     for k in range(count - 1):
-        nxt = [0] * (max(len(a) + len(cur), len(b) + len(prev)) - 1)
-        f = p - q * k
-        for i, ai in enumerate(a):
-            fa = f * ai
-            for j, c in enumerate(cur):
-                nxt[i + j] += fa * c
-        f = 2 * p - q * (k - 1)
-        for i, bi in enumerate(b):
-            fb = f * bi
-            for j, c in enumerate(prev):
-                nxt[i + j] += fb * c
-        den = q * (k + 1)
-        prev, cur = cur, []
-        for v in nxt:
-            c, r = divmod(v, den)
-            if r:
-                raise ExactnessError(f"coefficient of t^{k + 1} is not an integer")
-            cur.append(c)
-        out.append(cur)
+        v = (p - q * k) * a * cur + (2 * p - q * (k - 1)) * b * prev
+        c, r = divmod(v, q * (k + 1))
+        if r:
+            raise ExactnessError(f"coefficient of t^{k + 1} is not an integer")
+        out.append(c)
+        prev, cur = cur, c
     return out[:count]
 
 

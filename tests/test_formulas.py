@@ -103,19 +103,22 @@ class TestTrinomial:
         assert formulas._trinomial_row.cache_info().maxsize is not None
 
     def test_large_rows_are_built_per_call(self, monkeypatch):
-        # a half row of 2+w holds about n^2/2 big ints; rows above the
-        # cached size are kept nowhere
-        cached = formulas._trinomial_row.cache_info().currsize
-        top = formulas._CACHED_ROW_MAX_N
-        for n in range(top + 2, top + 6):
-            red_coeff_explicit(n)
-        assert formulas._trinomial_row.cache_info().currsize == cached
-        # one red coefficient builds its row once
         builds = []
         real = formulas.quadratic_power
         monkeypatch.setattr(formulas, "quadratic_power", lambda *a: builds.append(a) or real(*a))
-        red_coeff_explicit(top + 10)
-        assert len(builds) == 1
+        cached = formulas._trinomial_row.cache_info().currsize
+        top = formulas._CACHED_ROW_MAX_N
+        # red builds no row: its coefficients are binomial products
+        for n in (1, 5, top, top + 2, top + 10):
+            red_coeff_explicit(n)
+        assert builds == []
+        assert formulas._trinomial_row.cache_info().currsize == cached
+        # a half row of 2+w holds about n^2/2 big ints; a row above the
+        # cached size is built for each call and kept nowhere
+        for k in (3, 3, top):
+            trinomial(top + 10, WPoly((2, 1)), k)
+        assert len(builds) == 3
+        assert formulas._trinomial_row.cache_info().currsize == cached
 
 
 def _rational_poly(coeffs, order):
@@ -140,7 +143,7 @@ def test_cached_primal_weights_match_a_fresh_build():
     formulas._kappa_row.cache_clear()
     for j in (*range(9), top, top + 1):  # levels j <= top are cached, higher ones not
         for m in range(1, 81):  # the weights of m <= top are cached, longer ones not
-            c = [0, 0, 0] + [a[0] for a in quadratic_power(m + 1, (2,), (), -j, 1)]  # (1+2v)^(-j)
+            c = [0, 0, 0] + quadratic_power(m + 1, 2, 0, -j, 1)  # (1+2v)^(-j)
             fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(m + 1)]  # times 1+v-v^2-v^3
             assert list(formulas._kappa(j, m + 1)[:m + 1]) == fresh, (j, m)
             assert len(formulas._kappa(j, m + 1)) == max(m, top) + 1
@@ -229,6 +232,25 @@ def test_red_explicit_examples():
     assert red_coeff_explicit(4) == WPoly((14, 15, 6, 1))
     with pytest.raises(ValueError):
         red_coeff_explicit(0)
+
+
+def _red_lagrange_sum(n):
+    """[x^n] S(0) as the Lagrange sum over the row of 2+w that
+    ``red_coeff_explicit`` once evaluated: T(n) + T(n-1) - T(n-2) - T(n-3),
+    T(k) = [t^k](1 + (2+w)t + t^2)^(n-1), read from the half row a_0..a_(n-1)."""
+    half = [WPoly(c) for c in quadratic_power(n, (2, 1), (1,), n - 1, 1)]
+    top = 2 * (n - 1)
+
+    def row(k):
+        return half[min(k, top - k)] if 0 <= k <= top else WPoly()
+
+    return row(n) + row(n - 1) - row(n - 2) - row(n - 3)
+
+
+def test_red_explicit_equals_the_lagrange_sum():
+    # the product form must reproduce the sum it collapses, term for term
+    for n in range(1, 201):
+        assert red_coeff_explicit(n) == _red_lagrange_sum(n), n
 
 
 def test_primal_explicit_matches_closed_forms():

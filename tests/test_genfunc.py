@@ -3,6 +3,7 @@
 import inspect
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -514,6 +515,16 @@ def test_w_power_slices(k):
     closed = genfunc.red_w_power_slice(k, order=20)
     sliced = w_slice(genfunc.red_axis_x(order=40), k)
     assert closed == sliced
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_w_power_slices_are_binomial_catalan_sums(k):
+    # [w^k] S(0) = sum_n C(n-1, k) Cat(n-k) x^n over n >= 1, plus 1 at k = 0
+    def catalan(m):
+        return comb(2 * m, m) // (m + 1)
+
+    want = [int(k == 0)] + [comb(n - 1, k) * catalan(n - k) if n > k else 0 for n in range(1, 61)]
+    assert list(genfunc.red_w_power_slice(k, order=60).coeffs) == want
 
 
 def test_w_power_slice_catalan():

@@ -103,6 +103,9 @@ def test_wpoly_results_match_the_checked_constructor(xs, ys, c, d):
         ("+int", p + c, [_at(xs, 0) + c, *xs[1:]]),
         ("int-", c - p, [c - _at(xs, 0), *(-x for x in xs[1:])]),
         ("*int", c * p, [c * x for x in xs]),
+        ("*int right", p * c, [c * x for x in xs]),
+        ("divmod q", divmod(p, d)[0], [x // d for x in xs]),
+        ("divmod r", divmod(p, d)[1], [x % d for x in xs]),
     ]
     for op, got, want in cases:
         assert got.coeffs == WPoly(want).coeffs, op
@@ -295,8 +298,22 @@ def test_quadratic_square_roots_match_sqrt_one(a, b):
 
 def test_quadratic_power_is_exact():
     assert quadratic_power(1, (1,), ()) == [[1]]
-    with pytest.raises(ExactnessError, match=r"t\^1 "):
-        quadratic_power(2, (1,), ())  # (1 + t)^(1/2) = 1 + t/2 + ...
+    assert quadratic_power(1, 1, 0) == [1]
+    for a, b in (((1,), ()), (1, 0)):
+        with pytest.raises(ExactnessError, match=r"t\^1 "):
+            quadratic_power(2, a, b)  # (1 + t)^(1/2) = 1 + t/2 + ...
+
+
+def test_quadratic_power_int_path_equals_list_path():
+    # W, sqrt(1 - 4x), the full trinomial rows over 3 and (1 + 2v)^(+-j):
+    # plain ints on the int path, one-element lists on the list path
+    cases = [(-6, 5, 1, 2, 60), (-4, 0, 1, 2, 60)]
+    cases += [(3, 1, n, 1, 2 * n + 1) for n in range(71)]
+    cases += [(2, 0, e, 1, 40) for j in range(9) for e in (j, -j)]
+    for a, b, p, q, count in cases:
+        got = quadratic_power(count, a, b, p, q)
+        assert len(got) == count and all(type(c) is int for c in got), (a, b, p)
+        assert [[c] if c else [] for c in got] == quadratic_power(count, [a], [b], p, q), (a, b, p)
 
 
 def test_bounded_cache_keeps_only_admitted_calls():

@@ -16,16 +16,17 @@ All output is deterministic: identical inputs yield byte-identical output.
 import argparse
 import sys
 
-from . import dp, formulas, genfunc, paths, refs
-from .series import WPOLY, W_VAR, Check, Series, compare, first_mismatch, specialize_w, w_derivative
+from . import dp, formulas, genfunc, paths, refs, series
 
 # CLI family -> (paths family, name of its level-range constructor in
 # genfunc); "primal" is the floored primal family.  Names, not functions, so
-# that a patched or traced ``genfunc`` attribute is what gets called.
+# that a patched or traced ``genfunc`` attribute is what gets called, and
+# literals, not ``paths.BOUNDED`` and the like, so that importing this module
+# executes no library module (see the package docstring).
 _CLI_FAMILIES = {
-    "primal": (paths.BOUNDED, "primal_levels"),
-    "dual": (paths.DUAL, "dual_levels"),
-    "unbounded": (paths.UNBOUNDED, "negative_levels"),
+    "primal": ("bounded", "primal_levels"),
+    "dual": ("dual", "dual_levels"),
+    "unbounded": ("unbounded", "negative_levels"),
 }
 
 
@@ -99,7 +100,7 @@ def _check_brute_dp(cli_family, table):
         for key in sorted(want.keys() | got.keys()):
             yield "(n={}, j={}, cls={}, k={})".format(*key), want.get(key, 0), got.get(key, 0)
 
-    return compare(
+    return series.compare(
         f"brute-dp:{cli_family}",
         () if brute == table else cells(),
         f"(lengths <= {table.max_length})",
@@ -113,8 +114,8 @@ def _check_recursions(cli_family, table):
     bad = next((c for c in checks if not c.ok), None)
     name = f"recursions:{cli_family}"
     if bad:
-        return Check(name, False, f"{bad.name}: {bad.detail}")
-    return Check(name, True, f"({len(checks)} identities, lengths <= {table.max_length})")
+        return series.Check(name, False, f"{bad.name}: {bad.detail}")
+    return series.Check(name, True, f"({len(checks)} identities, lengths <= {table.max_length})")
 
 
 def _check_dp_closed(cli_family, order, levels, fault=False):
@@ -129,7 +130,7 @@ def _check_dp_closed(cli_family, order, levels, fault=False):
                     got += 1  # test mode: deliberately corrupted coefficient
                 yield f"j={j} z^{n}", got, want
 
-    return compare(
+    return series.compare(
         f"dp-closed:{cli_family}",
         coefficients(),
         f"(|j| in {min(levels)}..{max(levels)}, order {order})",
@@ -146,7 +147,7 @@ def _check_closed_explicit(cli_family, order, levels):
             for m in range(1, (order - j) // 2 + 1):
                 yield f"j={j} z^{2 * m + j}", explicit(j, m), s.coeff(2 * m + j)
 
-    return compare(
+    return series.compare(
         f"closed-explicit:{cli_family}",
         coefficients(),
         f"(j <= 8, {span} <= {order})",
@@ -155,7 +156,7 @@ def _check_closed_explicit(cli_family, order, levels):
 
 
 def _check_closed_explicit_red(max_n, sx):
-    return compare(
+    return series.compare(
         "closed-explicit:red",
         ((f"x^{n}", formulas.red_coeff_explicit(n), sx.coeff(n)) for n in range(1, max_n + 1)),
         f"(n <= {max_n})",
@@ -165,8 +166,8 @@ def _check_closed_explicit_red(max_n, sx):
 
 def _check_closed_derivative_red(max_n, sx):
     closed = genfunc.average_red_series(order=max_n)
-    deriv = specialize_w(w_derivative(sx), 1)
-    return compare(
+    deriv = series.specialize_w(series.w_derivative(sx), 1)
+    return series.compare(
         "closed-derivative:red",
         ((f"x^{n}", closed.coeff(n), deriv.coeff(n)) for n in range(max_n + 1)),
         f"(n <= {max_n})",
@@ -178,17 +179,18 @@ def _check_kernel_identities(order, sx):
     b = genfunc.kernel_bundle(max(order, 8))
     n = b.order
     probs = []
-    if b.W * b.W != Series.from_dict({0: 1, 2: -6, 4: 5}, n):
+    if b.W * b.W != series.Series.from_dict({0: 1, 2: -6, 4: 5}, n):
         probs.append("W^2 != 1-6z^2+5z^4")
-    if b.P * b.Q != Series.from_dict({2: 2, 4: -1}, n):
+    if b.P * b.Q != series.Series.from_dict({2: 2, 4: -1}, n):
         probs.append("P*Q != z^2(2-z^2)")
-    left, right = (Series.from_dict({0: 1, 2: -c}, n, WPOLY) for c in (W_VAR, W_VAR + 4))
+    w = series.W_VAR
+    left, right = (series.Series.from_dict({0: 1, 2: -c}, n, series.WPOLY) for c in (w, w + 4))
     if b.Ww * b.Ww != left * right:
         probs.append("Ww^2 != (1-z^2 w)(1-(4+w)z^2)")
     for chk in genfunc.substitution_identity_check(sx.truncate(min(order, 20))):
         if not chk.ok:
             probs.append(f"substitution({chk.name})")
-    return Check(
+    return series.Check(
         "kernel-identities",
         not probs,
         "; ".join(probs) if probs else "(W^2, P*Q, Ww^2, substitution)",
@@ -200,7 +202,7 @@ def _check_reference(seq_id):
     computed = _compute_reference(seq_id)
     ok = tuple(computed) == tuple(expected)
     detail = f"({len(expected)} terms)" if ok else f"expected {expected}, computed {tuple(computed)}"
-    return Check(f"reference:{seq_id}", ok, detail)
+    return series.Check(f"reference:{seq_id}", ok, detail)
 
 
 def _compute_reference(seq_id):
@@ -218,21 +220,21 @@ def _check_reversal_duality(max_length):
     for n in range(limit + 1):
         primal_words = paths.enumerate_paths(paths.BOUNDED, n, end_level=0)
         images = [paths.reverse_dual(word) for word in primal_words]
-        bad = first_mismatch(
+        bad = series.first_mismatch(
             (word.word() or "(empty)", paths.is_valid(image) and image.end_level == 0, True)
             for word, image in zip(primal_words, images)
         )
         if bad:
-            return Check("reversal-duality", False, f"image of {bad[0]} invalid at length {n}")
+            return series.Check("reversal-duality", False, f"image of {bad[0]} invalid at length {n}")
         dual_words = paths.enumerate_paths(paths.DUAL, n, end_level=0)
         if {image.steps for image in images} != {w.steps for w in dual_words}:
-            return Check("reversal-duality", False, f"not a bijection at length {n}")
-    return Check("reversal-duality", True, f"(lengths <= {limit})")
+            return series.Check("reversal-duality", False, f"not a bijection at length {n}")
+    return series.Check("reversal-duality", True, f"(lengths <= {limit})")
 
 
 def _verify_checks(args):
-    """The verify matrix as a generator of :class:`Check` records, each run
-    only when the generator reaches it."""
+    """The verify matrix as a generator of :class:`~skewdyck.series.Check`
+    records, each run only when the generator reaches it."""
     families = [fam for fam in _CLI_FAMILIES if fam in (args.family or _CLI_FAMILIES)]
     for fam in families:  # one DP table per family for brute-dp and recursions
         table = dp.dp_table(_CLI_FAMILIES[fam][0], args.max_brute_length)

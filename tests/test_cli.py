@@ -209,6 +209,66 @@ def test_cli_import_path_stays_light():
     assert {f"skewdyck.{m}" for m in submodules} <= loaded
 
 
+_LIBRARY = ("series", "paths", "dp", "genfunc", "formulas", "refs")
+
+
+def _executed(code):
+    """After ``code`` in a fresh interpreter: each library module in
+    ``sys.modules``, mapped to whether it has executed.  A lazy module
+    becomes a plain module when it executes, and reading its type leaves
+    it lazy."""
+    probe = (
+        "\nimport sys, types"
+        f"\nfor m in {_LIBRARY!r}:"
+        "\n    if 'skewdyck.' + m in sys.modules:"
+        "\n        print(m, type(sys.modules['skewdyck.' + m]) is types.ModuleType)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code + probe],
+        capture_output=True, text=True, timeout=60, check=True, env=ENV,
+    )
+    return {m: done == "True" for m, done in map(str.split, res.stdout.splitlines())}
+
+
+def test_cli_import_executes_no_library_module():
+    # every CLI job is a fresh interpreter: what it imports, it compiles
+    assert _executed("import skewdyck, skewdyck.cli") == dict.fromkeys(_LIBRARY, False)
+
+
+@pytest.mark.parametrize(
+    "argv, idle",
+    [
+        (["table", "--levels=0..2", "--order", "6"], {"paths", "dp", "formulas"}),
+        (["paths", "--length", "4", "--render"], {"genfunc", "dp", "formulas"}),
+        (["verify", "--order", "6", "--max-brute-length", "4"], set()),
+    ],
+    ids=["table", "paths", "verify"],
+)
+def test_command_executes_only_the_modules_it_runs(argv, idle):
+    code = (
+        "import contextlib, io\nfrom skewdyck import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    rc = cli.main({argv!r})\n"
+        "assert rc == 0, rc"
+    )
+    executed = _executed(code)
+    assert set(executed) == set(_LIBRARY)
+    assert {m for m, done in executed.items() if not done} == idle
+
+
+def test_cli_family_literals_name_the_paths_families():
+    # cli spells them out, so that importing it reads no attribute of paths
+    assert [fam for fam, _ in cli._CLI_FAMILIES.values()] == list(paths.FAMILIES)
+
+
+def test_run_as_module_warns_nothing():
+    # runpy warns when the module it runs is in sys.modules before it runs
+    res = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "skewdyck.cli", "table", "--levels=0..1", "--order", "4"],
+        capture_output=True, text=True, timeout=60, env=ENV,
+    )
+    assert (res.returncode, res.stderr) == (0, "")
+
+
 def test_oeis():
     res = run_cli("oeis", "A002212")
     assert res.returncode == 0

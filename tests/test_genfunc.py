@@ -202,14 +202,25 @@ def test_kernel_bundle_rejects_negative_order():
         genfunc.kernel_bundle(-1)
 
 
-# the exported genfunc constructors, and red_axis_x, which verify reaches
+# the exported genfunc constructors, and red_axis_x, which verify reaches;
+# read through getattr, because the package resolves its exports on access
 _CONSTRUCTORS = sorted(
     name
-    for name, obj in vars(skewdyck).items()
-    if inspect.isfunction(obj) and obj.__module__ == genfunc.__name__
+    for name in skewdyck.__all__
+    if inspect.isfunction(obj := getattr(skewdyck, name)) and obj.__module__ == genfunc.__name__
     and name != "substitution_identity_check"
 ) + ["red_axis_x"]
 _INTS = ("order", "j", "lo", "hi", "k")
+
+
+def test_constructor_sample_is_whole():
+    assert _CONSTRUCTORS == [
+        "average_red_series", "dual_blue_g0", "dual_level_series", "dual_levels",
+        "dual_open_ended", "kernel_bundle", "negative_axis_series",
+        "negative_boundary_series", "negative_level_series", "negative_levels",
+        "primal_level_series", "primal_levels", "primal_open_ended",
+        "red_level_series", "red_w_power_slice", "red_axis_x",
+    ]
 
 
 @settings(max_examples=300, deadline=None)

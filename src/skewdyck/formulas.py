@@ -21,7 +21,8 @@ times one power of a linear factor:
 The primal and dual sums are evaluated as they stand, by
 :func:`_lagrange_sum` over one row over 3.  The red sum collapses to a
 product of a binomial and a Catalan number per power of w (see
-:func:`red_coeff_explicit`), so red builds no row.
+:func:`red_coeff_explicit`), so red builds no row, and every row is
+one over the integers: :func:`trinomial` takes an int middle only.
 
 ``dual_coeff_explicit`` sums k = 0..N inclusive: the k = N term, mu_{j;N}
 times trinomial(N-1, 3, 0) = 1, is nonzero whenever N <= j+3.
@@ -45,35 +46,31 @@ def _check_args(family=None, **args):
 _CACHED_ROW_MAX_N = 64
 
 
-@bounded_cache(128, lambda n, middle: n <= _CACHED_ROW_MAX_N)
+@bounded_cache(128, lambda n, middle: n <= _CACHED_ROW_MAX_N and middle == 3)
 def _trinomial_row(n, middle):
     """The first half a_0..a_n of the coefficients of (1 + middle*t + t^2)^n.
 
     The row is palindromic, a_k = a_{2n-k}, so the half fixes it.  It comes
     from :func:`~skewdyck.series.quadratic_power` at p/q = n, a = middle,
-    b = 1, on ints for an int middle and on integer lists (a_k as its
-    w-coefficients) for a WPoly: O(n) steps and no other row, so a cold row
-    neither recurses nor fills the cache.
+    b = 1: O(n) integer steps and no other row, so a cold row neither
+    recurses nor fills the cache.  Only rows over 3, the middle the
+    formulas read, are kept, up to n = ``_CACHED_ROW_MAX_N``.
     """
-    if isinstance(middle, WPoly):
-        return tuple(map(WPoly, quadratic_power(n + 1, middle.coeffs, (1,), n, 1)))
     return tuple(quadratic_power(n + 1, middle, 1, n, 1))
 
 
 def trinomial(n, middle, k):
-    """[t^k](1 + middle*t + t^2)^n; zero outside 0 <= k <= 2n.
+    """[t^k](1 + middle*t + t^2)^n, an int; zero outside 0 <= k <= 2n.
 
-    ``middle`` is an integer or an integer :class:`WPoly` (e.g. 2+w), and
-    so is the result.  Rows up to n = ``_CACHED_ROW_MAX_N`` are memoized
-    per (n, middle); a larger one is built for its call alone.
+    ``n``, ``middle`` and ``k`` are ints.  Rows over 3 up to
+    n = ``_CACHED_ROW_MAX_N`` are memoized; any other row is built for its
+    call alone.
     """
-    _check_args(n=n, k=k)
+    _check_args(n=n, middle=middle, k=k)
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
-    if isinstance(middle, bool) or not isinstance(middle, (int, WPoly)):
-        raise ValueError(f"trinomial middle must be an int or a WPoly, got {middle!r}")
     if k < 0 or k > 2 * n:
-        return WPoly() if isinstance(middle, WPoly) else 0
+        return 0
     return _trinomial_row(n, middle)[min(k, 2 * n - k)]
 
 

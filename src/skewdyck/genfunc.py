@@ -63,14 +63,13 @@ def _units(order, ring=RATIONAL):
     return one, Series.z(order, ring), shift_up(one, 2)
 
 
-def _kernel_root(order, a, b, ring):
-    """sqrt(1 + a z^2 + b z^4) to z^order, a and b ints (``RATIONAL``) or
-    integer lists in w (``WPOLY``): the
+def _kernel_root(order, a, b):
+    """sqrt(1 + a z^2 + b z^4) to z^order, over the ring of a and b (ints,
+    or :class:`~skewdyck.series.WPoly` values): the
     :func:`~skewdyck.series.quadratic_power` c_n in x = z^2, at z^{2n}."""
-    xs = quadratic_power(order // 2 + 1, a, b)
     coeffs = [0] * (order + 1)
-    coeffs[::2] = [WPoly(c) for c in xs] if ring == WPOLY else xs
-    return Series(coeffs, ring)
+    coeffs[::2] = quadratic_power(order // 2 + 1, a, b)
+    return Series(coeffs, WPOLY if isinstance(a, WPoly) else RATIONAL)
 
 
 class KernelBundle(Record):
@@ -105,7 +104,7 @@ class KernelBundle(Record):
 
     @cached_property
     def Ww(self):
-        return _kernel_root(self.order, (-4, -2), (0, 4, 1), WPOLY)
+        return _kernel_root(self.order, WPoly((-4, -2)), WPoly((0, 4, 1)))
 
     @cached_property
     def Pw(self):
@@ -125,7 +124,7 @@ def kernel_bundle(order=DEFAULT_ORDER):
     Ww and Pw only when first read.
     """
     _check_args(order)
-    W = _kernel_root(order, -6, 5, RATIONAL)
+    W = _kernel_root(order, -6, 5)
     one, _, z2 = _units(order)
     P = half(one + z2 + W)
     Q = half(one + z2 - W)

@@ -85,13 +85,11 @@ def bounded_cache(maxsize, admit):
     """Decorator: keep a call in an ``lru_cache(maxsize)`` when ``admit(*args)``
     accepts its (positional) arguments, and build any other call for that
     call alone, kept nowhere.  So the cache holds at most ``maxsize``
-    results, each no larger than ``admit`` lets it be.  The cache is typed:
-    an int and the equal constant :class:`WPoly` are different keys, so a
-    result keeps its argument's ring.  The wrapper exposes the cache's
-    ``cache_info`` and ``cache_clear``."""
+    results, each no larger than ``admit`` lets it be.  The wrapper exposes
+    the cache's ``cache_info`` and ``cache_clear``."""
 
     def wrap(build):
-        cached = lru_cache(maxsize, typed=True)(build)
+        cached = lru_cache(maxsize)(build)
 
         def call(*args):
             return cached(*args) if admit(*args) else build(*args)
@@ -479,24 +477,20 @@ def sqrt_one(a):
 
 
 def quadratic_power(count, a, b, p=1, q=2):
-    """c_0..c_{count-1} of (1 + a t + b t^2)^(p/q), exact integers.
+    """c_0..c_{count-1} of (1 + a t + b t^2)^(p/q), exact.
 
-    ``a`` and ``b`` are ints, and then so is each c_k; or they are
-    polynomials in w as integer coefficient lists, and then each c_k is such
-    a list, trailing zeros trimmed.  Differentiating
-    T = (1 + a t + b t^2)^(p/q) gives q (1 + a t + b t^2) T' = p (a + 2b t) T,
-    whose t^k coefficient is
+    ``a`` and ``b`` are ring elements: ints, and then so is each c_k, or
+    :class:`WPoly` values, and then each c_k past c_0 = 1 is one.
+    Differentiating T = (1 + a t + b t^2)^(p/q) gives
+    q (1 + a t + b t^2) T' = p (a + 2b t) T, whose t^k coefficient is
 
       q(k+1) c_{k+1} = a(p - qk) c_k + b(2p - q(k-1)) c_{k-1},   c_0 = 1:
 
-    O(count) steps of one loop, on plain ints, or on :class:`WPoly` values
-    for lists.  p/q = 1/2 gives the kernel roots W, W_w and sqrt(1 - 4x),
-    p/q = n with b = 1 the trinomial rows, and b = 0 the powers of 1 + a t.
-    A coefficient that is not integral raises :class:`ExactnessError`.
+    O(count) steps of one loop.  p/q = 1/2 gives the kernel roots W, W_w
+    and sqrt(1 - 4x), p/q = n with b = 1 the trinomial rows, and b = 0 the
+    powers of 1 + a t.  A coefficient that is not integral raises
+    :class:`ExactnessError`.
     """
-    if isinstance(a, (list, tuple)):  # the loop below, run on WPoly values
-        terms = quadratic_power(count, WPoly(a), WPoly(b), p, q)
-        return [list(WPoly.coerce(c).coeffs) for c in terms]
     out = [1]
     prev, cur = 0, 1
     for k in range(count - 1):

@@ -15,15 +15,14 @@ from skewdyck.formulas import (
     red_coeff_explicit,
     trinomial,
 )
-from skewdyck.series import RATIONAL, WPOLY, Series, WPoly, div, quadratic_power
+from skewdyck.series import RATIONAL, WPOLY, Series, WPoly, W_VAR, div, quadratic_power
 
 
 class TestTrinomial:
     def test_examples(self):
         assert trinomial(2, 3, 2) == 11
         assert trinomial(5, 7, 0) == 1
-        w = WPoly((0, 1))
-        assert trinomial(3, 2 + w, 1) == 3 * (2 + w)
+        assert trinomial(3, -2, 1) == -6
 
     def test_out_of_range(self):
         assert trinomial(2, 3, 5) == 0
@@ -32,7 +31,10 @@ class TestTrinomial:
             trinomial(-1, 3, 0)
         with pytest.raises(ValueError):
             trinomial(2, Fraction(1, 2), 1)
-        with pytest.raises(ValueError, match="middle must be an int or a WPoly, got True"):
+        # the middle is an int: a w-polynomial or a bool is refused by name
+        with pytest.raises(ValueError, match=r"^middle must be an int, got 2 \+ w$"):
+            trinomial(2, 2 + W_VAR, 1)
+        with pytest.raises(ValueError, match="^middle must be an int, got True$"):
             trinomial(2, True, 1)
 
     def test_symmetry(self):
@@ -47,45 +49,29 @@ class TestTrinomial:
         for n in (*range(6), top, top + 1):
             assert sum(trinomial(n, 3, k) for k in range(2 * n + 1)) == 5**n
 
-    @pytest.mark.parametrize("middle", [3, WPoly((2, 1)), -2], ids=["3", "2+w", "-2"])
+    @pytest.mark.parametrize("middle", [3, 2 + W_VAR, -2], ids=["3", "2+w", "-2"])
     def test_rows_match_series_powers(self, middle):
         for n in range(9):
             power = Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY) ** n
-            got = [WPoly.coerce(trinomial(n, middle, k)) for k in range(2 * n + 1)]
-            assert got == list(power.coeffs), n
             # the raw full row, second half included, from the shared routine
-            m = middle.coeffs if isinstance(middle, WPoly) else (middle,)
-            raw = [WPoly(c) for c in quadratic_power(2 * n + 1, m, (1,), n, 1)]
-            assert raw == list(power.coeffs), n
+            assert quadratic_power(2 * n + 1, middle, 1, n, 1) == list(power.coeffs), n
+            if isinstance(middle, int):  # trinomial's middle is an int
+                got = [trinomial(n, middle, k) for k in range(2 * n + 1)]
+                assert got == list(power.coeffs), n
 
     def test_integral_rows_keep_their_ring(self):
         # an int middle gives int rows, a w middle integer w-polynomials
         for n in (0, 1, 5):
             assert all(type(a) is int for a in formulas._trinomial_row(n, 3))
-            rows = formulas._trinomial_row(n, WPoly((2, 1)))
-            assert all(type(c) is int for a in rows for c in a.coeffs)
+            row = quadratic_power(n + 1, 2 + W_VAR, 1, n, 1)
+            assert all(type(c) is int for a in row for c in WPoly.coerce(a).coeffs)
         # [t^n](1 + m t + t^2)^n = sum_i C(n, i) C(n-i, i) m^(n-2i): its
         # w^0 and w^1 coefficients at m = 2 + w
         ways = [comb(39, i) * comb(39 - i, i) for i in range(20)]
-        assert trinomial(39, WPoly((2, 1)), 39).coeffs[:2] == (
+        assert quadratic_power(40, 2 + W_VAR, 1, 39, 1)[39].coeffs[:2] == (
             sum(c * 2 ** (39 - 2 * i) for i, c in enumerate(ways)),
             sum(c * (39 - 2 * i) * 2 ** (38 - 2 * i) for i, c in enumerate(ways)),
         )
-
-    def test_equal_middles_hash_equal_and_keep_their_ring(self):
-        # an int and the equal constant WPoly are one key of a set or dict,
-        # but the row cache keeps them apart, so a result keeps its ring
-        for c in (0, 3, -7, 3**100):
-            assert WPoly.const(c) == c and hash(WPoly.const(c)) == hash(c)
-        three = WPoly.const(3)
-        assert len({3, three}) == 1 and {3: "x"}.get(three) == "x" and {three: "x"}.get(3) == "x"
-        assert hash(WPoly()) == hash(0) and {0: "zero"}[WPoly()] == "zero"
-        for first, then in ((3, three), (three, 3)):
-            formulas._trinomial_row.cache_clear()
-            for n, k in ((5, 2), (5, 5), (0, 0)):
-                assert trinomial(n, first, k) == trinomial(n, then, k)
-                assert type(trinomial(n, first, k)) is type(first), (n, k)
-                assert type(trinomial(n, then, k)) is type(then), (n, k)
 
     def test_cold_row_needs_no_deep_recursion(self):
         formulas._trinomial_row.cache_clear()
@@ -113,12 +99,26 @@ class TestTrinomial:
             red_coeff_explicit(n)
         assert builds == []
         assert formulas._trinomial_row.cache_info().currsize == cached
-        # a half row of 2+w holds about n^2/2 big ints; a row above the
-        # cached size is built for each call and kept nowhere
+        # a row above the cached size is built for each call and kept nowhere
         for k in (3, 3, top):
-            trinomial(top + 10, WPoly((2, 1)), k)
+            trinomial(top + 10, 3, k)
         assert len(builds) == 3
         assert formulas._trinomial_row.cache_info().currsize == cached
+
+    def test_only_rows_over_three_are_cached(self):
+        # the formulas read rows over 3 alone; a row over any other middle,
+        # however large its entries, is built for its call and kept nowhere
+        formulas._trinomial_row.cache_clear()
+        assert trinomial(5, 3, 2) == 95
+        cached = formulas._trinomial_row.cache_info().currsize
+        for middle in (7, -2, 10**50):
+            for n in (0, 2, formulas._CACHED_ROW_MAX_N):
+                trinomial(n, middle, n)
+        assert trinomial(2, 10**50, 2) == 10**100 + 2
+        assert formulas._trinomial_row.cache_info().currsize == cached
+        hits = formulas._trinomial_row.cache_info().hits
+        assert trinomial(5, 3, 8) == 95
+        assert formulas._trinomial_row.cache_info().hits == hits + 1
 
 
 def _rational_poly(coeffs, order):
@@ -238,7 +238,7 @@ def _red_lagrange_sum(n):
     """[x^n] S(0) as the Lagrange sum over the row of 2+w that
     ``red_coeff_explicit`` once evaluated: T(n) + T(n-1) - T(n-2) - T(n-3),
     T(k) = [t^k](1 + (2+w)t + t^2)^(n-1), read from the half row a_0..a_(n-1)."""
-    half = [WPoly(c) for c in quadratic_power(n, (2, 1), (1,), n - 1, 1)]
+    half = quadratic_power(n, 2 + W_VAR, 1, n - 1, 1)
     top = 2 * (n - 1)
 
     def row(k):

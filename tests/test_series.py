@@ -76,6 +76,14 @@ class TestWPoly:
     def test_hashable(self):
         assert len({WPoly((1, 2)), WPoly((1, 2)), WPoly((2, 1))}) == 2
 
+    def test_constants_hash_and_compare_as_their_ints(self):
+        # an int and the equal constant WPoly are one key of a set or dict
+        for c in (0, 3, -7, 3**100):
+            assert WPoly.const(c) == c and hash(WPoly.const(c)) == hash(c)
+        three = WPoly.const(3)
+        assert len({3, three}) == 1 and {3: "x"}.get(three) == "x" and {three: "x"}.get(3) == "x"
+        assert hash(WPoly()) == hash(0) and {0: "zero"}[WPoly()] == "zero"
+
 
 def _at(xs, k):
     return xs[k] if k < len(xs) else 0
@@ -285,35 +293,34 @@ def test_compare_builds_the_check_at_the_first_mismatch():
 
 @pytest.mark.parametrize(
     "a, b",
-    [((-6,), (5,)), ((-4, -2), (0, 4, 1)), ((-4,), ())],
+    [(WPoly.const(-6), WPoly.const(5)), (WPoly((-4, -2)), WPoly((0, 4, 1))), (WPoly.const(-4), WPoly())],
     ids=["W", "Ww", "sqrt(1-4x)"],
 )
 def test_quadratic_square_roots_match_sqrt_one(a, b):
     # p/q = 1/2: the kernel roots in x = z^2, and sqrt(1 - 4x)
     n = 30
-    radicand = Series.from_dict({0: 1, 1: WPoly(a), 2: WPoly(b)}, n, WPOLY)
-    got = Series([WPoly(c) for c in quadratic_power(n + 1, a, b)], WPOLY)
-    assert got == sqrt_one(radicand)
+    radicand = Series.from_dict({0: 1, 1: a, 2: b}, n, WPOLY)
+    assert Series(quadratic_power(n + 1, a, b), WPOLY) == sqrt_one(radicand)
 
 
 def test_quadratic_power_is_exact():
-    assert quadratic_power(1, (1,), ()) == [[1]]
-    assert quadratic_power(1, 1, 0) == [1]
-    for a, b in (((1,), ()), (1, 0)):
+    for a, b in ((WPoly.const(1), WPoly()), (1, 0), (W_VAR, 0)):
+        assert quadratic_power(1, a, b) == [1]
         with pytest.raises(ExactnessError, match=r"t\^1 "):
-            quadratic_power(2, a, b)  # (1 + t)^(1/2) = 1 + t/2 + ...
+            quadratic_power(2, a, b)  # (1 + a t)^(1/2) = 1 + a t/2 + ...
 
 
-def test_quadratic_power_int_path_equals_list_path():
+def test_quadratic_power_on_wpoly_constants_gives_the_int_values():
     # W, sqrt(1 - 4x), the full trinomial rows over 3 and (1 + 2v)^(+-j):
-    # plain ints on the int path, one-element lists on the list path
+    # plain ints, and the same loop on constant WPoly values
     cases = [(-6, 5, 1, 2, 60), (-4, 0, 1, 2, 60)]
     cases += [(3, 1, n, 1, 2 * n + 1) for n in range(71)]
     cases += [(2, 0, e, 1, 40) for j in range(9) for e in (j, -j)]
     for a, b, p, q, count in cases:
         got = quadratic_power(count, a, b, p, q)
         assert len(got) == count and all(type(c) is int for c in got), (a, b, p)
-        assert [[c] if c else [] for c in got] == quadratic_power(count, [a], [b], p, q), (a, b, p)
+        in_w = quadratic_power(count, WPoly.const(a), WPoly.const(b), p, q)
+        assert [WPoly.coerce(c).coeffs for c in in_w] == [WPoly.const(c).coeffs for c in got], (a, b, p)
 
 
 def test_bounded_cache_keeps_only_admitted_calls():

@@ -387,7 +387,7 @@ def main(argv=None):
     try:
         return args.func(args, sys.stdout)
     except Exception as exc:  # exit 1 means a mismatch; any error exits 2
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

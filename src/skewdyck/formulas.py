@@ -46,7 +46,12 @@ def _check_args(family=None, **args):
 _CACHED_ROW_MAX_N = 64
 
 
-@bounded_cache(128, lambda n, middle: n <= _CACHED_ROW_MAX_N and middle == 3)
+def _row_is_kept(n, middle):
+    """Whether :func:`_trinomial_row` keeps the row of n and ``middle``."""
+    return n <= _CACHED_ROW_MAX_N and middle == 3
+
+
+@bounded_cache(128, _row_is_kept)
 def _trinomial_row(n, middle):
     """The first half a_0..a_n of the coefficients of (1 + middle*t + t^2)^n.
 
@@ -63,15 +68,18 @@ def trinomial(n, middle, k):
     """[t^k](1 + middle*t + t^2)^n, an int; zero outside 0 <= k <= 2n.
 
     ``n``, ``middle`` and ``k`` are ints.  Rows over 3 up to
-    n = ``_CACHED_ROW_MAX_N`` are memoized; any other row is built for its
-    call alone.
+    n = ``_CACHED_ROW_MAX_N`` are memoized; outside them only the
+    coefficients up to min(k, 2n - k) are built, so the cost follows k.
     """
     _check_args(n=n, middle=middle, k=k)
     if n < 0:
         raise ValueError("trinomial upper index must be nonnegative")
     if k < 0 or k > 2 * n:
         return 0
-    return _trinomial_row(n, middle)[min(k, 2 * n - k)]
+    k = min(k, 2 * n - k)
+    if _row_is_kept(n, middle):
+        return _trinomial_row(n, middle)[k]
+    return quadratic_power(k + 1, middle, 1, n, 1)[-1]
 
 
 # (1 + v)^2 (1 - v) = 1 + v - v^2 - v^3: Lagrange inversion's 1 - v^2 times

@@ -275,8 +275,18 @@ def even_to_x(s):
 
 
 def red_axis_x(order=DEFAULT_ORDER):
-    """The axis-return series S(0) written in x = z^2 (w-polynomial ring)."""
-    return even_to_x(red_level_series(0, order=order))
+    """The axis-return series S(0) written in x = z^2 (w-polynomial ring).
+
+    S(0) is read from the closed form of :func:`dual_blue_g0`, which needs
+    no series inverse.  It equals level 0 of :func:`red_level_series`:
+    there S(0) = -num/P_w with the total numerator
+    num = -1 + w(P_w - 1 + z^2).  P_w and Q_w = 1 + wz^2 - P_w are the
+    roots of T^2 - (1 + wz^2)T + z^2(1 + w - wz^2), so
+    P_w(1 - P_w) = P_w - P_w^2 = z^2(1 + w - wz^2) - wz^2 P_w = -z^2 num.
+    P_w is a unit, hence S(0) = (1 - P_w)/z^2 = (1 - wz^2 - W_w)/(2z^2).
+    ``red_level_series(0)``, the ladder route, stays the test oracle.
+    """
+    return even_to_x(dual_blue_g0(order))
 
 
 def substitution_identity_check(s0):
@@ -399,8 +409,9 @@ def dual_open_ended(order=DEFAULT_ORDER):
 def dual_blue_g0(order=DEFAULT_ORDER):
     """Axis-return dual paths with blue edges marked: (1 - z^2 w - W_w)/(2z^2).
 
-    Identical to the red-marked axis series by the reversal duality; the
-    test suite pins that equality coefficientwise.
+    Identical to the red-marked axis series by the reversal duality, so
+    :func:`red_axis_x` reads it; the test suite pins it coefficientwise
+    against the blue-marked DP and against :func:`red_level_series`.
     """
     _check_args(order)
     bundle = kernel_bundle(order + 2)

@@ -512,6 +512,15 @@ def test_engine_error_exits_2(argv, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: 3 is not divisible by 2"]
 
 
+def test_error_without_text_names_its_type(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(genfunc, "primal_levels", out_of_memory)
+    assert cli.main(["table", "--levels", "0..2"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_verify_inject_fault_line(capsys):
     argv = ["verify", "--order", "8", "--max-brute-length", "6", "--family", "primal"]
     assert cli.main(argv + ["--inject-fault"]) == 1

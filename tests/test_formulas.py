@@ -1,6 +1,7 @@
 """Tests for the explicit trinomial-coefficient formulas."""
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -104,6 +105,25 @@ class TestTrinomial:
             trinomial(top + 10, 3, k)
         assert len(builds) == 3
         assert formulas._trinomial_row.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("middle", [3, -2, 7])
+    def test_values_match_whole_rows(self, middle):
+        # outside the cache only the coefficients up to min(k, 2n - k) are
+        # built; every value is the one a whole row gives
+        for n in range(201):
+            row = formulas._trinomial_row(n, middle)
+            assert [trinomial(n, middle, k) for k in range(2 * n + 1)] == [
+                row[min(k, 2 * n - k)] for k in range(2 * n + 1)
+            ], n
+
+    def test_cost_follows_k_not_n(self):
+        tracemalloc.start()
+        try:
+            assert trinomial(10**5, 3, 1) == 3 * 10**5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_only_rows_over_three_are_cached(self):
         # the formulas read rows over 3 alone; a row over any other middle,

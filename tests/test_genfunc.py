@@ -544,12 +544,33 @@ def test_w_power_slice_catalan():
 
 
 def test_blue_marked_dual_axis():
-    s = genfunc.dual_blue_g0(order=10)
+    s = genfunc.dual_blue_g0(order=24)
     assert s.coeff(6) == WPoly((5, 4, 1))
     assert s.coeff(8) == WPoly((14, 15, 6, 1))  # (w+2)(w^2+4w+7)
-    blue_dp = dp_table(DUAL, 8, with_color_marker=True)
-    for n in range(9):
+    blue_dp = dp_table(DUAL, 24, with_color_marker=True)
+    for n in range(25):
         assert s.coeff(n) == blue_dp.wpoly(n, 0)
+
+
+@pytest.mark.parametrize("order", [*range(41), 120])
+def test_red_axis_closed_form_is_the_ladder_level(order):
+    # red_axis_x reads dual_blue_g0's closed form; level 0 of the red
+    # ladder is the second route to the same series
+    ladder = genfunc.even_to_x(genfunc.red_level_series(0, order=order))
+    closed = genfunc.red_axis_x(order=order)
+    assert closed == ladder and closed.order == ladder.order == order // 2
+    assert [type(c) for c in closed.coeffs] == [type(c) for c in ladder.coeffs]
+
+
+def test_red_axis_inverts_no_series(monkeypatch):
+    want = genfunc.red_axis_x(order=40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("red_axis_x reached the ladder or a series inverse")
+
+    for name in ("red_level_series", "inv", "div"):
+        monkeypatch.setattr(genfunc, name, refuse)
+    assert genfunc.red_axis_x(order=40) == want
 
 
 # -- negative territory ----------------------------------------------------

@@ -384,11 +384,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "table" and args.family != "unbounded" and args.levels[0] < 0:
         parser.error(f"{args.family} levels must be nonnegative")
+    # coefficients may pass the int-to-str digit limit: lift it for the command
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args, sys.stdout)
     except Exception as exc:  # exit 1 means a mismatch; any error exits 2
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

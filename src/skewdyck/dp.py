@@ -16,34 +16,6 @@ from .paths import CountTable, _check_length, _digit_bits, family_spec
 from .series import bounded_cache, compare
 
 
-def _sum_plan(into):
-    """How one DP step sums, per class, the columns of the classes it may
-    follow (the position lists of ``into``), so that a shared part is
-    added once.
-
-    Returns (class, start, rest, keep) per class, in the order the step
-    computes them: the sum starts from part ``start`` and adds the parts
-    ``rest``, where part i < K is column i and part K + c the sum into
-    class c, kept (``keep``) when a later sum starts from it.  A class
-    whose predecessor set contains another's starts from that sum, the
-    largest such, so the smaller sets come first.
-    """
-    K = len(into)
-    preds = [frozenset(p) for _, _, p in into]
-    order = sorted(range(K), key=lambda c: len(preds[c]))
-    plan = []
-    for t, c in enumerate(order):
-        inside = [b for b in order[:t] if preds[b] <= preds[c]]
-        if inside:
-            b = max(inside, key=lambda b: len(preds[b]))
-            start, rest = K + b, sorted(preds[c] - preds[b])
-        else:
-            start, *rest = sorted(preds[c])
-        plan.append((c, start, rest))
-    starts = {start for _, start, _ in plan}
-    return [(c, start, rest, K + c in starts) for c, start, rest in plan]
-
-
 # Tables up to this length are cached; the README states what the cache
 # holds at most.
 _CACHED_MAX_LENGTH = 96
@@ -61,13 +33,11 @@ def dp_table(family, max_length, with_color_marker=True):
     class at level lo + 2i, lo = -n (n mod 2 for the floored families):
     exactly the table's entry for length n (see
     :class:`~skewdyck.paths.CountTable`), so the table stores each step's
-    columns as they are.  A step sums, per
-    class, the columns of the classes its step may follow, starting from
-    another class's sum where that one's predecessors are a subset
-    (``_sum_plan``); it shifts by B = ``table.bits`` for the coloured step
-    (by 0 without the marker), pads at the bottom for an up step or the
-    top for a down step, and a floored family drops the row that fell
-    below the axis.
+    columns as they are.  A step sums, per class, the columns of the
+    classes its step may follow; it shifts by B = ``table.bits`` for the
+    coloured step (by 0 without the marker), pads at the bottom for an up
+    step or the top for a down step, and a floored family drops the row
+    that fell below the axis.
 
     Tables up to length ``_CACHED_MAX_LENGTH`` come from a cache of the 4
     last used, keyed by (family, max_length, with_color_marker) after the
@@ -91,25 +61,20 @@ def _build_table(family, max_length, with_color_marker):
          [i for i, prev in enumerate(spec.steps) if (prev, s) not in spec.forbidden])
         for s in spec.steps
     ]
-    plan = _sum_plan(into)
     columns = [(int(cls == spec.empty_class),) for cls in spec.classes]
     entries = []
     for n in range(max_length + 1):
         entries.append(tuple(columns))
         if n == max_length:
             break
-        parts = columns + [None] * len(columns)
-        nxt = [None] * len(columns)
-        for c, start, rest, keep in plan:
-            total = parts[start]
+        nxt = []
+        for incr, by, (first, *rest) in into:
+            total = columns[first]
             for i in rest:
-                total = map(add, total, parts[i])
-            if keep:
-                total = parts[len(columns) + c] = tuple(total)
-            incr, by, _ = into[c]
+                total = map(add, total, columns[i])
             if by:
                 total = map(lshift, total, repeat(by))
-            nxt[c] = (0, *total) if incr > 0 else (*total, 0)
+            nxt.append((0, *total) if incr > 0 else (*total, 0))
         columns = [col[1:] for col in nxt] if spec.floor and n % 2 == 0 else nxt
     return CountTable(family, max_length, tuple(entries))
 

@@ -114,8 +114,11 @@ def _mu(j):
 
 def _lagrange_sum(weights, upper, n):
     """sum_k weights[k] * trinomial(upper, 3, n - k), an int, over the k
-    where both can be nonzero (``upper >= 0``: the callers' guards ensure it)."""
-    half = _trinomial_row(upper, 3)
+    where both can be nonzero (``upper >= 0``: the callers' guards ensure it).
+    It reads the half row up to min(n, upper), and builds no more than that
+    outside the cached rows."""
+    kept = _row_is_kept(upper, 3)
+    half = _trinomial_row(upper, 3) if kept else quadratic_power(min(n, upper) + 1, 3, 1, upper, 1)
     top = 2 * upper
     ks = range(max(0, n - top), min(n + 1, len(weights)))
     return sum(weights[k] * half[min(n - k, top - n + k)] for k in ks)

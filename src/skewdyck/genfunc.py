@@ -3,8 +3,11 @@
 Everything here is an algebraic expression in W = sqrt(1-6z^2+5z^4) (or its
 w-refined analogue) evaluated with exact series arithmetic.  The roots
 r_1 = P/z, r_2 = Q/z of the kernel and their reciprocals carry 1/z poles, so
-no root is ever materialized as a series: each formula is normalized first
-so that every division is by a unit-constant series or an exact power of z.
+no root is ever materialized as a series.  A closed form that divides is
+multiplied through by conjugates (PQ = z^2(2-z^2), P + Q = 1 + z^2,
+W^2 = (1-z^2)(1-5z^2)) until it reads (a + bR)/(z^s d), R = W or a root in
+x = z^2, with polynomials a, b and d; :func:`_closed_form` reads it and
+divides only by d.  The one series inverse per level range is the ladder's.
 
 A family's classes share one denominator, linear in u, so a level's total
 has the sum of the class numerators as its numerator (:func:`_with_total`).
@@ -22,7 +25,8 @@ quadratic kernel is cancelled against the numerators:
   1, 2, 7, 29, 127, ...
 
 Both solutions share the upper kernel's class relations g0 = rho_g f0 and
-h0 = rho_h f0 (:func:`_class_ratios`) and differ only in f0.  Only the
+h0 = rho_h f0, with rho_h = z^4/(Q(z^2-1)+1-2z^2) and
+rho_g = (z^2+rho_h)/(1-z^2), and differ only in f0.  Only the
 second choice is enumerative: the first one, extended to levels below -1,
 produces negative coefficients.  Both are kept, cross-checked, and the
 divergence is deliberate and documented rather than glossed over.
@@ -90,9 +94,7 @@ class KernelBundle(Record):
 
     The w-refined half (Ww, Pw) is built on first access and then kept on
     the instance; only the red-marked constructors, ``dual_blue_g0`` and
-    the identity checks read it.  The bad root z/P of the below-axis
-    kernel is built and kept the same way, for the negative-level
-    constructors and for :func:`negative_axis_series`.
+    the identity checks read it.
     """
 
     _fields = ("order", "W", "P", "Q")
@@ -110,11 +112,6 @@ class KernelBundle(Record):
     def Pw(self):
         one, _, z2 = _units(self.order, WPOLY)
         return half(one + z2 * W_VAR + self.Ww)
-
-    @cached_property
-    def bad_root(self):
-        """z/P = Q/(z(2-z^2)), the small root of the below-axis kernel."""
-        return div(Series.z(self.order, RATIONAL), self.P)
 
 
 def kernel_bundle(order=DEFAULT_ORDER):
@@ -139,6 +136,23 @@ def _bundle(bundle, order, need):
     if bundle.order < need:
         raise ValueError(f"bundle order {bundle.order} too short for order {order}; need {need}")
     return bundle
+
+
+def _closed_form(root, order, a, b, den, shift=0):
+    """(a + b root)/(z^shift den) to z^order, for polynomials ``a``, ``b``
+    and ``den`` given as {power: int} dicts; ``root`` is known to
+    z^(order + shift).
+
+    The one reader of the package's rationalized closed forms.  Its only
+    division is by the polynomial ``den``, whose constant term is a nonzero
+    int, so a wrong form raises :class:`ExactnessError`, there or in the
+    exact division by z^shift.
+    """
+    n = order + shift
+    r = root.truncate(n).coeffs
+    num = [a.get(i, 0) + sum(c * r[i - p] for p, c in b.items() if p <= i) for i in range(n + 1)]
+    num = shift_divide(Series(num, root.ring), shift)
+    return div(num, Series.from_dict(den, order, root.ring))
 
 
 def _check_args(order, family=None, cls=None, classes=None, **levels):
@@ -228,26 +242,21 @@ def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
     return primal_levels(j, j, cls, order, bundle)[0]
 
 
-def _open_ended(order, numerator):
-    """numerator / (2z(z^2+2z-1)) to z^order: the free-endpoint (u := 1)
-    form both floored families share.  ``numerator(W, one, z, z2)`` builds
-    the numerator from the series at order + 1, one order of headroom for
-    the division by z, which is exact because its constant term vanishes."""
-    _check_args(order)
-    one, z, z2 = _units(order + 1)
-    num = numerator(kernel_bundle(order + 1).W, one, z, z2)
-    return div(shift_divide(num, 1), (z2 + 2 * z - one) * 2).truncate(order)
+# 2(z^2+2z-1), the denominator of both free-endpoint (u := 1) forms
+_OPEN_ENDED_DEN = {0: -2, 1: 4, 2: 2}
 
 
 def primal_open_ended(order=DEFAULT_ORDER):
     """Paths with free endpoint: the level series summed by setting u := 1.
 
-    Closed form -((z+1)(z^2+3z-2) + (z+2)W) / (2z(z^2+2z-1)); the numerator
-    has a vanishing constant term, so the division by z is exact.
+    Closed form -((z+1)(z^2+3z-2) + (z+2)W) / (2z(z^2+2z-1)): u := 1 in the
+    total (P - 2 + z^2)/(zu - P) of :func:`primal_levels`, times the
+    conjugate z - Q over itself, (z - P)(z - Q) = z(1-z)(z^2+2z-1).  The
+    numerator has a vanishing constant term, so the division by z is exact.
     """
-    return _open_ended(
-        order, lambda W, one, z, z2: -((z + one) * (z2 + 3 * z - 2 * one) + (z + 2 * one) * W)
-    )
+    _check_args(order)
+    W = kernel_bundle(order + 1).W
+    return _closed_form(W, order, {0: 2, 1: -1, 2: -4, 3: -1}, {0: -2, 1: -1}, _OPEN_ENDED_DEN, 1)
 
 
 def red_level_series(j, cls="total", order=DEFAULT_ORDER):
@@ -321,10 +330,10 @@ def substitution_identity_check(s0):
 
 
 def average_red_series(order=DEFAULT_ORDER):
-    """Total red edges over all axis-return paths, as a series in x: the
-    rationalized closed form
+    """Total red edges over all axis-return paths, as a series in x: with
+    R = sqrt(1-6x+5x^2), ((1-3x) - R)/(2R) rationalized by R^2 = (1-x)(1-5x),
 
-        (-1 + 6x - 5x^2 + (1-3x) sqrt(1-6x+5x^2)) / (2(1-x)(1-5x)).
+        (-1 + 6x - 5x^2 + (1-3x) R) / (2(1-x)(1-5x)).
 
     The raw closed form appears in places with the sign of the 3x term
     flipped.  The second route, d/dw of the w-marked axis series at w = 1,
@@ -333,15 +342,26 @@ def average_red_series(order=DEFAULT_ORDER):
     x^2 coefficient is 1).
     """
     _check_args(order)
-    one, x, x2 = _units(order)
     root = Series(quadratic_power(order + 1, -6, 5), RATIONAL)
-    num = -one + 6 * x - 5 * x2 + (one - 3 * x) * root
-    return div(num, (one - x) * (one - 5 * x) * 2)
+    return _closed_form(root, order, {0: -1, 1: 6, 2: -5}, {0: 1, 1: -3}, {0: 2, 1: -12, 2: 10})
+
+
+# red_w_power_slice's forms (a, b, den, shift), den = 2 or 1 times (1-4x)^k
+_RED_SLICES = (
+    ({0: 1}, {0: -1}, {0: 2}, 1),
+    ({0: -1, 1: 4}, {0: 1, 1: -2}, {0: 2, 1: -8}, 0),
+    ({}, {3: 1}, {0: 1, 1: -8, 2: 16}, 0),
+    ({}, {4: 1, 5: -2}, {0: 1, 1: -12, 2: 48, 3: -64}, 0),
+    ({}, {5: 1, 6: -4, 7: 5}, {0: 1, 1: -16, 2: 96, 3: -256, 4: 256}, 0),
+)
 
 
 def red_w_power_slice(k, order=DEFAULT_ORDER):
     """Axis-return paths with exactly k red edges, as a series in x, from
-    the algebraic closed forms, k = 0..4.
+    the algebraic closed forms, k = 0..4, with R = sqrt(1-4x): (1 - R)/(2x),
+    (1 - 2x - R)/(2R), x^3/((1-4x)R), x^4(1-2x)/((1-4x)^2 R) and
+    x^5(1-4x+5x^2)/((1-4x)^3 R).  1/R = R/(1-4x) moves R into the numerator
+    (``_RED_SLICES``), so the only divisors are 2, x and powers of 1 - 4x.
 
     The same series, for any k >= 0, is the composition
     ``series.w_slice(red_axis_x(order=2 * order), k)``: [w^k] of the
@@ -350,18 +370,8 @@ def red_w_power_slice(k, order=DEFAULT_ORDER):
     _check_args(order, k=k)
     if not 0 <= k <= 4:
         raise ValueError(f"k must be in 0..4 for the closed forms, got k={k}")
-    n = order + 1  # headroom for the z-power shifts below
-    one, x, x2 = _units(n)
-    R = Series(quadratic_power(n + 1, -4, 0), RATIONAL)  # sqrt(1-4x)
-    if k == 0:
-        return half(shift_divide(one - R, 1)).truncate(order)
-    if k == 1:
-        return div(half(one - 2 * x - R), R).truncate(order)
-    if k == 2:
-        return shift_up(inv((one - 4 * x) * R), 3).truncate(order)
-    if k == 3:
-        return shift_up(div(one - 2 * x, (one - 4 * x) ** 2 * R), 4).truncate(order)
-    return shift_up(div(one - 4 * x + 5 * x2, (one - 4 * x) ** 3 * R), 5).truncate(order)
+    R = Series(quadratic_power(order + 2, -4, 0), RATIONAL)
+    return _closed_form(R, order, *_RED_SLICES[k])
 
 
 # -- dual family -------------------------------------------------------
@@ -398,12 +408,15 @@ def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
 def dual_open_ended(order=DEFAULT_ORDER):
     """Dual paths with free endpoint: ((1+z)(1-3z) - W) / (2z(z^2+2z-1)).
 
-    Same denominator as the primal open-ended form; the numerator has a
-    vanishing constant term so the division by z is exact.  (Derived by
-    rationalizing u := 1 in the dual kernel solution; note the W belongs
-    in the numerator.)
+    Same denominator as the primal open-ended form, from u := 1 in the
+    total of :func:`dual_levels` times the conjugate Q - z(2-z^2) of its
+    denominator (the product is z(2-z^2)(1-z)(z^2+2z-1)); the numerator has
+    a vanishing constant term, so the division by z is exact.  (Note the W
+    belongs in the numerator.)
     """
-    return _open_ended(order, lambda W, one, z, z2: (one + z) * (one - 3 * z) - W)
+    _check_args(order)
+    W = kernel_bundle(order + 1).W
+    return _closed_form(W, order, {0: 1, 1: -2, 2: -3}, {0: -1}, _OPEN_ENDED_DEN, 1)
 
 
 def dual_blue_g0(order=DEFAULT_ORDER):
@@ -426,21 +439,33 @@ def dual_blue_g0(order=DEFAULT_ORDER):
 NEGATIVE_AXIS_CLASSES = ("f0", "g0", "h0", "sum")
 
 
-def _class_ratios(bundle):
-    """(rho_g, rho_h), the class relations g0 = rho_g f0 and h0 = rho_h f0
-    of the upper (level >= 0) kernel: rho_h = z^4/(Q(z^2-1)+1-2z^2) and
-    rho_g = (z^2+rho_h)/(1-z^2).  Both axis solutions keep them."""
-    one, _, z2 = _units(bundle.order)
-    rho_h = div(shift_up(one, 4), bundle.Q * (z2 - one) + one - 2 * z2)
-    return div(z2 + rho_h, one - z2), rho_h
+# The W-linear forms (a, b, den, shift) of (a + bW)/(z^shift den) below the
+# axis.  The bad root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) by PQ and
+# P + Q; the classical f0 is the bad root over z.
+_BAD_ROOT = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 1)
+_CLASSICAL_AXIS = {
+    "f0": ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2),
+    "g0": ({0: 1, 2: -4, 4: 2, 6: 1}, {0: -1, 2: 1, 4: -1}, {0: 8, 2: -8, 4: 2}, 4),
+    "h0": ({0: 1, 2: -5, 4: 4, 6: -2}, {0: -1, 2: 2}, {0: 8, 2: -8, 4: 2}, 4),
+    "sum": ({0: 1, 2: -3, 4: 2}, {0: -1}, {0: 4, 2: -2}, 4),
+}
+_BOUNDARY = (
+    ({0: 1, 2: -6, 4: 5}, {0: 1, 2: -2}, {0: 2, 2: -13, 4: 16, 6: -5}),
+    ({0: -1, 2: 7, 4: -10}, {0: 1, 2: 4}, {0: 8, 2: -48, 4: 42, 6: -10}),
+    ({0: -1, 2: 5, 4: 1, 6: -5}, {0: 1, 2: -2, 4: 3}, {0: 8, 2: -56, 4: 90, 6: -52, 8: 10}),
+)
 
 
 def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     """The classical axis closed forms for the below-axis-allowed family.
 
-    f0 = (1+z^2-W)/(2z^2(2-z^2)) = (z/P)/z (the bad root over z),
-    g0 = rho_g f0, h0 = rho_h f0 (:func:`_class_ratios`) and
-    sum = (f0-1)/z^2 = (1-3z^2+2z^4-W)/(2z^4(2-z^2)) = f0 + g0 + h0.
+    With g0 = rho_g f0, h0 = rho_h f0 (module docstring) and each W-linear
+    denominator c + dW multiplied by its conjugate c - dW:
+
+        f0  = (1 + z^2 - W)/(2z^2(2-z^2)) = (z/P)/z (the bad root over z),
+        g0  = ((1-z^2)(1-3z^2-z^4) - (1-z^2+z^4)W)/(2z^4(2-z^2)^2),
+        h0  = (1 - 5z^2 + 4z^4 - 2z^6 - (1-2z^2)W)/(2z^4(2-z^2)^2),
+        sum = (f0-1)/z^2 = (1-3z^2+2z^4-W)/(2z^4(2-z^2)) = f0 + g0 + h0.
 
     The sum's coefficients 1, 2, 6, 21, 79, ... match OEIS A033321.  These
     closed forms arise from the axis system with the kernel condition
@@ -449,37 +474,32 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     docstring) and are kept as reference data in their own right.
     """
     _check_args(order, cls=cls, classes=NEGATIVE_AXIS_CLASSES)
-    bundle = kernel_bundle(order + 3)
-    f0 = shift_divide(bundle.bad_root, 1)
-    if cls == "sum":
-        return shift_divide(f0 - Series.one(f0.order, RATIONAL), 2)
-    if cls == "f0":
-        return f0.truncate(order)
-    rho_g, rho_h = _class_ratios(bundle)
-    return ((rho_g if cls == "g0" else rho_h) * f0).truncate(order)
+    return _closed_form(kernel_bundle(order + 4).W, order, *_CLASSICAL_AXIS[cls])
 
 
 def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     """The enumerative boundary constants (f0, g0, h0) of the level system.
 
     The two class relations from the upper (level >= 0) kernel are kept:
-    g0 = rho_g f0 and h0 = rho_h f0 (:func:`_class_ratios`).  The remaining
+    g0 = rho_g f0 and h0 = rho_h f0 (module docstring).  The remaining
     condition is that the numerator of the below-axis solution,
     -2z u^2 + (1+2z^2 f0+z^2 g0+z^2 h0) u - z f0, vanishes at the bad
     (small) root u = z/P of the quadratic kernel
-    z(z^2-2)(u - P/(z(2-z^2)))(u - z/P).  Solving that linear condition for
-    f0 gives 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ..., which matches the
+    z(z^2-2)(u - P/(z(2-z^2)))(u - z/P).  Solved for f0, with
+    z/P = Q/(z(2-z^2)) and each W-linear denominator c + dW multiplied
+    through by its conjugate c - dW (W^2 = D = (1-z^2)(1-5z^2)), that
+    condition gives
+
+        f0 = (D + (1-2z^2)W)/((2-z^2)D),
+        g0 = (-(1-2z^2)(1-5z^2) + (1+4z^2)W)/(2(2-z^2)^2(1-5z^2)),
+        h0 = (-(1-z^4)(1-5z^2) + (1-2z^2+3z^4)W)/(2(2-z^2)^2 D),
+
+    so f0 = 1 + z^2 + 3z^4 + 13z^6 + 59z^8 + ..., which matches the
     state-diagram walk counts exactly.
     """
     _check_args(order)
-    bundle = _bundle(bundle, order, order + 1)
-    _, z, z2 = _units(bundle.order)
-    rho_g, rho_h = _class_ratios(bundle)
-    s_bad = bundle.bad_root
-    coef = (z2 * s_bad) * 2 + z2 * ((rho_g + rho_h) * s_bad) - z
-    rhs = 2 * (z * (s_bad * s_bad)) - s_bad
-    f0 = div(shift_divide(rhs, 1), shift_divide(coef, 1))
-    return f0.truncate(order), (rho_g * f0).truncate(order), (rho_h * f0).truncate(order)
+    W = _bundle(bundle, order, order).W
+    return tuple(_closed_form(W, order, *form) for form in _BOUNDARY)
 
 
 def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
@@ -494,17 +514,20 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     Levels j >= 0 use num/(zu - P) with numerators z^2 s - f0, -z^2 s,
     -z^2(g0+h0) (s = f0+g0+h0).  Levels j < 0 use [u^{-j}] of the solved
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
-    root z/P = Q/(z(2-z^2)) substituted for the cancelled factor.  Each
-    sign runs one ladder.
+    root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) substituted for the
+    cancelled factor; it is built only for those levels.  Each sign runs
+    one ladder.
     """
     _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
-    # the boundary constants lose one order to their division by z
+    # order + 1 for the bad root's division by z, asked of every range
     bundle = _bundle(bundle, order, order + 1)
     z = Series.z(bundle.order, RATIONAL)
-    boundary = negative_boundary_series(order=bundle.order - 1, bundle=bundle)
+    top = bundle.order - 1
+    boundary = negative_boundary_series(order=top, bundle=bundle)
     out = []
     if lo < 0:
-        below = _negative_numerators(bundle, boundary, bundle.bad_root)[cls]
+        bad_root = _closed_form(bundle.W, top, *_BAD_ROOT)
+        below = _negative_numerators(bundle, boundary, bad_root)[cls]
         out += reversed(_ladder(below, *_dual_linear(bundle), max(-hi, 1), -lo))
     if hi >= 0:
         above = _negative_numerators(bundle, boundary, None)[cls]

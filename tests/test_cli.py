@@ -521,6 +521,19 @@ def test_error_without_text_names_its_type(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+def test_output_passes_the_digit_limit_of_the_caller(capsys):
+    # the coefficients of z^1900 have over 640 digits; the command lifts
+    # the limit for itself and restores the caller's
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["table", "--levels", "0..0", "--order", "1900"]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert max(len(field) for field in capsys.readouterr().out.split()) > 640
+
+
 def test_verify_inject_fault_line(capsys):
     argv = ["verify", "--order", "8", "--max-brute-length", "6", "--family", "primal"]
     assert cli.main(argv + ["--inject-fault"]) == 1

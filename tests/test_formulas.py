@@ -207,6 +207,29 @@ def test_primal_explicit_examples():
         primal_coeff_explicit(0, 0)
 
 
+def test_explicit_past_the_cached_rows_match_closed_forms():
+    # trinomial rows of upper index > 64 are built only as far as the sum reads
+    order = 150
+    for j in (0, 5, 70):
+        s = genfunc.primal_level_series(j, order=order)
+        for m in range(1, (order - j) // 2 + 1):
+            assert primal_coeff_explicit(j, m) == s.coeff(2 * m + j), (j, m)
+        s = genfunc.dual_level_series(j, order=order)
+        for N in range(1, (order - j) // 2 + 1):
+            assert dual_coeff_explicit(j, N) == s.coeff(j + 2 * N), (j, N)
+
+
+def test_primal_explicit_builds_only_what_it_reads():
+    # upper = 20000 is past the cache; the sum reads two row entries
+    tracemalloc.start()
+    try:
+        assert primal_coeff_explicit(20000, 1) == 20001
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_dual_explicit_examples():
     assert dual_coeff_explicit(2, 2) == 29
     assert dual_coeff_explicit(0, 3) == 10

@@ -14,6 +14,7 @@ from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
 from skewdyck.series import (
+    ExactnessError,
     NonUnitError,
     Series,
     SeriesError,
@@ -194,7 +195,7 @@ def test_kernel_bundle_record():
     with pytest.raises(AttributeError):
         b.order = 8
     with pytest.raises(AttributeError):
-        b.bad_root = None
+        b.Pw = None
 
 
 def test_kernel_bundle_rejects_negative_order():
@@ -292,7 +293,7 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         ("dual_level_series", (3,), 16, 15),
         ("dual_level_series", (3, "a"), 16, 15),
         ("negative_level_series", (1,), 16, 16),
-        ("negative_boundary_series", (), 16, 16),
+        ("negative_boundary_series", (), 16, 15),
     ],
 )
 def test_too_short_bundle_rejected(name, args, order, bundle_order):
@@ -317,8 +318,8 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
 
 @pytest.mark.parametrize("lo", [-3, 0])
 def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
-    # the boundary's rho_h, rho_g and f0, and the bad root z/P, which the
-    # boundary and the levels below the axis share
+    # one per closed form: the boundary's f0, g0 and h0, and the bad root
+    # z/P, which only the levels below the axis read
     calls = []
     real = genfunc.div
 
@@ -328,7 +329,7 @@ def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
 
     monkeypatch.setattr(genfunc, "div", counting)
     genfunc.negative_levels(lo, 3, order=10)
-    assert len(calls) == 4
+    assert len(calls) == (4 if lo < 0 else 3)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +594,7 @@ def test_negative_axis_is_not_the_path_count():
 
 
 def test_negative_boundary_matches_dp():
-    order = 14
+    order = 40
     f0, g0, h0 = genfunc.negative_boundary_series(order=order)
     table = dp_table(UNBOUNDED, order)
     for n in range(order + 1):
@@ -650,21 +651,32 @@ def test_bad_class_builds_no_bundle(monkeypatch, make):
 
 def test_axis_solutions_share_the_class_relations():
     # both solutions keep the upper kernel's g0 = rho_g f0 and h0 = rho_h f0
-    # and differ only in f0, first at z^4 (2 against 3)
-    order = 16
-    one = Series.one(order + 4)
-    z2 = shift_up(one, 2)
-    Q = genfunc.kernel_bundle(order + 4).Q
-    rho_h = div(shift_up(one, 4), Q * (z2 - one) + one - 2 * z2)
-    rho_g = div(z2 + rho_h, one - z2)
-    axis = [genfunc.negative_axis_series(cls, order) for cls in ("f0", "g0", "h0")]
-    boundary = genfunc.negative_boundary_series(order)
-    for f0, g0, h0 in (axis, boundary):
-        assert g0 == (rho_g * f0).truncate(order)
-        assert h0 == (rho_h * f0).truncate(order)
-    assert genfunc.negative_axis_series("sum", order) == axis[0] + axis[1] + axis[2]
-    differ = [n for n in range(order + 1) if axis[0].coeff(n) != boundary[0].coeff(n)]
-    assert differ[0] == 4 and (axis[0].coeff(4), boundary[0].coeff(4)) == (2, 3)
+    # and differ only in f0, first at z^4 (2 against 3); rho_g and rho_h
+    # come from Q by series division here, not from the closed forms
+    for order in (16, 120):
+        one = Series.one(order + 4)
+        z2 = shift_up(one, 2)
+        Q = genfunc.kernel_bundle(order + 4).Q
+        rho_h = div(shift_up(one, 4), Q * (z2 - one) + one - 2 * z2)
+        rho_g = div(z2 + rho_h, one - z2)
+        axis = [genfunc.negative_axis_series(cls, order) for cls in ("f0", "g0", "h0")]
+        boundary = genfunc.negative_boundary_series(order)
+        for f0, g0, h0 in (axis, boundary):
+            assert g0 == (rho_g * f0).truncate(order)
+            assert h0 == (rho_h * f0).truncate(order)
+        assert genfunc.negative_axis_series("sum", order) == axis[0] + axis[1] + axis[2]
+        differ = [n for n in range(order + 1) if axis[0].coeff(n) != boundary[0].coeff(n)]
+        assert differ[0] == 4 and (axis[0].coeff(4), boundary[0].coeff(4)) == (2, 3)
+
+
+def test_closed_form_refuses_a_wrong_denominator():
+    # the boundary's g0 read as it stands, and with one coefficient of its
+    # denominator 2(2-z^2)^2(1-5z^2) bumped: the quotient is not integral
+    a, b, den = genfunc._BOUNDARY[1]
+    W = genfunc.kernel_bundle(20).W
+    assert genfunc._closed_form(W, 20, a, b, den) == genfunc.negative_boundary_series(20)[1]
+    with pytest.raises(ExactnessError):
+        genfunc._closed_form(W, 20, a, b, {**den, 2: den[2] + 1})
 
 
 def test_bad_class_rejected():

@@ -106,10 +106,21 @@ def _kappa_row(j, count):
     return tuple(_weights(quadratic_power(count, 2, 0, -j, 1), count))
 
 
-@bounded_cache(128, lambda j: j <= _CACHED_ROW_MAX_N)
-def _mu(j):
-    """mu_{j;0..j+3}, with (2 + v)^j the reversed row of (1 + 2v)^j."""
-    return tuple(_weights(quadratic_power(j + 1, 2, 0, j, 1)[::-1], j + 4))
+def _mu(j, count):
+    """mu_{j;0..count-1} or longer: all j + 4 weights of a level
+    j <= ``_CACHED_ROW_MAX_N``, so that one row per level serves every N,
+    and no more than ``count`` past the cached levels."""
+    return _mu_row(j, j + 4 if j <= _CACHED_ROW_MAX_N else min(count, j + 4))
+
+
+@bounded_cache(128, lambda j, count: j <= _CACHED_ROW_MAX_N)
+def _mu_row(j, count):
+    """mu_{j;0..count-1}, with [v^k](2 + v)^j = C(j, k) 2^(j-k) from the
+    running ratio (j - k)/(2(k + 1)): O(count) steps whatever j is."""
+    power = [1 << j]
+    for k in range(count - 1):
+        power.append(power[-1] * (j - k) // (2 * k + 2))
+    return tuple(_weights(power, count))
 
 
 def _lagrange_sum(weights, upper, n):
@@ -159,7 +170,7 @@ def mu_coeff(j, k):
     """Integer weight mu_{j;k} = [v^k]((1+v)^2 (1-v) (2+v)^j), for j >= 0;
     0 for k < 0 and k > j+3."""
     _check_args("dual", j=j, k=k)
-    return _mu(j)[k] if 0 <= k <= j + 3 else 0
+    return _mu(j, k + 1)[k] if 0 <= k <= j + 3 else 0
 
 
 def dual_coeff_explicit(j, N):
@@ -171,7 +182,7 @@ def dual_coeff_explicit(j, N):
     _check_args("dual", j=j, N=N)
     if N < 1:
         raise ValueError("dual_coeff_explicit requires N >= 1")
-    return _lagrange_sum(_mu(j), N - 1, N)
+    return _lagrange_sum(_mu(j, N + 1), N - 1, N)
 
 
 # --- red-marked axis coefficients --------------------------------------------

@@ -7,7 +7,9 @@ no root is ever materialized as a series.  A closed form that divides is
 multiplied through by conjugates (PQ = z^2(2-z^2), P + Q = 1 + z^2,
 W^2 = (1-z^2)(1-5z^2)) until it reads (a + bR)/(z^s d), R = W or a root in
 x = z^2, with polynomials a, b and d; :func:`_closed_form` reads it and
-divides only by d.  The one series inverse per level range is the ladder's.
+divides only by d.  That is the module's only division: each ladder, too,
+starts from a base and a ratio read as such forms (``_INV_P`` and the rest),
+so no series is ever inverted.
 
 A family's classes share one denominator, linear in u, so a level's total
 has the sum of the class numerators as its numerator (:func:`_with_total`).
@@ -47,7 +49,6 @@ from .series import (
     compare,
     div,
     half,
-    inv,
     quadratic_power,
     shift_divide,
     shift_up,
@@ -88,9 +89,9 @@ class KernelBundle(Record):
     b = 5 for W and a = -(4+2w), b = w(4+w) for W_w.  Their coefficients in
     x come from :func:`~skewdyck.series.quadratic_power` at p/q = 1/2, so a
     bundle of order N costs O(N) steps in integers (in integer polynomials
-    of degree <= N/2 for W_w) instead of the O(N^2) ring operations of
-    :func:`~skewdyck.series.sqrt_one`.  ``sqrt_one`` stays the test oracle
-    that pins W, P, Q, Ww and Pw coefficient for coefficient.
+    of degree <= N/2 for W_w) instead of the O(N^2) ring operations of a
+    generic square root.  The test suite keeps that generic square root as
+    the oracle that pins W, P, Q, Ww and Pw coefficient for coefficient.
 
     The w-refined half (Ww, Pw) is built on first access and then kept on
     the instance; only the red-marked constructors, ``dual_blue_g0`` and
@@ -140,13 +141,13 @@ def _bundle(bundle, order, need):
 
 def _closed_form(root, order, a, b, den, shift=0):
     """(a + b root)/(z^shift den) to z^order, for polynomials ``a``, ``b``
-    and ``den`` given as {power: int} dicts; ``root`` is known to
-    z^(order + shift).
+    and ``den`` given as {power: coefficient} dicts, the coefficients in
+    the ring of ``root``; ``root`` is known to z^(order + shift).
 
     The one reader of the package's rationalized closed forms.  Its only
     division is by the polynomial ``den``, whose constant term is a nonzero
-    int, so a wrong form raises :class:`ExactnessError`, there or in the
-    exact division by z^shift.
+    int (2 + 2w for the red ladder), so a wrong form raises
+    :class:`ExactnessError`, there or in the exact division by z^shift.
     """
     n = order + shift
     r = root.truncate(n).coeffs
@@ -175,21 +176,20 @@ def _check_args(order, family=None, cls=None, classes=None, **levels):
         raise ValueError(f"unknown class {cls!r}; expected one of {classes}")
 
 
-def _ladder(num, den0, den1, lo, hi):
-    """[u^j] of num(u)/(den0 + den1 u) for j = lo..hi (0 <= lo), as a list.
+def _ladder(num, base, ratio, lo, hi):
+    """[u^j] of num(u)/(den0 + den1 u) for j = lo..hi (0 <= lo), as a list,
+    given base = 1/den0 and ratio = -den1/den0.
 
     Every kernel-method solution here has a denominator linear in u, so
-    its levels form a ladder.  With T = 1/den0 and r = -den1/den0,
-    1/(den0 + den1 u) = T sum_t r^t u^t, and level j is
-    L_j = sum_i num_i T r^(j-i).  Hence L_0 = num_0 T and
-    L_(j+1) = r L_j + num_(j+1) T (num_i = 0 past the given parts): one
-    inverse of den0, then one series product per level, and only the
+    its levels form a ladder: 1/(den0 + den1 u) = base sum_t ratio^t u^t,
+    and level j is L_j = sum_i num_i base ratio^(j-i).  Hence
+    L_0 = num_0 base and L_(j+1) = ratio L_j + num_(j+1) base (num_i = 0
+    past the given parts): one series product per level, and only the
     current level is kept.  For the bounded family (num/(zu - P)) this is
     level j = -num z^j / P^(j+1) (Prodinger, "The kernel method: a
-    collection of examples", Sem. Lothar. Combin. 50 (2004) B50f).
+    collection of examples", Sem. Lothar. Combin. 50 (2004) B50f).  The
+    callers read base and ratio with :func:`_closed_form`.
     """
-    base = inv(den0)
-    ratio = -(den1 * base)
     level = num[0] * base
     out = []
     for j in range(hi + 1):
@@ -200,6 +200,20 @@ def _ladder(num, den0, den1, lo, hi):
             if j + 1 < len(num):
                 level = level + num[j + 1] * base
     return out
+
+
+# The ladders' bases and ratios as W-linear forms (a, b, den, shift) of
+# (a + bR)/(z^shift den).  zu - P has (-1/P, z/P), P - z(2-z^2)u has
+# (1/P, Q/z), and zu - P_w has (-1/P_w, z/P_w).  By PQ = z^2(2-z^2),
+# 1/P = Q/(z^2(2-z^2)) with Q = (1+z^2-W)/2, and z/P, the bad root below
+# the axis, is the same form over z.  By P_w Q_w = z^2(1+w-wz^2), with
+# Q_w = (1+wz^2-W_w)/2, 1/P_w = Q_w/(z^2(1+w-wz^2)).
+_INV_P = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2)
+_BAD_ROOT = _INV_P[:3] + (1,)
+_Q_OVER_Z = ({0: 1, 2: 1}, {0: -1}, {0: 2}, 1)
+_RED_DEN = {0: 2 + 2 * W_VAR, 2: -2 * W_VAR}
+_RED_BASE = ({0: -1, 2: -W_VAR}, {0: 1}, _RED_DEN, 2)
+_RED_RATIO = ({0: 1, 2: W_VAR}, {0: -1}, _RED_DEN, 1)
 
 
 def _with_total(nums):
@@ -227,13 +241,13 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     Level j is [u^j] of num/(zu - P), that is -num z^j / P^(j+1), with the
     class numerators -(1+z^2+W)/2 = -P, (-1+z^2+W)/2 = P - 1 and
     (-1+3z^2+W)/2 = P - 1 + z^2 (:func:`_bounded_numerators`).  All levels
-    come from one bundle and one ladder.
+    come from one bundle and one ladder, with base -1/P and ratio z/P.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order)
-    num = _bounded_numerators(bundle.P, 1)[cls]
-    z = Series.z(bundle.order, RATIONAL)
-    return [s.truncate(order) for s in _ladder(num, -bundle.P, z, lo, hi)]
+    bundle = _bundle(bundle, order, order + 2)
+    num = _bounded_numerators(bundle.P.truncate(order), 1)[cls]
+    base = -_closed_form(bundle.W, order, *_INV_P)
+    return _ladder(num, base, _closed_form(bundle.W, order, *_BAD_ROOT), lo, hi)
 
 
 def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -270,9 +284,10 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     -- and the w := 1 specialization recovers the plain class forms.)
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
-    bundle = kernel_bundle(order)
-    num = _bounded_numerators(bundle.Pw, W_VAR)[cls]
-    return _ladder(num, -bundle.Pw, Series.z(order, WPOLY), j, j)[0]
+    bundle = kernel_bundle(order + 2)
+    num = _bounded_numerators(bundle.Pw.truncate(order), W_VAR)[cls]
+    base = _closed_form(bundle.Ww, order, *_RED_BASE)
+    return _ladder(num, base, _closed_form(bundle.Ww, order, *_RED_RATIO), j, j)[0]
 
 
 def even_to_x(s):
@@ -363,9 +378,9 @@ def red_w_power_slice(k, order=DEFAULT_ORDER):
     x^5(1-4x+5x^2)/((1-4x)^3 R).  1/R = R/(1-4x) moves R into the numerator
     (``_RED_SLICES``), so the only divisors are 2, x and powers of 1 - 4x.
 
-    The same series, for any k >= 0, is the composition
-    ``series.w_slice(red_axis_x(order=2 * order), k)``: [w^k] of the
-    trivariate axis series, which the test suite pins against these forms.
+    The same series, for any k >= 0, is [w^k], taken coefficientwise, of
+    ``red_axis_x(order=2 * order)``, the trivariate axis series; the test
+    suite keeps that slice as the oracle that pins these forms.
     """
     _check_args(order, k=k)
     if not 0 <= k <= 4:
@@ -377,11 +392,6 @@ def red_w_power_slice(k, order=DEFAULT_ORDER):
 # -- dual family -------------------------------------------------------
 
 
-def _dual_linear(bundle):
-    """The shared dual denominator P - z(2-z^2)u as a (den0, den1) pair."""
-    return bundle.P, Series.from_dict({1: -2, 3: 1}, bundle.order, RATIONAL)
-
-
 def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     """Levels lo..hi of the dual family, per last-step class, as a list.
 
@@ -389,14 +399,16 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
     D = P - z(2-z^2)u, and the total from the sum of their numerators.
     It equals front * z^j * S^(j+1), front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2.
+    The ladder's base is 1/P and its ratio Q/z.
     """
     _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order)
-    one, z, z2 = _units(bundle.order)
-    zp, zero = z * bundle.P, Series.zero(bundle.order, RATIONAL)
-    nums = {"a": (bundle.P, -zp), "b": (one - 2 * z2 - bundle.W,), "c": (zero, zp)}
-    num = _with_total(nums)[cls]
-    return [s.truncate(order) for s in _ladder(num, *_dual_linear(bundle), lo, hi)]
+    bundle = _bundle(bundle, order, order + 2)
+    W, P = bundle.W.truncate(order), bundle.P.truncate(order)
+    one, z, z2 = _units(order)
+    zp, zero = z * P, Series.zero(order, RATIONAL)
+    num = _with_total({"a": (P, -zp), "b": (one - 2 * z2 - W,), "c": (zero, zp)})[cls]
+    base = _closed_form(bundle.W, order, *_INV_P)
+    return _ladder(num, base, _closed_form(bundle.W, order, *_Q_OVER_Z), lo, hi)
 
 
 def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -440,11 +452,9 @@ NEGATIVE_AXIS_CLASSES = ("f0", "g0", "h0", "sum")
 
 
 # The W-linear forms (a, b, den, shift) of (a + bW)/(z^shift den) below the
-# axis.  The bad root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) by PQ and
-# P + Q; the classical f0 is the bad root over z.
-_BAD_ROOT = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 1)
+# axis.  The classical f0 is the bad root over z, that is 1/P.
 _CLASSICAL_AXIS = {
-    "f0": ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2),
+    "f0": _INV_P,
     "g0": ({0: 1, 2: -4, 4: 2, 6: 1}, {0: -1, 2: 1, 4: -1}, {0: 8, 2: -8, 4: 2}, 4),
     "h0": ({0: 1, 2: -5, 4: 4, 6: -2}, {0: -1, 2: 2}, {0: 8, 2: -8, 4: 2}, 4),
     "sum": ({0: 1, 2: -3, 4: 2}, {0: -1}, {0: 4, 2: -2}, 4),
@@ -515,24 +525,23 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     -z^2(g0+h0) (s = f0+g0+h0).  Levels j < 0 use [u^{-j}] of the solved
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
     root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) substituted for the
-    cancelled factor; it is built only for those levels.  Each sign runs
-    one ladder.
+    cancelled factor.  Each sign runs one ladder: levels j >= 0 that of
+    :func:`primal_levels`, (-1/P, z/P), levels j < 0 that of
+    :func:`dual_levels`, (1/P, Q/z).  1/P and the bad root are built once.
     """
     _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
-    # order + 1 for the bad root's division by z, asked of every range
-    bundle = _bundle(bundle, order, order + 1)
-    z = Series.z(bundle.order, RATIONAL)
-    top = bundle.order - 1
-    boundary = negative_boundary_series(order=top, bundle=bundle)
+    bundle = _bundle(bundle, order, order + 2)
+    boundary = negative_boundary_series(order=order, bundle=bundle)
+    inv_p, bad_root = (_closed_form(bundle.W, order, *form) for form in (_INV_P, _BAD_ROOT))
     out = []
     if lo < 0:
-        bad_root = _closed_form(bundle.W, top, *_BAD_ROOT)
-        below = _negative_numerators(bundle, boundary, bad_root)[cls]
-        out += reversed(_ladder(below, *_dual_linear(bundle), max(-hi, 1), -lo))
+        below = _negative_numerators(order, boundary, bad_root)[cls]
+        ratio = _closed_form(bundle.W, order, *_Q_OVER_Z)
+        out += reversed(_ladder(below, inv_p, ratio, max(-hi, 1), -lo))
     if hi >= 0:
-        above = _negative_numerators(bundle, boundary, None)[cls]
-        out += _ladder(above, -bundle.P, z, max(lo, 0), hi)
-    return [s.truncate(order) for s in out]
+        above = _negative_numerators(order, boundary, None)[cls]
+        out += _ladder(above, -inv_p, bad_root, max(lo, 0), hi)
+    return out
 
 
 def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=None):
@@ -541,11 +550,11 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     return negative_levels(j, j, cls, order, bundle)[0]
 
 
-def _negative_numerators(bundle, boundary, s1):
-    """The numerator parts of :func:`negative_levels`, per class of
-    ``PRIMAL_CLASSES``, as a dict: over zu - P when the bad root ``s1`` is
-    None (levels >= 0), else over the dual denominator (levels < 0)."""
-    one, z, z2 = _units(bundle.order)
+def _negative_numerators(order, boundary, s1):
+    """The numerator parts of :func:`negative_levels` to z^order, per class
+    of ``PRIMAL_CLASSES``, as a dict: over zu - P when the bad root ``s1``
+    is None (levels >= 0), else over the dual denominator (levels < 0)."""
+    one, z, z2 = _units(order)
     f0, g0, h0 = boundary
     z2f, z2g, z2h = z2 * f0, z2 * g0, z2 * h0
     if s1 is None:

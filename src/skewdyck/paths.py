@@ -130,18 +130,6 @@ class PathWord(Record):
         spec = family_spec(self.family)
         return sum(spec.incr[s] for s in self.steps)
 
-    @property
-    def last_class(self):
-        spec = family_spec(self.family)
-        if not self.steps:
-            return spec.empty_class
-        return spec.classes[spec.steps.index(self.steps[-1])]
-
-    @property
-    def colored_count(self):
-        spec = family_spec(self.family)
-        return sum(1 for s in self.steps if s == spec.colored)
-
     def word(self):
         return "".join(self.steps)
 

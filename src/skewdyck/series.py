@@ -4,9 +4,10 @@ Two coefficient rings are supported: the integers and polynomials in a
 single marker variable ``w`` with integer coefficients (:class:`WPoly`),
 tagged ``RATIONAL`` (a name kept from when it held rationals) and ``WPOLY``.
 Every series counted here has integer coefficients, so every division is
-exact: :func:`div`, :func:`inv`, :func:`sqrt_one`, :func:`half` and
-:func:`quadratic_power` divide each coefficient by an integer, and a
-remainder raises :class:`ExactnessError`.  A :class:`Series` carries an
+exact: :func:`half` and :func:`quadratic_power` divide each coefficient
+by an integer, :func:`div` by the divisor's constant term (an integer, or
+a w-polynomial such as 2 + 2w, by long division in w), and a remainder
+raises :class:`ExactnessError`.  A :class:`Series` carries an
 explicit truncation order N: coefficients of z^0..z^N are exact, everything
 beyond is unknown.  Operations never report a coefficient they cannot
 guarantee; where an order cannot be preserved it shrinks.
@@ -142,14 +143,38 @@ def _int(x):
 
 
 def _divide_exactly(c, d):
-    """c / d for an int d != 0 and c an int or a :class:`WPoly`; a
-    remainder raises :class:`ExactnessError`."""
+    """c / d for a nonzero d, an int or a :class:`WPoly`, and c an int or
+    a :class:`WPoly` (a :class:`WPoly` when d is one); a remainder raises
+    :class:`ExactnessError`.  A d of degree >= 1 in w divides c by long
+    division from the top power of w."""
+    if isinstance(d, WPoly):
+        if len(d.coeffs) > 1:
+            return _long_divide(c.coeffs, d.coeffs)
+        d = d.coeffs[0]
     if isinstance(c, WPoly):
         return WPoly._trusted([_divide_exactly(x, d) for x in c.coeffs])
     q, r = divmod(c, d)
     if r:
         raise ExactnessError(f"{c} is not divisible by {d}")
     return q
+
+
+def _long_divide(cs, ds):
+    """The :class:`WPoly` with coefficients q, q * ds = cs, for coefficient
+    tuples ``cs`` and ``ds`` (len(ds) >= 2); a remainder raises
+    :class:`ExactnessError`."""
+    rest, m = list(cs), len(ds) - 1
+    q = [0] * max(len(rest) - m, 0)
+    for k in reversed(range(len(q))):
+        if rest[k + m]:
+            q[k], r = divmod(rest[k + m], ds[m])
+            if r:
+                break
+            for i, d in enumerate(ds):
+                rest[k + i] -= q[k] * d
+    if any(rest):
+        raise ExactnessError(f"{WPoly(cs)} is not divisible by {WPoly(ds)}")
+    return WPoly._trusted(q)
 
 
 class WPoly:
@@ -187,10 +212,6 @@ class WPoly:
     @classmethod
     def coerce(cls, x):
         return x if isinstance(x, WPoly) else cls.const(_int(x))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
@@ -400,18 +421,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative series power; use inv() explicitly")
-        result = Series.one(self.order, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[: min(8, len(self.coeffs))])
         tail = ", ..." if self.order >= 8 else ""
@@ -421,33 +430,30 @@ class Series:
 def _quotient(a, b):
     """q with q*b = a to truncation, each q_k divided exactly by b(0).
 
-    b(0) must be a nonzero integer (a constant w-polynomial in the w ring);
-    a zero or w-dependent b(0) raises :class:`NonUnitError`.
+    b(0) is an int, or in the w ring a :class:`WPoly`; a zero b(0) raises
+    :class:`NonUnitError`.  Only b's nonzero terms are walked, so dividing
+    by a polynomial costs O(terms) ring steps per coefficient.
     """
     d = b.coeffs[0]
-    if isinstance(d, WPoly):
-        d = d.coeffs[0] if d.degree == 0 else 0
-    if d == 0:
-        raise NonUnitError("division by a series with non-invertible constant term")
+    if not d:
+        raise NonUnitError("division by a series with a zero constant term")
+    n = min(a.order, b.order)
+    terms = [(i, c) for i, c in enumerate(b.coeffs[1 : n + 1], 1) if c]
     out = []
-    for k in range(min(a.order, b.order) + 1):
+    for k in range(n + 1):
         acc = a.coeffs[k]
-        for i in range(1, k + 1):
-            if b.coeffs[i]:
-                acc = acc - b.coeffs[i] * out[k - i]
+        for i, c in terms:
+            if i > k:
+                break
+            acc = acc - c * out[k - i]
         out.append(_divide_exactly(acc, d))
     return Series(out, a.ring)
 
 
-def inv(b):
-    """Multiplicative inverse of a series with an invertible constant term;
-    a non-integral coefficient raises :class:`ExactnessError`."""
-    return _quotient(Series.one(b.order, b.ring), b)
-
-
 def div(a, b):
-    """Quotient q with q*b = a to truncation; b(0) must be a nonzero integer
-    and each q_k integral, else :class:`ExactnessError`."""
+    """Quotient q with q*b = a to truncation; b(0) must be nonzero (else
+    :class:`NonUnitError`) and divide each step exactly (else
+    :class:`ExactnessError`)."""
     a._check(b)
     return _quotient(a, b)
 
@@ -456,24 +462,6 @@ def half(a):
     """a / 2, coefficient by coefficient; an odd coefficient raises
     :class:`ExactnessError`."""
     return Series([_divide_exactly(c, 2) for c in a.coeffs], a.ring)
-
-
-def sqrt_one(a):
-    """Square root with constant term 1; requires a(0) = 1 exactly.
-
-    The test oracle for the kernel roots, which the library builds from
-    their recurrences instead.  A coefficient that is not integral raises
-    :class:`ExactnessError`.
-    """
-    if a.coeffs[0] != _coerce_coeff(1, a.ring):
-        raise NonUnitError("sqrt_one requires constant term exactly 1")
-    out = [a.coeffs[0]]
-    for k in range(1, a.order + 1):
-        acc = a.coeffs[k]
-        for i in range(1, k):
-            acc = acc - out[i] * out[k - i]
-        out.append(_divide_exactly(acc, 2))
-    return Series(out, a.ring)
 
 
 def quadratic_power(count, a, b, p=1, q=2):
@@ -536,13 +524,6 @@ def specialize_w(s, value):
     if s.ring != WPOLY:
         raise RingMismatchError("specialize_w needs a w-polynomial series")
     return Series([c.eval(value) for c in s.coeffs], RATIONAL)
-
-
-def w_slice(s, k):
-    """The integer series of [w^k] taken coefficientwise."""
-    if s.ring != WPOLY:
-        raise RingMismatchError("w_slice needs a w-polynomial series")
-    return Series([c.coeff(k) for c in s.coeffs], RATIONAL)
 
 
 def w_derivative(s):

@@ -7,6 +7,7 @@ because the n/5 growth claim is asymptotic.
 
 from fractions import Fraction
 
+from conftest import w_slice
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.formulas import (
@@ -15,7 +16,7 @@ from skewdyck.formulas import (
     red_coeff_explicit,
 )
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
-from skewdyck.series import RATIONAL, Series, WPoly, W_VAR, specialize_w, w_derivative, w_slice
+from skewdyck.series import RATIONAL, Series, WPoly, W_VAR, specialize_w, w_derivative
 
 BRUTE_LENGTH = 14
 

@@ -53,7 +53,9 @@ class TestTrinomial:
     @pytest.mark.parametrize("middle", [3, 2 + W_VAR, -2], ids=["3", "2+w", "-2"])
     def test_rows_match_series_powers(self, middle):
         for n in range(9):
-            power = Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY) ** n
+            power = Series.one(2 * n, WPOLY)
+            for _ in range(n):
+                power = power * Series.from_dict({0: 1, 1: middle, 2: 1}, 2 * n, WPOLY)
             # the raw full row, second half included, from the shared routine
             assert quadratic_power(2 * n + 1, middle, 1, n, 1) == list(power.coeffs), n
             if isinstance(middle, int):  # trinomial's middle is an int
@@ -171,15 +173,34 @@ def test_cached_primal_weights_match_a_fresh_build():
     assert formulas._kappa_row.cache_info().maxsize is not None
 
 
+def _fresh_mu(j):
+    """mu_{j;0..j+3} from the binomial expansion of (2 + v)^j."""
+    c = [0, 0, 0] + [comb(j, i) * 2 ** (j - i) for i in range(j + 1)] + [0, 0, 0]  # (2+v)^j
+    return [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(j + 4)]  # times 1+v-v^2-v^3
+
+
 def test_cached_dual_weights_match_a_fresh_build():
     top = formulas._CACHED_ROW_MAX_N
-    formulas._mu.cache_clear()
+    formulas._mu_row.cache_clear()
     for j in (0, 1, 4, top, top + 1, 100):  # the rows of j <= top are cached, longer ones not
-        c = [0, 0, 0] + [comb(j, i) * 2 ** (j - i) for i in range(j + 1)] + [0, 0, 0]  # (2+v)^j
-        fresh = [c[k + 3] + c[k + 2] - c[k + 1] - c[k] for k in range(j + 4)]  # times 1+v-v^2-v^3
-        assert formulas._mu(j) == tuple(fresh), j
-    assert formulas._mu.cache_info().currsize == 4
-    assert formulas._mu.cache_info().maxsize is not None
+        fresh = _fresh_mu(j)
+        assert formulas._mu(j, j + 4) == tuple(fresh), j
+        for count in (1, 2, 7):  # past the cache only the weights asked for are built
+            assert list(formulas._mu(j, count)[:count]) == fresh[:count], (j, count)
+            assert len(formulas._mu(j, count)) == (j + 4 if j <= top else min(count, j + 4))
+    assert formulas._mu_row.cache_info().currsize == 4
+    assert formulas._mu_row.cache_info().maxsize is not None
+
+
+def test_dual_explicit_matches_the_weights_by_definition():
+    # the Lagrange sum over mu_{j;k} from the binomial expansion, at cached
+    # (j <= 64) and uncached levels
+    formulas._mu_row.cache_clear()
+    for j in range(201):
+        mu = _fresh_mu(j)
+        for N in range(1, 41):
+            want = sum(mu[k] * trinomial(N - 1, 3, N - k) for k in range(min(N, j + 3) + 1))
+            assert dual_coeff_explicit(j, N) == want, (j, N)
 
 
 @pytest.mark.parametrize("j", range(9))
@@ -227,6 +248,20 @@ def test_primal_explicit_builds_only_what_it_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_dual_explicit_builds_only_what_it_reads():
+    # j = 20000 is past the cache; the sum reads two weights of (2 + v)^j
+    dual_coeff_explicit(1, 1)  # loads the module outside the trace
+    tracemalloc.start()
+    try:
+        value = dual_coeff_explicit(20000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # mu_{j;0} trinomial(0, 3, 1) + mu_{j;1} trinomial(0, 3, 0) = 0 + 2^j (1 + j/2)
+    assert value == 2**20000 + 20000 * 2**19999
     assert peak < 2**20, peak
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdyck
+from conftest import sqrt_one, w_slice
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
@@ -22,7 +23,6 @@ from skewdyck.series import (
     div,
     shift_up,
     specialize_w,
-    w_slice,
 )
 
 # golden coefficient lists for the level series (nonzero entries only;
@@ -140,7 +140,7 @@ def test_kernel_bundle_identities():
 
 def _sqrt_one_bundle(order):
     """W, P, Q, Ww and Pw built with the O(N^2) square root, as an oracle."""
-    from skewdyck.series import RATIONAL, WPOLY, W_VAR, Series, half, shift_up, sqrt_one
+    from skewdyck.series import RATIONAL, WPOLY, W_VAR, Series, half, shift_up
 
     one = Series.one(order, RATIONAL)
     z2 = shift_up(one, 2)
@@ -280,9 +280,10 @@ def test_given_bundle_yields_exactly_the_order(name, args):
     for order in (0, 5, 16):
         assert make(*args, order=order, bundle=bundle) == make(*args, order=order)
     if name.startswith("dual"):
-        # every dual class, the total too, reads a bundle of exactly the order
+        # every dual class, the total too, reads a bundle of exactly the
+        # order + 2: the ladder's base 1/P divides by z^2
         for j in range(21):
-            exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(16))
+            exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(18))
             assert exact == make(j, *args[1:], order=16), j
 
 
@@ -294,6 +295,10 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         ("dual_level_series", (3, "a"), 16, 15),
         ("negative_level_series", (1,), 16, 16),
         ("negative_boundary_series", (), 16, 15),
+        # the level constructors read a bundle of order + 2
+        ("primal_level_series", (0,), 16, 17),
+        ("dual_level_series", (3, "c"), 16, 17),
+        ("negative_level_series", (-1,), 16, 17),
     ],
 )
 def test_too_short_bundle_rejected(name, args, order, bundle_order):
@@ -318,18 +323,25 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
 
 @pytest.mark.parametrize("lo", [-3, 0])
 def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
-    # one per closed form: the boundary's f0, g0 and h0, and the bad root
-    # z/P, which only the levels below the axis read
-    calls = []
-    real = genfunc.div
+    # one division per closed form: the boundary's f0, g0 and h0, 1/P and
+    # the bad root z/P, which both signs read, and Q/z, the ratio of the
+    # levels below the axis; the bad root is built once
+    calls, forms = [], []
+    real_div, real_form = genfunc.div, genfunc._closed_form
 
-    def counting(*args, **kwargs):
+    def counting_div(*args, **kwargs):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real_div(*args, **kwargs)
 
-    monkeypatch.setattr(genfunc, "div", counting)
+    def counting_form(root, order, *form):
+        forms.append(form)
+        return real_form(root, order, *form)
+
+    monkeypatch.setattr(genfunc, "div", counting_div)
+    monkeypatch.setattr(genfunc, "_closed_form", counting_form)
     genfunc.negative_levels(lo, 3, order=10)
-    assert len(calls) == (4 if lo < 0 else 3)
+    assert len(calls) == len(forms) == (6 if lo < 0 else 5)
+    assert forms.count(genfunc._BAD_ROOT) == 1
 
 
 @pytest.mark.parametrize(
@@ -428,11 +440,51 @@ _ONE, _Z = Series.one(8), Series.z(8)
     ],
 )
 def test_ladder_expansion(num, den0, den1, lo, hi, want):
+    # the ladder takes base = 1/den0 and ratio = -den1/den0, here built by
+    # the generic series division
+    def rungs():
+        base = div(Series.one(den0.order), den0)
+        return base, -(den1 * base)
+
     if want is NonUnitError:
         with pytest.raises(NonUnitError):
-            genfunc._ladder(num, den0, den1, lo, hi)
+            genfunc._ladder(num, *rungs(), lo, hi)
     else:
-        assert genfunc._ladder(num, den0, den1, lo, hi) == want
+        assert genfunc._ladder(num, *rungs(), lo, hi) == want
+
+
+def _generic_rungs(order):
+    """The ladders' (base, ratio) pairs by the generic construction: for
+    den0 + den1 u, base = div(1, den0) and ratio = -den1 base."""
+    b = genfunc.kernel_bundle(order)
+    one, z, z2 = Series.one(order), Series.z(order), shift_up(Series.one(order), 2)
+    w = b.Pw.ring
+    pairs = {}
+    for name, unit, den0, den1 in (
+        ("primal", one, -b.P, z),
+        ("dual", one, b.P, -(z * (2 * one - z2))),
+        ("red", Series.one(order, w), -b.Pw, Series.z(order, w)),
+    ):
+        base = div(unit, den0)
+        pairs[name] = base, -(den1 * base)
+    return pairs
+
+
+@pytest.mark.parametrize("order", [*range(41), 200])
+def test_ladder_rungs_are_the_generic_construction(order):
+    b = genfunc.kernel_bundle(order + 2)
+    closed = {
+        "primal": (-genfunc._closed_form(b.W, order, *genfunc._INV_P),
+                   genfunc._closed_form(b.W, order, *genfunc._BAD_ROOT)),
+        "dual": (genfunc._closed_form(b.W, order, *genfunc._INV_P),
+                 genfunc._closed_form(b.W, order, *genfunc._Q_OVER_Z)),
+        "red": (genfunc._closed_form(b.Ww, order, *genfunc._RED_BASE),
+                genfunc._closed_form(b.Ww, order, *genfunc._RED_RATIO)),
+    }
+    for name, pair in _generic_rungs(order).items():
+        assert closed[name] == pair, name
+        types = [[type(c) for c in s.coeffs] for s in (*closed[name], *pair)]
+        assert types[:2] == types[2:], name
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 8])
@@ -569,7 +621,7 @@ def test_red_axis_inverts_no_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("red_axis_x reached the ladder or a series inverse")
 
-    for name in ("red_level_series", "inv", "div"):
+    for name in ("red_level_series", "div"):
         monkeypatch.setattr(genfunc, name, refuse)
     assert genfunc.red_axis_x(order=40) == want
 

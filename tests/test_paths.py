@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import colored_count, last_class
 from skewdyck import formulas, genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import (
@@ -164,10 +165,10 @@ def test_count_table_rejects_unknown_classes():
 def test_word_properties():
     w = PathWord(("U", "U", "D", "R"), BOUNDED)
     assert w.end_level == 0
-    assert w.last_class == "h"
-    assert w.colored_count == 1
+    assert last_class(w) == "h"
+    assert colored_count(w) == 1
     assert w.word() == "UUDR"
-    assert PathWord((), BOUNDED).last_class == "f"
+    assert last_class(PathWord((), BOUNDED)) == "f"
 
 
 def test_words_from_a_list_and_a_tuple_are_equal():
@@ -187,7 +188,7 @@ def _word_tally(family, max_length):
     """Every word of length <= max_length from ``enumerate_paths``, counted
     one by one at its (n, j, cls, k)."""
     return Counter(
-        (len(w), w.end_level, w.last_class, w.colored_count)
+        (len(w), w.end_level, last_class(w), colored_count(w))
         for n in range(max_length + 1)
         for w in enumerate_paths(family, n)
     )
@@ -339,7 +340,7 @@ def test_reverse_dual_is_bijection():
             dual_word = reverse_dual(word)
             assert is_valid(dual_word)
             assert dual_word.end_level == 0
-            assert dual_word.colored_count == word.colored_count
+            assert colored_count(dual_word) == colored_count(word)
             images.add(dual_word.steps)
         assert images == {w.steps for w in enumerate_paths(DUAL, n, end_level=0)}
 

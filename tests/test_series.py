@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sqrt_one, w_slice
 from skewdyck.series import (
     RATIONAL,
     WPOLY,
@@ -24,14 +25,11 @@ from skewdyck.series import (
     div,
     first_mismatch,
     half,
-    inv,
     quadratic_power,
     shift_divide,
     shift_up,
     specialize_w,
-    sqrt_one,
     w_derivative,
-    w_slice,
 )
 
 integers = st.integers(min_value=-40, max_value=40)
@@ -171,7 +169,7 @@ def test_mul_distributes(a, b, c):
 @given(series_strategy(), st.sampled_from([1, -1]))
 def test_inv_roundtrip(a, unit):
     a = Series([unit, *a.coeffs[1:]])  # over the integers only +-1 are units
-    assert a * inv(a) == Series.one(a.order)
+    assert a * div(Series.one(a.order), a) == Series.one(a.order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,7 +183,7 @@ def test_inexact_division_raises():
     with pytest.raises(ExactnessError):
         div(one, 2 * one)
     with pytest.raises(ExactnessError):
-        inv(Series([3, 1, 0]))
+        div(Series.one(2), Series([3, 1, 0]))
     with pytest.raises(ExactnessError):
         half(Series([2, 3, 4]))
     with pytest.raises(ExactnessError):
@@ -193,8 +191,32 @@ def test_inexact_division_raises():
     assert half(Series([2, -4, 0])) == Series([1, -2, 0])
     with pytest.raises(NonUnitError):
         div(one, Series([0, 1, 0, 0]))
+    with pytest.raises(ExactnessError):  # 1/w is no w-polynomial
+        div(Series.one(1, WPOLY), Series([W_VAR, 1], WPOLY))
+
+
+@pytest.mark.parametrize("c", [1, 2], ids=["1+w", "2+2w"])
+def test_w_ring_division_by_a_polynomial_constant(c):
+    # c(1 + w - wz^2), c = 1 and 2: the red ladder divides by c = 2
+    d = c * (1 + W_VAR)
+    b = Series.from_dict({0: d, 2: -c * W_VAR}, 3, WPOLY)
+    q = Series([W_VAR * W_VAR - 3, 7 * W_VAR, 0, WPoly((1, 0, 0, 5))], WPOLY)
+    assert div(q * b, b) == q
+    assert _divide_exactly(WPoly((-6, -7, 0, 2)) * d, d) == WPoly((-6, -7, 0, 2))
+    assert _divide_exactly(WPoly(), d) == WPoly()
+
+
+def test_w_ring_inexact_division_raises():
+    one = Series.one(2, WPOLY)
+    for d in (1 + W_VAR, 2 + 2 * W_VAR):
+        with pytest.raises(ExactnessError):
+            div(one, Series([d, 1, 0], WPOLY))
+        with pytest.raises(ExactnessError):  # neither divides w
+            div(Series([W_VAR, 0, 0], WPOLY), Series([d, 1, 0], WPOLY))
+    with pytest.raises(ExactnessError):  # (2 + 2w)/(2 + 2w) = 1, but 1 + 2w is not over 2 + 2w
+        div(Series([2 + 2 * W_VAR, 1 + 2 * W_VAR], WPOLY), Series([2 + 2 * W_VAR, 0], WPOLY))
     with pytest.raises(NonUnitError):
-        inv(Series([W_VAR, 1], WPOLY))
+        div(one, Series([WPoly(), 1 + W_VAR, 0], WPOLY))
 
 
 @settings(max_examples=60, deadline=None)

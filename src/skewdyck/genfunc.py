@@ -24,7 +24,9 @@ quadratic kernel is cancelled against the numerators:
 * cancelling at the small root itself yields the solution whose
   coefficients actually count walks on the state diagram
   (:func:`negative_level_series`), with axis-return coefficients
-  1, 2, 7, 29, 127, ...
+  1, 2, 7, 29, 127, ...  Those walks start in class f: the empty path
+  stands after an up step, and UR is forbidden, so no unbounded word
+  starts with R.
 
 Both solutions share the upper kernel's class relations g0 = rho_g f0 and
 h0 = rho_h f0, with rho_h = z^4/(Q(z^2-1)+1-2z^2) and
@@ -34,7 +36,6 @@ produces negative coefficients.  Both are kept, cross-checked, and the
 divergence is deliberate and documented rather than glossed over.
 """
 
-from functools import cached_property
 from itertools import zip_longest
 
 from .series import (
@@ -82,45 +83,25 @@ class KernelBundle(Record):
 
     Identities (checked in the test suite, exact):
       W^2 = 1 - 6z^2 + 5z^4,  P*Q = z^2(2 - z^2),  P + Q = 1 + z^2.
-    The w-refined analogues satisfy W_w^2 = (1 - z^2 w)(1 - (4+w)z^2) and
-    P_w = (1 + w z^2 + W_w)/2.
 
-    Both roots are square roots of 1 + a x + b x^2 in x = z^2, with a = -6,
-    b = 5 for W and a = -(4+2w), b = w(4+w) for W_w.  Their coefficients in
-    x come from :func:`~skewdyck.series.quadratic_power` at p/q = 1/2, so a
-    bundle of order N costs O(N) steps in integers (in integer polynomials
-    of degree <= N/2 for W_w) instead of the O(N^2) ring operations of a
-    generic square root.  The test suite keeps that generic square root as
-    the oracle that pins W, P, Q, Ww and Pw coefficient for coefficient.
-
-    The w-refined half (Ww, Pw) is built on first access and then kept on
-    the instance; only the red-marked constructors, ``dual_blue_g0`` and
-    the identity checks read it.
+    W is the square root of 1 + a x + b x^2 in x = z^2, a = -6 and b = 5
+    (:func:`_kernel_root`), so a bundle of order N costs O(N) integer steps
+    instead of the O(N^2) ring operations of a generic square root.  The
+    test suite keeps that generic square root as the oracle that pins W, P
+    and Q coefficient for coefficient.  The w-refined root W_w is no part
+    of the bundle: :func:`dual_blue_g0` builds it, and the red-marked
+    readers take it from there.
     """
 
     _fields = ("order", "W", "P", "Q")
-    # the __dict__ holds what the cached properties build
-    __slots__ = _fields + ("__dict__",)
+    __slots__ = _fields
 
     def __init__(self, order, W, P, Q):
         self._set(order, W, P, Q)
 
-    @cached_property
-    def Ww(self):
-        return _kernel_root(self.order, WPoly((-4, -2)), WPoly((0, 4, 1)))
-
-    @cached_property
-    def Pw(self):
-        one, _, z2 = _units(self.order, WPOLY)
-        return half(one + z2 * W_VAR + self.Ww)
-
 
 def kernel_bundle(order=DEFAULT_ORDER):
-    """The :class:`KernelBundle` truncated at z^order; order must be >= 0.
-
-    W, P and Q are built here from :func:`~skewdyck.series.quadratic_power`;
-    Ww and Pw only when first read.
-    """
+    """The :class:`KernelBundle` truncated at z^order; order must be >= 0."""
     _check_args(order)
     W = _kernel_root(order, -6, 5)
     one, _, z2 = _units(order)
@@ -146,7 +127,7 @@ def _closed_form(root, order, a, b, den, shift=0):
 
     The one reader of the package's rationalized closed forms.  Its only
     division is by the polynomial ``den``, whose constant term is a nonzero
-    int (2 + 2w for the red ladder), so a wrong form raises
+    int (1 + w for the red ladder), so a wrong form raises
     :class:`ExactnessError`, there or in the exact division by z^shift.
     """
     n = order + shift
@@ -206,14 +187,15 @@ def _ladder(num, base, ratio, lo, hi):
 # (a + bR)/(z^shift den).  zu - P has (-1/P, z/P), P - z(2-z^2)u has
 # (1/P, Q/z), and zu - P_w has (-1/P_w, z/P_w).  By PQ = z^2(2-z^2),
 # 1/P = Q/(z^2(2-z^2)) with Q = (1+z^2-W)/2, and z/P, the bad root below
-# the axis, is the same form over z.  By P_w Q_w = z^2(1+w-wz^2), with
-# Q_w = (1+wz^2-W_w)/2, 1/P_w = Q_w/(z^2(1+w-wz^2)).
+# the axis, is the same form over z.  The red forms are over R = G, the
+# axis series (1-wz^2-W_w)/(2z^2) of dual_blue_g0: by P_w Q_w = z^2(1+w-wz^2),
+# with Q_w = (1+wz^2-W_w)/2 = z^2(w+G), 1/P_w = (w+G)/(1+w-wz^2).
 _INV_P = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2)
 _BAD_ROOT = _INV_P[:3] + (1,)
 _Q_OVER_Z = ({0: 1, 2: 1}, {0: -1}, {0: 2}, 1)
-_RED_DEN = {0: 2 + 2 * W_VAR, 2: -2 * W_VAR}
-_RED_BASE = ({0: -1, 2: -W_VAR}, {0: 1}, _RED_DEN, 2)
-_RED_RATIO = ({0: 1, 2: W_VAR}, {0: -1}, _RED_DEN, 1)
+_RED_DEN = {0: 1 + W_VAR, 2: -W_VAR}
+_RED_BASE = ({0: -W_VAR}, {0: -1}, _RED_DEN, 0)
+_RED_RATIO = ({1: W_VAR}, {1: 1}, _RED_DEN, 0)
 
 
 def _with_total(nums):
@@ -269,25 +251,27 @@ def primal_open_ended(order=DEFAULT_ORDER):
     numerator has a vanishing constant term, so the division by z is exact.
     """
     _check_args(order)
-    W = kernel_bundle(order + 1).W
+    W = _kernel_root(order + 1, -6, 5)
     return _closed_form(W, order, {0: 2, 1: -1, 2: -4, 3: -1}, {0: -2, 1: -1}, _OPEN_ENDED_DEN, 1)
 
 
 def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     """[u^j] of the red-edge-marked solution, per last-step class.
 
-    The solution is num/(zu - P_w), P_w = (1+wz^2+W_w)/2, with class
-    numerators (:func:`_bounded_numerators`)
+    The solution is num/(zu - P_w), P_w = (1+wz^2+W_w)/2 = 1 - z^2 G with
+    G = :func:`dual_blue_g0`, and class numerators
+    (:func:`_bounded_numerators`)
     f: -(1+wz^2+W_w)/2 = -P_w,   g: (-1+wz^2+W_w)/2 = P_w - 1,
     h: w(-1+(2+w)z^2+W_w)/2 = w(P_w - 1 + z^2).
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
+    The ladder's base -1/P_w and ratio z/P_w are forms over G too.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
-    bundle = kernel_bundle(order + 2)
-    num = _bounded_numerators(bundle.Pw.truncate(order), W_VAR)[cls]
-    base = _closed_form(bundle.Ww, order, *_RED_BASE)
-    return _ladder(num, base, _closed_form(bundle.Ww, order, *_RED_RATIO), j, j)[0]
+    G = dual_blue_g0(order)
+    num = _bounded_numerators(Series.one(order, WPOLY) - shift_up(G, 2), W_VAR)[cls]
+    base = _closed_form(G, order, *_RED_BASE)
+    return _ladder(num, base, _closed_form(G, order, *_RED_RATIO), j, j)[0]
 
 
 def even_to_x(s):
@@ -427,22 +411,24 @@ def dual_open_ended(order=DEFAULT_ORDER):
     belongs in the numerator.)
     """
     _check_args(order)
-    W = kernel_bundle(order + 1).W
+    W = _kernel_root(order + 1, -6, 5)
     return _closed_form(W, order, {0: 1, 1: -2, 2: -3}, {0: -1}, _OPEN_ENDED_DEN, 1)
 
 
 def dual_blue_g0(order=DEFAULT_ORDER):
     """Axis-return dual paths with blue edges marked: (1 - z^2 w - W_w)/(2z^2).
 
-    Identical to the red-marked axis series by the reversal duality, so
+    The package's one construction of W_w = sqrt(1 - (4+2w)z^2 + w(4+w)z^4),
+    the w-refined kernel root: :func:`red_level_series` and the
+    ``kernel-identities`` check read it through this series.  Identical to
+    the red-marked axis series by the reversal duality, so
     :func:`red_axis_x` reads it; the test suite pins it coefficientwise
     against the blue-marked DP and against :func:`red_level_series`.
     """
     _check_args(order)
-    bundle = kernel_bundle(order + 2)
-    one, _, z2 = _units(bundle.order, WPOLY)
-    num = one - z2 * W_VAR - bundle.Ww
-    return half(shift_divide(num, 2)).truncate(order)
+    Ww = _kernel_root(order + 2, WPoly((-4, -2)), WPoly((0, 4, 1)))
+    one, _, z2 = _units(order + 2, WPOLY)
+    return half(shift_divide(one - z2 * W_VAR - Ww, 2))
 
 
 # -- negative territory ------------------------------------------------
@@ -484,7 +470,7 @@ def negative_axis_series(cls, order=DEFAULT_NEGATIVE_ORDER):
     docstring) and are kept as reference data in their own right.
     """
     _check_args(order, cls=cls, classes=NEGATIVE_AXIS_CLASSES)
-    return _closed_form(kernel_bundle(order + 4).W, order, *_CLASSICAL_AXIS[cls])
+    return _closed_form(_kernel_root(order + 4, -6, 5), order, *_CLASSICAL_AXIS[cls])
 
 
 def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):

@@ -16,7 +16,9 @@ Families:
 * ``dual``      - up-black / up-blue / down steps, level >= 0 everywhere,
                   the pairs (down, blue) and (blue, down) forbidden.
 * ``unbounded`` - same steps and rules as ``bounded`` but the level may go
-                  negative.
+                  negative.  No word starts with a red step: the empty path
+                  stands after an up step, and (up, red) is forbidden.  That
+                  is why the axis counts run 1, 2, 7, 29, ...
 
 Last-step classes are named after the step that leads into a state:
 ``f``/``g``/``h`` = up / down-black / down-red for the primal families,

@@ -1,7 +1,8 @@
 import pytest
 
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED, CountTable, count_table, family_spec
-from skewdyck.series import WPOLY, NonUnitError, Series, _divide_exactly
+from skewdyck.genfunc import dual_blue_g0
+from skewdyck.series import WPOLY, W_VAR, NonUnitError, Series, _divide_exactly, shift_up
 
 BRUTE_LENGTH = 14
 
@@ -43,6 +44,13 @@ def sqrt_one(a):
             acc = acc - out[i] * out[k - i]
         out.append(_divide_exactly(acc, 2))
     return Series(out, a.ring)
+
+
+def red_root(order):
+    """W_w to z^order, read from the series that builds it: with
+    G = dual_blue_g0 = (1 - wz^2 - W_w)/(2z^2), W_w = 1 - wz^2 - 2z^2 G."""
+    g2 = shift_up(dual_blue_g0(order), 2)
+    return Series.from_dict({0: 1, 2: -W_VAR}, order, WPOLY) - g2 - g2
 
 
 def w_slice(s, k):

@@ -7,7 +7,7 @@ because the n/5 growth claim is asymptotic.
 
 from fractions import Fraction
 
-from conftest import w_slice
+from conftest import red_root, w_slice
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.formulas import (
@@ -173,12 +173,13 @@ def test_criterion_4_structural_identities(capsys):
     z2 = z * z
     _check(failures, b.W * b.W == one - 6 * z2 + 5 * z2 * z2, "W^2")
     _check(failures, b.P * b.Q == z2 * (2 * one - z2), "P*Q")
-    onew = Series.one(order, b.Ww.ring)
-    zw = Series.z(order, b.Ww.ring)
+    Ww = red_root(order)  # the root the red series read, from dual_blue_g0
+    onew = Series.one(order, Ww.ring)
+    zw = Series.z(order, Ww.ring)
     w = W_VAR
     _check(
         failures,
-        b.Ww * b.Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4)),
+        Ww * Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4)),
         "Ww^2",
     )
     for chk in genfunc.substitution_identity_check(genfunc.red_axis_x(order=40)):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import inspect
 import io
 import os
@@ -8,15 +9,15 @@ import subprocess
 import sys
 
 import pytest
-from conftest import bumped
+from conftest import bumped, red_root
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdyck
-from skewdyck import cli, dp, formulas, genfunc, paths, refs
+from skewdyck import cli, dp, formulas, genfunc, paths
 from skewdyck.dp import dp_table
 from skewdyck.paths import DUAL, PathWord
-from skewdyck.series import ExactnessError, Series
+from skewdyck.series import WPOLY, W_VAR, ExactnessError, Series, WPoly
 
 CLI = [sys.executable, "-m", "skewdyck.cli"]
 # child interpreters import the skewdyck these tests import
@@ -411,14 +412,12 @@ _FAULTS = {
     "reference:A002212": (
         genfunc, "primal_level_series",
         lambda fn: _bump_series(fn, lambda j, **kw: j == 0, 4), ["unbounded"],
-        "FAIL reference:A002212 expected " + str(refs.A002212)
-        + ", computed " + str((1, 1, 4) + refs.A002212[3:]),
+        "FAIL reference:A002212 first mismatch at term 2: computed 4 != expected 3",
     ),
     "reference:A033321": (
         genfunc, "negative_axis_series",
         lambda fn: _bump_series(fn, lambda cls, **kw: cls == "sum", 6), ["unbounded"],
-        "FAIL reference:A033321 expected " + str(refs.A033321_PREFIX)
-        + ", computed " + str((1, 2, 6, 22) + refs.A033321_PREFIX[4:]),
+        "FAIL reference:A033321 first mismatch at term 3: computed 22 != expected 21",
     ),
     "reversal-duality:image": (
         paths, "reverse_dual", lambda fn: _break_image(fn, "UUDD", ("u",)), ["primal"],
@@ -452,6 +451,102 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [l for l in lines if l.startswith("FAIL ")] == [line]
     assert lines[-1] == "OVERALL FAIL"
+
+
+def _bump_red_root(fn):
+    """Wrap ``dual_blue_g0``: add 1 to the top w-coefficient of its last z^n
+    but two, which moves the top w-coefficient of W_w = 1 - wz^2 - 2z^2 G
+    at the series' own order."""
+
+    def faulty(order):
+        s = fn(order)
+        top = len(s.coeffs[order - 2].coeffs) - 1
+        return s + Series.from_dict({order - 2: WPoly([0] * top + [1])}, order, WPOLY)
+
+    return faulty
+
+
+_RED_ROOT_FAIL = "FAIL kernel-identities Ww^2 != (1-z^2 w)(1-(4+w)z^2)"
+_SUBSTITUTION_FAIL = "; substitution(substitution weight 2+w); substitution(substitution weight 3)"
+
+
+@pytest.mark.parametrize(
+    "order, line",
+    [
+        # the full square to z^40 sees it; so does the red axis, from the same series
+        (8, _RED_ROOT_FAIL + _SUBSTITUTION_FAIL),
+        # past z^40 only the linear identity reads W_w, and the substitution
+        # identity reads the red axis to x^20 only
+        (44, _RED_ROOT_FAIL),
+    ],
+)
+def test_verify_fails_on_a_bumped_red_root(order, line, monkeypatch, capsys):
+    monkeypatch.setattr(genfunc, "dual_blue_g0", _bump_red_root(genfunc.dual_blue_g0))
+    argv = ["verify", "--order", str(order), "--max-brute-length", "6", "--family", "dual"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [line]
+
+
+def test_verify_squares_the_red_root_to_z40(monkeypatch, capsys):
+    # with the linear identity switched off, the full square alone still
+    # sees a bumped W_w at z^40
+    monkeypatch.setattr(cli, "_squares_to", lambda s, poly: True)
+    monkeypatch.setattr(genfunc, "dual_blue_g0", _bump_red_root(genfunc.dual_blue_g0))
+    argv = ["verify", "--order", "40", "--max-brute-length", "6", "--family", "dual"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("FAIL ")] == [_RED_ROOT_FAIL + _SUBSTITUTION_FAIL]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_linear_square_identity_fails_where_the_square_does(n):
+    # W and W_w with z^n moved: at every truncation the linear identity
+    # holds exactly when the square does
+    for root, poly in (
+        (genfunc.kernel_bundle(12).W, {0: 1, 2: -6, 4: 5}),
+        (red_root(12), {0: 1, 2: -4 - 2 * W_VAR, 4: W_VAR * (4 + W_VAR)}),
+    ):
+        bad = root + Series.from_dict({n: 1}, 12, root.ring)
+        for m in range(13):
+            s = bad.truncate(m)
+            square = s * s == Series.from_dict(poly, m, root.ring)
+            assert cli._squares_to(s, poly) == square == (m < n), (m, root.ring)
+        assert cli._squares_to(root, poly)
+
+
+# sha256 of the whole standard output, with the exit code, of CLI runs that
+# every change of the kernel route and the checks must leave byte-identical;
+# a digest changes only with a deliberate change of that output
+_DIGESTS = {
+    "table --family primal --levels 0..20 --order 200":
+        (0, "3d74286591f4d51f482c3de24bf0be3d3aa8b17c46c6f93e8efd5a0f95d3ab09"),
+    "table --family primal --levels 0..20 --order 200 --format record":
+        (0, "431c2a4bd5757f571c61ebc1cecd5556b7909d2dc65dcd345431c0340f10e6e6"),
+    "table --family dual --levels 0..20 --order 200":
+        (0, "4a7bb5e9cba4d202881cff631836d3d773537a9399f8271e2ef7f86fe69f73c0"),
+    "table --family dual --levels 0..20 --order 200 --format record":
+        (0, "2157d574ddd2fab24fc5671bee71d60ff61a9d3a9c018e0cba73f6c448a3655c"),
+    "table --family unbounded --levels=-12..12 --order 120":
+        (0, "89ca6ee2b1a0c1e7787f2a4f546acf72d55476583d60aff4f481f62aa2fe1be3"),
+    "table --family unbounded --levels=-12..12 --order 120 --format record":
+        (0, "759607c44991e9bc717b41947665ca4d083eadfa3a77aeaa50d06504865082be"),
+    "verify --order 96 --max-brute-length 8":
+        (0, "f1016b89907f651b5a8b9a066cd2cde10fa9c0cd3eccddb970bc7076ad5d0b91"),
+    "verify --max-brute-length 10 --inject-fault":
+        (1, "66228b519e71d08f0541949c43d29519ddf8ac16a8d87b5b0384c068339eb866"),
+    "stats-red --order 90":
+        (0, "d6b516cf294037991fa3996999714b029cf125be16b528a725c1222d99f980a5"),
+    "oeis A002212": (0, "d864839ab076649f36111f7741f8c0ba10a3802690325444edfb9bd81cd49936"),
+    "oeis A033321": (0, "1181455ca7d63d8a807aff93e73871b70c38a6843ec9d94c5547e7d2f0bc9fc5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIGESTS))
+def test_output_digest(command, capsys):
+    code = cli.main(command.split())
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == _DIGESTS[command]
 
 
 def test_verify_recursions_fail_line(monkeypatch, capsys):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdyck
-from conftest import sqrt_one, w_slice
+from conftest import red_root, sqrt_one, w_slice
 from skewdyck import genfunc
 from skewdyck.dp import dp_table
 from skewdyck.paths import BOUNDED, DUAL, UNBOUNDED
 from skewdyck.series import (
+    WPOLY,
     ExactnessError,
     NonUnitError,
     Series,
@@ -132,10 +133,11 @@ def test_kernel_bundle_identities():
     assert b.W * b.W == one - 6 * z2 + 5 * z2 * z2
     assert b.P * b.Q == z2 * (2 * one - z2)
     assert b.P + b.Q == one + z2
-    onew = Series.one(12, genfunc.kernel_bundle(12).Ww.ring)
+    Ww = red_root(12)
+    onew = Series.one(12, Ww.ring)
     zw = Series.z(12, onew.ring)
     w = W_VAR
-    assert b.Ww * b.Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4))
+    assert Ww * Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4))
 
 
 def _sqrt_one_bundle(order):
@@ -159,10 +161,13 @@ def _sqrt_one_bundle(order):
 
 @pytest.mark.parametrize("order", list(range(13)) + [40, 81])
 def test_kernel_bundle_matches_sqrt_one_oracle(order):
+    # W_w is dual_blue_g0's, and P_w = 1 - z^2 G is how red_level_series reads it
     b = genfunc.kernel_bundle(order)
     assert b.order == order
+    red_p = Series.one(order, WPOLY) - shift_up(genfunc.dual_blue_g0(order), 2)
+    made = {"W": b.W, "P": b.P, "Q": b.Q, "Ww": red_root(order), "Pw": red_p}
     for name, want in _sqrt_one_bundle(order).items():
-        assert getattr(b, name) == want, name
+        assert made[name] == want, name
 
 
 def test_constructors_hold_integers_only():
@@ -191,11 +196,13 @@ def test_kernel_bundle_record():
     assert b == genfunc.KernelBundle(6, b.W, P=b.P, Q=b.Q)
     assert b != genfunc.kernel_bundle(8)
     assert repr(b).startswith("KernelBundle(order=6, W=Series(")
-    assert b.Pw is b.Pw  # built once, kept in the instance __dict__
+    # a plain immutable record: its four fields, no instance dict, no cache
+    assert genfunc.KernelBundle.__slots__ == ("order", "W", "P", "Q")
+    assert not hasattr(b, "__dict__") and not hasattr(genfunc, "cached_property")
     with pytest.raises(AttributeError):
         b.order = 8
     with pytest.raises(AttributeError):
-        b.Pw = None
+        b.Ww = None  # no slot for anything else
 
 
 def test_kernel_bundle_rejects_negative_order():
@@ -249,15 +256,25 @@ def test_constructors_reject_bad_ints_by_name(name, data):
     assert all(s.order == want for s in (made if isinstance(made, (list, tuple)) else [made]))
 
 
-def test_rational_constructors_leave_w_half_unbuilt():
-    b = genfunc.kernel_bundle(20)
-    genfunc.primal_level_series(2, order=16, bundle=b)
-    genfunc.dual_level_series(1, order=16, bundle=b)
-    genfunc.negative_level_series(-2, order=16, bundle=b)
-    genfunc.negative_level_series(1, order=16, bundle=b)
-    assert "Ww" not in b.__dict__ and "Pw" not in b.__dict__
-    b.Ww
-    assert "Ww" in b.__dict__
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("dual_blue_g0", ()),
+        ("red_level_series", (2, "h")),
+        ("primal_open_ended", ()),
+        ("dual_open_ended", ()),
+        ("negative_axis_series", ("g0",)),
+    ],
+)
+def test_closed_forms_build_no_bundle(monkeypatch, name, args):
+    # each builds only the root it reads: W alone, or W_w in dual_blue_g0
+    want = getattr(genfunc, name)(*args, order=12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} built a kernel bundle")
+
+    monkeypatch.setattr(genfunc, "kernel_bundle", refuse)
+    assert getattr(genfunc, name)(*args, order=12) == want
 
 
 @pytest.mark.parametrize(
@@ -458,12 +475,12 @@ def _generic_rungs(order):
     den0 + den1 u, base = div(1, den0) and ratio = -den1 base."""
     b = genfunc.kernel_bundle(order)
     one, z, z2 = Series.one(order), Series.z(order), shift_up(Series.one(order), 2)
-    w = b.Pw.ring
+    red_p = Series.one(order, WPOLY) - shift_up(genfunc.dual_blue_g0(order), 2)
     pairs = {}
     for name, unit, den0, den1 in (
         ("primal", one, -b.P, z),
         ("dual", one, b.P, -(z * (2 * one - z2))),
-        ("red", Series.one(order, w), -b.Pw, Series.z(order, w)),
+        ("red", Series.one(order, WPOLY), -red_p, Series.z(order, WPOLY)),
     ):
         base = div(unit, den0)
         pairs[name] = base, -(den1 * base)
@@ -472,14 +489,14 @@ def _generic_rungs(order):
 
 @pytest.mark.parametrize("order", [*range(41), 200])
 def test_ladder_rungs_are_the_generic_construction(order):
-    b = genfunc.kernel_bundle(order + 2)
+    b, G = genfunc.kernel_bundle(order + 2), genfunc.dual_blue_g0(order)
     closed = {
         "primal": (-genfunc._closed_form(b.W, order, *genfunc._INV_P),
                    genfunc._closed_form(b.W, order, *genfunc._BAD_ROOT)),
         "dual": (genfunc._closed_form(b.W, order, *genfunc._INV_P),
                  genfunc._closed_form(b.W, order, *genfunc._Q_OVER_Z)),
-        "red": (genfunc._closed_form(b.Ww, order, *genfunc._RED_BASE),
-                genfunc._closed_form(b.Ww, order, *genfunc._RED_RATIO)),
+        "red": (genfunc._closed_form(G, order, *genfunc._RED_BASE),
+                genfunc._closed_form(G, order, *genfunc._RED_RATIO)),
     }
     for name, pair in _generic_rungs(order).items():
         assert closed[name] == pair, name

@@ -51,6 +51,28 @@ def test_initial_red_is_forbidden():
     assert is_valid(PathWord(("D", "R"), UNBOUNDED))
 
 
+def test_unbounded_words_are_those_that_do_not_start_with_r():
+    # every word over U, D and R with only UR and RU forbidden, tallied by
+    # (length, end level, last-step class, red steps) without the family's
+    # rule table: those that do not start with R are the unbounded family
+    classes = {"U": "f", "D": "g", "R": "h"}
+    tally, rest = Counter({(0, 0, "f", 0): 1}), Counter()
+    words = [(None, None, 0, 0)]  # (first step, last step, level, red steps)
+    for n in range(1, 13):
+        words = [
+            (first or s, s, level + (1 if s == "U" else -1), k + (s == "R"))
+            for first, last, level, k in words
+            for s in "UDR"
+            if (last, s) not in {("U", "R"), ("R", "U")}
+        ]
+        for first, last, level, k in words:
+            (rest if first == "R" else tally)[n, level, classes[last], k] += 1
+    assert tally == count_table(UNBOUNDED, 12).counts()
+    axis = [sum(c for (n, j, _, _), c in tally.items() if (n, j) == (2 * m, 0)) for m in range(5)]
+    assert axis == [1, 2, 7, 29, 127]
+    assert rest[1, -1, "h", 1] == 1  # the word R, which the family leaves out
+
+
 def test_unknown_step_rejected():
     with pytest.raises(ValueError):
         PathWord(("x",), BOUNDED)

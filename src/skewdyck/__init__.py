@@ -39,7 +39,11 @@ _HOME = {
             " primal_level_series primal_levels primal_open_ended red_level_series"
             " red_w_power_slice substitution_identity_check",
         ),
-        ("formulas", "dual_coeff_explicit mu_coeff primal_coeff_explicit red_coeff_explicit trinomial"),
+        (
+            "formulas",
+            "dual_coeff_explicit kappa_coeff mu_coeff primal_coeff_explicit red_coeff_explicit"
+            " trinomial",
+        ),
         ("refs", "A002212 A033321_PREFIX get_sequence"),
     )
     for name in names.split()

@@ -196,21 +196,21 @@ def _squares_to(s, poly):
     )
 
 
-def _check_kernel_identities(order, sx):
-    b = genfunc.kernel_bundle(max(order, 8))
+def _check_kernel_identities(order, G, sx):
+    b = genfunc.kernel_bundle(G.order)
     n = b.order
     probs = []
     if b.W * b.W != series.Series.from_dict({0: 1, 2: -6, 4: 5}, n):
         probs.append("W^2 != 1-6z^2+5z^4")
     if b.P * b.Q != series.Series.from_dict({2: 2, 4: -1}, n):
         probs.append("P*Q != z^2(2-z^2)")
-    # W_w = 1 - wz^2 - 2z^2 G, G = dual_blue_g0, the root the red series read:
-    # squared in full to z^40, and to z^n by the linear identity
+    # W_w = 1 - wz^2 - 2z^2 G, from the G the red checks read: squared in
+    # full to z^40, and to z^n, n = G.order >= 40, by the linear identity
     w = series.W_VAR
     dw = {0: 1, 2: -4 - 2 * w, 4: w * (4 + w)}
-    g2 = series.shift_up(genfunc.dual_blue_g0(n), 2)
+    g2 = series.shift_up(G, 2)
     Ww = series.Series.from_dict({0: 1, 2: -w}, n, series.WPOLY) - g2 - g2
-    low = Ww.truncate(min(n, 40))
+    low = Ww.truncate(40)
     if low * low != series.Series.from_dict(dw, low.order, series.WPOLY) or not _squares_to(Ww, dw):
         probs.append("Ww^2 != (1-z^2 w)(1-(4+w)z^2)")
     for chk in genfunc.substitution_identity_check(sx.truncate(min(order, 20))):
@@ -274,18 +274,18 @@ def _verify_checks(args):
         top = min(6, args.order) if fam == "unbounded" else min(8, args.order)
         levels[fam] = _levels(fam, -top if fam == "unbounded" else 0, top, args.order)
         yield _check_dp_closed(fam, args.order, levels[fam], fault=args.inject_fault)
-    # one red axis series in x, for closed-explicit:red (x^1..x^max_n),
-    # closed-derivative:red (x^0..x^max_n) and the substitution identity
-    # (x^0..x^20 at most)
+    # one w-marked axis G to z^max(order, 40): kernel-identities reads W_w from it,
+    # and sx, G in x = z^2, the red checks (to x^max_n) and the substitution (x^20 at most)
     max_n = max(args.order // 2, 1)
-    sx = genfunc.red_axis_x(order=2 * max(max_n, min(args.order, 20)))
+    G = genfunc.dual_blue_g0(max(args.order, 40))
+    sx = genfunc.even_to_x(G)
     if "primal" in families:
         yield _check_closed_explicit("primal", args.order, levels["primal"])
         yield _check_closed_explicit_red(max_n, sx)
         yield _check_closed_derivative_red(max_n, sx)
     if "dual" in families:
         yield _check_closed_explicit("dual", args.order, levels["dual"])
-    yield _check_kernel_identities(args.order, sx)
+    yield _check_kernel_identities(args.order, G, sx)
     if "primal" in families or "unbounded" in families:
         yield _check_reference("A002212")
     if "unbounded" in families:

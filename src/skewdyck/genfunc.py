@@ -112,9 +112,12 @@ def kernel_bundle(order=DEFAULT_ORDER):
 
 def _bundle(bundle, order, need):
     """``bundle``, or a new one of order ``need`` (what ``order`` coefficients
-    need) when none is given; a shorter bundle is refused."""
+    need) when none is given; a shorter bundle, or one that is no
+    :class:`KernelBundle`, is refused."""
     if bundle is None:
         return kernel_bundle(need)
+    if not isinstance(bundle, KernelBundle):
+        raise ValueError(f"bundle must be a KernelBundle, got {bundle!r}")
     if bundle.order < need:
         raise ValueError(f"bundle order {bundle.order} too short for order {order}; need {need}")
     return bundle
@@ -419,11 +422,15 @@ def dual_blue_g0(order=DEFAULT_ORDER):
     """Axis-return dual paths with blue edges marked: (1 - z^2 w - W_w)/(2z^2).
 
     The package's one construction of W_w = sqrt(1 - (4+2w)z^2 + w(4+w)z^4),
-    the w-refined kernel root: :func:`red_level_series` and the
-    ``kernel-identities`` check read it through this series.  Identical to
-    the red-marked axis series by the reversal duality, so
-    :func:`red_axis_x` reads it; the test suite pins it coefficientwise
-    against the blue-marked DP and against :func:`red_level_series`.
+    the w-refined kernel root: :func:`red_level_series` reads it through
+    this series.  Identical to the red-marked axis series by the reversal
+    duality, so :func:`red_axis_x` reads it; the test suite pins it
+    coefficientwise against the blue-marked DP and against
+    :func:`red_level_series`.  ``verify`` builds it once, to
+    z^max(order, 40): the red checks read it in x = z^2, and
+    ``kernel-identities`` reads W_w = 1 - wz^2 - 2z^2 G from it and checks
+    it to that order.  So the W_w^2 identity and the substitution identity
+    check one equation, G = 1 - wz^2 + wz^2 G + z^2 G^2, at two orders.
     """
     _check_args(order)
     Ww = _kernel_root(order + 2, WPoly((-4, -2)), WPoly((0, 4, 1)))

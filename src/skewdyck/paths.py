@@ -136,6 +136,13 @@ class PathWord(Record):
         return "".join(self.steps)
 
 
+def _word_spec(word):
+    """The :class:`FamilySpec` of ``word``, which must be a :class:`PathWord`."""
+    if not isinstance(word, PathWord):
+        raise ValueError(f"expected a PathWord, got {word!r}")
+    return family_spec(word.family)
+
+
 def is_valid(word):
     """Check the forbidden-adjacency rules and (where required) the level floor.
 
@@ -145,7 +152,7 @@ def is_valid(word):
     state diagram's seed); in the floored families an initial red step is
     already below the axis.
     """
-    spec = family_spec(word.family)
+    spec = _word_spec(word)
     level = 0
     prev = spec.steps[0]
     for s in word.steps:
@@ -267,6 +274,9 @@ class CountTable(Record):
     def __init__(self, family, max_length, entries):
         spec = family_spec(family)
         _check_length("max_length", max_length, cap=None)
+        if len(entries) != max_length + 1:
+            need = max_length + 1
+            raise ValueError(f"max_length {max_length} needs {need} entries, got {len(entries)}")
         self._set(family, max_length, entries)
         bits = _digit_bits(max_length)
         for name, value in (("classes", spec.classes), ("bits", bits), ("_mask", (1 << bits) - 1),
@@ -408,7 +418,7 @@ _GLYPHS = {"U": "/", "D": "\\", "R": "r", "u": "/", "B": "b", "d": "\\"}
 def render_ascii(word):
     """Deterministic grid rendering, the axis line at level 0 (edges below
     it are drawn under it); colored steps get their own glyph."""
-    spec = family_spec(word.family)
+    spec = _word_spec(word)
     levels = [0]
     for s in word.steps:
         levels.append(levels[-1] + spec.incr[s])
@@ -429,7 +439,7 @@ def render_ascii(word):
 def reverse_dual(word):
     """Reversal duality: a bounded primal word ending at level 0 maps to a
     dual word by reversing and swapping step roles (U<->d, D<->u, R->B)."""
-    if word.family != BOUNDED:
+    if _word_spec(word).name != BOUNDED:
         raise ValueError("reverse_dual expects a bounded primal word")
     swap = {"U": "d", "D": "u", "R": "B"}
     return PathWord(tuple(swap[s] for s in reversed(word.steps)), DUAL)

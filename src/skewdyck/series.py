@@ -302,12 +302,14 @@ class WPoly:
 W_VAR = WPoly((0, 1))
 
 
-def _coerce_coeff(x, ring):
-    if ring == RATIONAL:
-        if isinstance(x, WPoly):
-            raise RingMismatchError("w-polynomial coefficient in an integer series")
-        return _int(x)
-    return WPoly.coerce(x)
+def _rational_coeff(x):
+    if isinstance(x, WPoly):
+        raise RingMismatchError("w-polynomial coefficient in an integer series")
+    return _int(x)
+
+
+# ring tag -> the coercion of a coefficient into that ring
+_COERCE = {RATIONAL: _rational_coeff, WPOLY: WPoly.coerce}
 
 
 class Series:
@@ -316,7 +318,9 @@ class Series:
     __slots__ = ("coeffs", "ring")
 
     def __init__(self, coeffs, ring=RATIONAL):
-        cs = tuple(_coerce_coeff(c, ring) for c in coeffs)
+        if ring not in (RATIONAL, WPOLY):
+            raise ValueError(f"unknown ring {ring!r}; expected {RATIONAL!r} or {WPOLY!r}")
+        cs = tuple(map(_COERCE[ring], coeffs))
         if not cs:
             raise SeriesError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -331,7 +335,7 @@ class Series:
 
     def coeff(self, n):
         if n < 0:
-            return _coerce_coeff(0, self.ring)
+            return _COERCE[self.ring](0)
         if n > self.order:
             raise SeriesError(
                 f"coefficient of z^{n} requested beyond guaranteed order {self.order}"
@@ -404,11 +408,11 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, WPoly)):
-            s = _coerce_coeff(other, self.ring)
+            s = _COERCE[self.ring](other)
             return Series([c * s for c in self.coeffs], self.ring)
         self._check(other)
         n = min(self.order, other.order)
-        out = [_coerce_coeff(0, self.ring) for _ in range(n + 1)]
+        out = [_COERCE[self.ring](0) for _ in range(n + 1)]
         for i in range(n + 1):
             a = self.coeffs[i]
             if not a:
@@ -511,7 +515,7 @@ def shift_up(a, k):
     """Multiply by z^k, keeping the same order (top coefficients drop off)."""
     if k < 0:
         raise ValueError("shift_up needs k >= 0")
-    zero = _coerce_coeff(0, a.ring)
+    zero = _COERCE[a.ring](0)
     cs = [zero] * min(k, a.order + 1) + list(a.coeffs)
     return Series(cs[: a.order + 1], a.ring)
 

@@ -432,8 +432,8 @@ _FAULTS = {
         "FAIL closed-derivative:red first mismatch at x^3: closed 7 != derivative 6",
     ),
     "kernel-identities": (
-        genfunc, "red_axis_x",
-        lambda fn: _bump_series(fn, lambda **kw: True, 2), ["dual"],
+        genfunc, "even_to_x",
+        lambda fn: _bump_series(fn, lambda s: True, 2), ["dual"],
         "FAIL kernel-identities substitution(substitution weight 2+w); "
         "substitution(substitution weight 3)",
     ),
@@ -473,8 +473,11 @@ _SUBSTITUTION_FAIL = "; substitution(substitution weight 2+w); substitution(subs
 @pytest.mark.parametrize(
     "order, line",
     [
-        # the full square to z^40 sees it; so does the red axis, from the same series
-        (8, _RED_ROOT_FAIL + _SUBSTITUTION_FAIL),
+        # G is built to z^40 at any lower order: the full square sees the bump
+        # at z^38, which the substitution identity, read to x^8, does not
+        (8, _RED_ROOT_FAIL),
+        # read to x^20, the red axis from the same series sees it at x^19
+        (32, _RED_ROOT_FAIL + _SUBSTITUTION_FAIL),
         # past z^40 only the linear identity reads W_w, and the substitution
         # identity reads the red axis to x^20 only
         (44, _RED_ROOT_FAIL),
@@ -587,11 +590,12 @@ def test_verify_builds_each_family_once(monkeypatch, capsys):
 
 
 def test_verify_builds_the_red_axis_once(monkeypatch, capsys):
+    # one G = dual_blue_g0 for the red checks and kernel-identities alike
     calls = []
-    real = genfunc.red_axis_x
-    monkeypatch.setattr(genfunc, "red_axis_x", lambda **kw: calls.append(kw) or real(**kw))
+    real = genfunc.dual_blue_g0
+    monkeypatch.setattr(genfunc, "dual_blue_g0", lambda *a: calls.append(a) or real(*a))
     assert cli.main(["verify"]) == 0
-    assert len(calls) == 1, calls
+    assert calls == [(40,)], calls
 
 
 @pytest.mark.parametrize(

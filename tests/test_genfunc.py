@@ -210,7 +210,24 @@ def test_kernel_bundle_rejects_negative_order():
         genfunc.kernel_bundle(-1)
 
 
-# the exported genfunc constructors, and red_axis_x, which verify reaches;
+def test_truncation_is_the_lower_order():
+    # verify builds G = dual_blue_g0 once, to z^max(order, 40), and reads the
+    # lower orders it checks as truncations: each must be, value for value
+    # and type for type, the series built at that order, and so must each
+    # root of kernel_bundle
+    built = {n: (genfunc.dual_blue_g0(n), genfunc.kernel_bundle(n)) for n in range(201)}
+    for top in [*range(41), 200]:
+        G, b = built[top]
+        for n in range(top + 1):
+            G_n, b_n = built[n]
+            pairs = [(G, G_n)] + [(getattr(b, f), getattr(b_n, f)) for f in ("W", "P", "Q")]
+            for s, want in pairs:
+                cut = s.truncate(n)
+                assert cut == want, (top, n)
+                assert list(map(type, cut.coeffs)) == list(map(type, want.coeffs)), (top, n)
+
+
+# the exported genfunc constructors, and red_axis_x, which the tests read;
 # read through getattr, because the package resolves its exports on access
 _CONSTRUCTORS = sorted(
     name
@@ -322,6 +339,24 @@ def test_too_short_bundle_rejected(name, args, order, bundle_order):
     bundle = genfunc.kernel_bundle(bundle_order)
     with pytest.raises(ValueError, match="too short"):
         getattr(genfunc, name)(*args, order=order, bundle=bundle)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("primal_levels", (0, 1)),
+        ("primal_level_series", (0,)),
+        ("dual_levels", (0, 1)),
+        ("dual_level_series", (2,)),
+        ("negative_levels", (-1, 1)),
+        ("negative_level_series", (-1,)),
+        ("negative_boundary_series", ()),
+    ],
+)
+@pytest.mark.parametrize("bundle", ["x", 40, genfunc.kernel_bundle(8).W])
+def test_bundle_that_is_no_bundle_rejected(name, args, bundle):
+    with pytest.raises(ValueError, match="^bundle must be a KernelBundle, got "):
+        getattr(genfunc, name)(*args, order=4, bundle=bundle)
 
 
 @pytest.mark.parametrize("j", [-2, 0, 3])

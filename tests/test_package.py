@@ -23,7 +23,10 @@ EXPORTS = {
         "primal_level_series", "primal_levels", "primal_open_ended", "red_level_series",
         "red_w_power_slice", "substitution_identity_check",
     },
-    "formulas": {"dual_coeff_explicit", "mu_coeff", "primal_coeff_explicit", "red_coeff_explicit", "trinomial"},
+    "formulas": {
+        "dual_coeff_explicit", "kappa_coeff", "mu_coeff", "primal_coeff_explicit",
+        "red_coeff_explicit", "trinomial",
+    },
     "refs": {"A002212", "A033321_PREFIX", "get_sequence"},
 }
 PUBLIC = set(EXPORTS).union(*EXPORTS.values())
@@ -37,7 +40,7 @@ def test_export_is_the_module_attribute(module, name):
 
 
 def test_star_import_and_dir_list_every_export():
-    assert sum(map(len, EXPORTS.values())) == 43
+    assert sum(map(len, EXPORTS.values())) == 44
     namespace = {}
     exec("from skewdyck import *", namespace)
     assert set(namespace) - {"__builtins__"} == PUBLIC == set(skewdyck.__all__)

@@ -163,6 +163,23 @@ def test_count_table_rejects_unknown_family():
         CountTable("nonsense", 3, ())
 
 
+def test_count_table_rejects_a_wrong_number_of_entries():
+    # one entry per length 0..max_length, checked before any lookup
+    with pytest.raises(ValueError, match="^max_length 2 needs 3 entries, got 0$"):
+        CountTable(BOUNDED, 2, ())
+    entries = count_table(DUAL, 2).entries
+    with pytest.raises(ValueError, match="^max_length 1 needs 2 entries, got 3$"):
+        CountTable(DUAL, 1, entries)
+    assert CountTable(DUAL, 2, entries) == count_table(DUAL, 2)
+
+
+@pytest.mark.parametrize("call", [is_valid, render_ascii, reverse_dual])
+@pytest.mark.parametrize("word", ["UD", ("U", "D"), None])
+def test_word_readers_reject_what_is_no_word(call, word):
+    with pytest.raises(ValueError, match="^expected a PathWord, got "):
+        call(word)
+
+
 def test_count_table_rejects_unknown_classes():
     table = count_table(BOUNDED, 4)
     unknown = r"unknown class '%s'; expected one of \('f', 'g', 'h'\)"

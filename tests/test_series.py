@@ -143,6 +143,15 @@ class TestSeriesBasics:
         with pytest.raises(RingMismatchError):
             a + b
 
+    @pytest.mark.parametrize("ring", ["foo", "RATIONAL", None, ["wpoly"]])
+    def test_unknown_ring_rejected(self, ring):
+        # one check per construction, not a w ring for every other tag
+        msg = r"^unknown ring .*; expected 'rational' or 'wpoly'$"
+        with pytest.raises(ValueError, match=msg):
+            Series([1, 2], ring)
+        with pytest.raises(ValueError, match=msg):
+            Series.one(3, ring)
+
     def test_truncate_cannot_extend(self):
         with pytest.raises(SeriesError):
             Series.one(3).truncate(5)

@@ -117,6 +117,8 @@ def check_recursions(table):
     bounded, 2 + 3L for dual and 6L for unbounded; a violation is report
     content, not an exception.
     """
+    if not isinstance(table, CountTable):
+        raise ValueError(f"expected a CountTable, got {table!r}")
     below, seeds, rules = _RECURSIONS[table.family]
     top = table.max_length
     arrays = {}  # (class, level) -> coefficients of z^0..z^L, read once

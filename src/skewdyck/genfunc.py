@@ -8,8 +8,9 @@ multiplied through by conjugates (PQ = z^2(2-z^2), P + Q = 1 + z^2,
 W^2 = (1-z^2)(1-5z^2)) until it reads (a + bR)/(z^s d), R = W or a root in
 x = z^2, with polynomials a, b and d; :func:`_closed_form` reads it and
 divides only by d.  That is the module's only division: each ladder, too,
-starts from a base and a ratio read as such forms (``_INV_P`` and the rest),
-so no series is ever inverted.
+reads its base 1/den0 as such a form (``_INV_P`` and ``_RED_BASE``), and
+its ratio -den1/den0 is the kernel's u-coefficient den1, a polynomial,
+times that base, so no series is ever inverted.
 
 A family's classes share one denominator, linear in u, so a level's total
 has the sum of the class numerators as its numerator (:func:`_with_total`).
@@ -160,20 +161,21 @@ def _check_args(order, family=None, cls=None, classes=None, **levels):
         raise ValueError(f"unknown class {cls!r}; expected one of {classes}")
 
 
-def _ladder(num, base, ratio, lo, hi):
+def _ladder(num, base, den1, lo, hi):
     """[u^j] of num(u)/(den0 + den1 u) for j = lo..hi (0 <= lo), as a list,
-    given base = 1/den0 and ratio = -den1/den0.
+    given base = 1/den0 and the polynomial den1 as {power: coefficient}.
 
     Every kernel-method solution here has a denominator linear in u, so
     its levels form a ladder: 1/(den0 + den1 u) = base sum_t ratio^t u^t,
-    and level j is L_j = sum_i num_i base ratio^(j-i).  Hence
-    L_0 = num_0 base and L_(j+1) = ratio L_j + num_(j+1) base (num_i = 0
-    past the given parts): one series product per level, and only the
-    current level is kept.  For the bounded family (num/(zu - P)) this is
-    level j = -num z^j / P^(j+1) (Prodinger, "The kernel method: a
+    ratio = -den1 base, and level j is L_j = sum_i num_i base ratio^(j-i).
+    Hence L_0 = num_0 base and L_(j+1) = ratio L_j + num_(j+1) base
+    (num_i = 0 past the given parts): one series product per level, and
+    only the current level is kept.  For the bounded family (num/(zu - P))
+    this is level j = -num z^j / P^(j+1) (Prodinger, "The kernel method: a
     collection of examples", Sem. Lothar. Combin. 50 (2004) B50f).  The
-    callers read base and ratio with :func:`_closed_form`.
+    callers read base with :func:`_closed_form`, so a ladder divides once.
     """
+    ratio = -(Series.from_dict(den1, base.order, base.ring) * base)
     level = num[0] * base
     out = []
     for j in range(hi + 1):
@@ -186,19 +188,18 @@ def _ladder(num, base, ratio, lo, hi):
     return out
 
 
-# The ladders' bases and ratios as W-linear forms (a, b, den, shift) of
-# (a + bR)/(z^shift den).  zu - P has (-1/P, z/P), P - z(2-z^2)u has
-# (1/P, Q/z), and zu - P_w has (-1/P_w, z/P_w).  By PQ = z^2(2-z^2),
-# 1/P = Q/(z^2(2-z^2)) with Q = (1+z^2-W)/2, and z/P, the bad root below
-# the axis, is the same form over z.  The red forms are over R = G, the
-# axis series (1-wz^2-W_w)/(2z^2) of dual_blue_g0: by P_w Q_w = z^2(1+w-wz^2),
-# with Q_w = (1+wz^2-W_w)/2 = z^2(w+G), 1/P_w = (w+G)/(1+w-wz^2).
+# The ladders' bases 1/den0 as W-linear forms (a, b, den, shift) of
+# (a + bR)/(z^shift den), and their kernels' u-coefficients den1.  zu - P
+# has base -1/P and P - z(2-z^2)u has 1/P: by PQ = z^2(2-z^2),
+# 1/P = Q/(z^2(2-z^2)) with Q = (1+z^2-W)/2.  zu - P_w has base -1/P_w, a
+# form over R = G, the axis series (1-wz^2-W_w)/(2z^2) of dual_blue_g0: by
+# P_w Q_w = z^2(1+w-wz^2), with Q_w = (1+wz^2-W_w)/2 = z^2(w+G),
+# 1/P_w = (w+G)/(1+w-wz^2).
 _INV_P = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2)
-_BAD_ROOT = _INV_P[:3] + (1,)
-_Q_OVER_Z = ({0: 1, 2: 1}, {0: -1}, {0: 2}, 1)
 _RED_DEN = {0: 1 + W_VAR, 2: -W_VAR}
 _RED_BASE = ({0: -W_VAR}, {0: -1}, _RED_DEN, 0)
-_RED_RATIO = ({1: W_VAR}, {1: 1}, _RED_DEN, 0)
+_ZU = {1: 1}  # den1 of zu - P and zu - P_w
+_DUAL_U = {1: -2, 3: 1}  # den1 of P - z(2-z^2)u
 
 
 def _with_total(nums):
@@ -226,13 +227,12 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     Level j is [u^j] of num/(zu - P), that is -num z^j / P^(j+1), with the
     class numerators -(1+z^2+W)/2 = -P, (-1+z^2+W)/2 = P - 1 and
     (-1+3z^2+W)/2 = P - 1 + z^2 (:func:`_bounded_numerators`).  All levels
-    come from one bundle and one ladder, with base -1/P and ratio z/P.
+    come from one bundle and one ladder, base -1/P and ratio z/P (den1 = z).
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order + 2)
     num = _bounded_numerators(bundle.P.truncate(order), 1)[cls]
-    base = -_closed_form(bundle.W, order, *_INV_P)
-    return _ladder(num, base, _closed_form(bundle.W, order, *_BAD_ROOT), lo, hi)
+    return _ladder(num, -_closed_form(bundle.W, order, *_INV_P), _ZU, lo, hi)
 
 
 def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -268,45 +268,33 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     h: w(-1+(2+w)z^2+W_w)/2 = w(P_w - 1 + z^2).
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
-    The ladder's base -1/P_w and ratio z/P_w are forms over G too.
+    The ladder's base -1/P_w is a form over G too, and its ratio is z/P_w.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
     G = dual_blue_g0(order)
     num = _bounded_numerators(Series.one(order, WPOLY) - shift_up(G, 2), W_VAR)[cls]
-    base = _closed_form(G, order, *_RED_BASE)
-    return _ladder(num, base, _closed_form(G, order, *_RED_RATIO), j, j)[0]
+    return _ladder(num, _closed_form(G, order, *_RED_BASE), _ZU, j, j)[0]
 
 
 def even_to_x(s):
     """Rewrite a series in z with even support as a series in x = z^2."""
+    if not isinstance(s, Series):
+        raise ValueError(f"expected a Series, got {s!r}")
     odd = next((n for n in range(1, s.order + 1, 2) if s.coeffs[n]), None)
     if odd is not None:
         raise ExactnessError(f"odd coefficient z^{odd} = {s.coeffs[odd]} is not 0")
     return Series(s.coeffs[::2], s.ring)
 
 
-def red_axis_x(order=DEFAULT_ORDER):
-    """The axis-return series S(0) written in x = z^2 (w-polynomial ring).
-
-    S(0) is read from the closed form of :func:`dual_blue_g0`, which needs
-    no series inverse.  It equals level 0 of :func:`red_level_series`:
-    there S(0) = -num/P_w with the total numerator
-    num = -1 + w(P_w - 1 + z^2).  P_w and Q_w = 1 + wz^2 - P_w are the
-    roots of T^2 - (1 + wz^2)T + z^2(1 + w - wz^2), so
-    P_w(1 - P_w) = P_w - P_w^2 = z^2(1 + w - wz^2) - wz^2 P_w = -z^2 num.
-    P_w is a unit, hence S(0) = (1 - P_w)/z^2 = (1 - wz^2 - W_w)/(2z^2).
-    ``red_level_series(0)``, the ladder route, stays the test oracle.
-    """
-    return even_to_x(dual_blue_g0(order))
-
-
 def substitution_identity_check(s0):
     """Verify S(0) = 1 + v under x = v/(1 + m v + v^2), in its defining form.
 
-    ``s0`` is the red-marked axis series S(0) in x, as :func:`red_axis_x`
-    builds it.  With V = S(0) - 1 the identity is checked as the equation
-    V = x (1 + m V + V^2), coefficient by coefficient over x^0..x^N, where
-    N is the order of ``s0``.
+    ``s0`` is the red-marked axis series S(0) in x, as ``verify`` reads it:
+    ``even_to_x(dual_blue_g0(order))``, which equals level 0 of
+    :func:`red_level_series` by the reversal duality.  With V = S(0) - 1
+    the identity is checked as the equation V = x (1 + m V + V^2),
+    coefficient by coefficient over x^0..x^N, where N is the order of
+    ``s0``.
 
     The two forms are equivalent: x(v) has x(0) = 0 and x'(0) = 1, so
     S(x(v)) = 1 + v holds exactly when V is the compositional inverse of
@@ -318,6 +306,8 @@ def substitution_identity_check(s0):
     weight m = 2+w (marked red edges) and one for the w := 1 specialization
     (m = 3).
     """
+    if not isinstance(s0, Series):
+        raise ValueError(f"expected a Series, got {s0!r}")
     checks = []
     for name, s, middle in (
         ("substitution weight 2+w", s0, 2 + W_VAR),
@@ -366,8 +356,8 @@ def red_w_power_slice(k, order=DEFAULT_ORDER):
     (``_RED_SLICES``), so the only divisors are 2, x and powers of 1 - 4x.
 
     The same series, for any k >= 0, is [w^k], taken coefficientwise, of
-    ``red_axis_x(order=2 * order)``, the trivariate axis series; the test
-    suite keeps that slice as the oracle that pins these forms.
+    ``even_to_x(dual_blue_g0(2 * order))``, the trivariate axis series;
+    the test suite keeps that slice as the oracle that pins these forms.
     """
     _check_args(order, k=k)
     if not 0 <= k <= 4:
@@ -386,7 +376,7 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
     D = P - z(2-z^2)u, and the total from the sum of their numerators.
     It equals front * z^j * S^(j+1), front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2.
-    The ladder's base is 1/P and its ratio Q/z.
+    The ladder's base is 1/P and its ratio Q/z (den1 = -z(2-z^2)).
     """
     _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order + 2)
@@ -394,8 +384,7 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     one, z, z2 = _units(order)
     zp, zero = z * P, Series.zero(order, RATIONAL)
     num = _with_total({"a": (P, -zp), "b": (one - 2 * z2 - W,), "c": (zero, zp)})[cls]
-    base = _closed_form(bundle.W, order, *_INV_P)
-    return _ladder(num, base, _closed_form(bundle.W, order, *_Q_OVER_Z), lo, hi)
+    return _ladder(num, _closed_form(bundle.W, order, *_INV_P), _DUAL_U, lo, hi)
 
 
 def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -424,9 +413,9 @@ def dual_blue_g0(order=DEFAULT_ORDER):
     The package's one construction of W_w = sqrt(1 - (4+2w)z^2 + w(4+w)z^4),
     the w-refined kernel root: :func:`red_level_series` reads it through
     this series.  Identical to the red-marked axis series by the reversal
-    duality, so :func:`red_axis_x` reads it; the test suite pins it
-    coefficientwise against the blue-marked DP and against
-    :func:`red_level_series`.  ``verify`` builds it once, to
+    duality, so the red checks read it in x = z^2 (:func:`even_to_x`); the
+    test suite pins it coefficientwise against the blue-marked DP and
+    against :func:`red_level_series`.  ``verify`` builds it once, to
     z^max(order, 40): the red checks read it in x = z^2, and
     ``kernel-identities`` reads W_w = 1 - wz^2 - 2z^2 G from it and checks
     it to that order.  So the W_w^2 identity and the substitution identity
@@ -519,21 +508,20 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
     root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) substituted for the
     cancelled factor.  Each sign runs one ladder: levels j >= 0 that of
-    :func:`primal_levels`, (-1/P, z/P), levels j < 0 that of
-    :func:`dual_levels`, (1/P, Q/z).  1/P and the bad root are built once.
+    :func:`primal_levels`, levels j < 0 that of :func:`dual_levels`.  1/P
+    is built once, and the bad root z/P is z times it.
     """
     _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
     bundle = _bundle(bundle, order, order + 2)
     boundary = negative_boundary_series(order=order, bundle=bundle)
-    inv_p, bad_root = (_closed_form(bundle.W, order, *form) for form in (_INV_P, _BAD_ROOT))
+    inv_p = _closed_form(bundle.W, order, *_INV_P)
     out = []
     if lo < 0:
-        below = _negative_numerators(order, boundary, bad_root)[cls]
-        ratio = _closed_form(bundle.W, order, *_Q_OVER_Z)
-        out += reversed(_ladder(below, inv_p, ratio, max(-hi, 1), -lo))
+        below = _negative_numerators(order, boundary, shift_up(inv_p, 1))[cls]
+        out += reversed(_ladder(below, inv_p, _DUAL_U, max(-hi, 1), -lo))
     if hi >= 0:
         above = _negative_numerators(order, boundary, None)[cls]
-        out += _ladder(above, -inv_p, bad_root, max(lo, 0), hi)
+        out += _ladder(above, -inv_p, _ZU, max(lo, 0), hi)
     return out
 
 

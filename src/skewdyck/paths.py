@@ -252,7 +252,8 @@ class CountTable(Record):
     column per class, in ``classes`` order.  A column is a tuple that
     holds, at index i, the count at level lo(n) + 2i, for the levels of
     :meth:`levels`: lo(n) = n mod 2 for the floored families and -n for
-    the unbounded one, up to n.  Each count packs the counts of every
+    the unbounded one, up to n.  Entries of another shape raise
+    ``ValueError``.  Each count packs the counts of every
     colour count k, count k being digit k in base 2^B (Kronecker
     substitution).  B = ``bits`` = bit_length(3^N) + 1 depends on
     ``max_length`` N alone, so two tables of one length share it.
@@ -277,6 +278,10 @@ class CountTable(Record):
         if len(entries) != max_length + 1:
             need = max_length + 1
             raise ValueError(f"max_length {max_length} needs {need} entries, got {len(entries)}")
+        for n, columns in enumerate(entries):
+            width = len(_levels(spec.floor, n))
+            if len(columns) != len(spec.classes) or any(len(col) != width for col in columns):
+                raise ValueError(f"entries[{n}] needs {len(spec.classes)} columns of {width} counts")
         self._set(family, max_length, entries)
         bits = _digit_bits(max_length)
         for name, value in (("classes", spec.classes), ("bits", bits), ("_mask", (1 << bits) - 1),

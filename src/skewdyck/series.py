@@ -359,9 +359,11 @@ class Series:
 
     @classmethod
     def from_dict(cls, powers, order, ring=RATIONAL):
-        """Series from a {power: coefficient} mapping (a polynomial)."""
+        """Series from a {power >= 0: coefficient} polynomial, cut at z^order."""
         cs = [0] * (order + 1)
         for p, c in powers.items():
+            if p < 0:
+                raise ValueError(f"power {p} is negative; a series has none")
             if p <= order:
                 cs[p] = c
         return cls(cs, ring)

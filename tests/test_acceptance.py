@@ -182,7 +182,7 @@ def test_criterion_4_structural_identities(capsys):
         Ww * Ww == (onew - zw * zw * w) * (onew - zw * zw * (w + 4)),
         "Ww^2",
     )
-    for chk in genfunc.substitution_identity_check(genfunc.red_axis_x(order=40)):
+    for chk in genfunc.substitution_identity_check(genfunc.even_to_x(genfunc.dual_blue_g0(40))):
         _check(failures, chk.ok, f"substitution {chk.name}")
     _check(
         failures,
@@ -223,7 +223,7 @@ def test_criterion_5_red_edge_statistics(capsys):
     n_max = 30
     reds = genfunc.average_red_series(order=n_max)
     # the closed form against the derivative route, d/dw at w = 1
-    deriv = specialize_w(w_derivative(genfunc.red_axis_x(order=2 * n_max)), 1)
+    deriv = specialize_w(w_derivative(genfunc.even_to_x(genfunc.dual_blue_g0(2 * n_max))), 1)
     _check(failures, reds == deriv, "closed form != derivative route at n <= 30")
     axis = genfunc.primal_level_series(0, order=2 * n_max)
     avg3 = Fraction(reds.coeff(3), axis.coeff(6))
@@ -242,7 +242,7 @@ def test_criterion_6_slice_closed_forms(capsys):
     failures = []
     for k in range(5):
         closed = genfunc.red_w_power_slice(k, order=20)
-        sliced = w_slice(genfunc.red_axis_x(order=40), k)
+        sliced = w_slice(genfunc.even_to_x(genfunc.dual_blue_g0(40)), k)
         _check(failures, closed == sliced, f"slice k={k}")
     _report(capsys, 6, "w-power slice closed forms", failures)
 

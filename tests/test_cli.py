@@ -453,6 +453,54 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
     assert lines[-1] == "OVERALL FAIL"
 
 
+def _bump_inv_p(monkeypatch):
+    """Add 1 at z^6 of the series ``_closed_form`` reads for ``_INV_P``, the
+    base of the primal, dual and negative ladders."""
+    real = genfunc._closed_form
+
+    def faulty(root, order, *form):
+        s = real(root, order, *form)
+        return s + Series.from_dict({6: 1}, s.order, s.ring) if form == genfunc._INV_P else s
+
+    monkeypatch.setattr(genfunc, "_closed_form", faulty)
+
+
+@pytest.mark.parametrize(
+    "inject, lines",
+    [
+        pytest.param(
+            _bump_inv_p,
+            [
+                "FAIL dp-closed:primal first mismatch at j=0 z^6: closed 11 != dp 10",
+                "FAIL dp-closed:dual first mismatch at j=0 z^6: closed 11 != dp 10",
+                "FAIL dp-closed:unbounded first mismatch at j=-6 z^12: closed 6616 != dp 6360",
+                "FAIL closed-explicit:primal first mismatch at j=0 z^6: explicit 10 != closed 11",
+                "FAIL closed-explicit:dual first mismatch at j=0 z^6: explicit 10 != closed 11",
+                "FAIL reference:A002212 first mismatch at term 3: computed 11 != expected 10",
+            ],
+            id="inv-p",
+        ),
+        pytest.param(
+            lambda monkeypatch: monkeypatch.setattr(genfunc, "_DUAL_U", {1: -2, 3: 2}),
+            [
+                "FAIL dp-closed:dual first mismatch at j=1 z^3: closed 2 != dp 3",
+                "FAIL dp-closed:unbounded first mismatch at j=-6 z^8: closed 96 != dp 208",
+                "FAIL closed-explicit:dual first mismatch at j=1 z^3: explicit 3 != closed 2",
+            ],
+            id="dual-den1",
+        ),
+    ],
+)
+def test_verify_sees_a_fault_in_a_shared_form(inject, lines, monkeypatch, capsys):
+    # a base is shared by the ladders that read it, and a ladder's ratio is
+    # den1 times its base: a fault in either reaches every check that reads
+    # one of those ladders, and no other
+    inject(monkeypatch)
+    assert cli.main(["verify", "--order", "12", "--max-brute-length", "6"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if l.startswith("FAIL ")] == lines
+
+
 def _bump_red_root(fn):
     """Wrap ``dual_blue_g0``: add 1 to the top w-coefficient of its last z^n
     but two, which moves the top w-coefficient of W_w = 1 - wz^2 - 2z^2 G

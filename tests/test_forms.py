@@ -7,12 +7,24 @@ Here a test-side :class:`Form` composes each one from z, R and the kernel
 half-root P = (1 + wz^2 + R)/2 (w = 1 for W) with +, -, x and division
 through the conjugate, and the two are compared as series.  The composed
 denominators are not reduced, so they are longer than the transcribed ones.
+The ladders' ratios are no transcribed forms: genfunc builds each as -den1
+times its base, and each is compared here with the root it stands for,
+z/P, Q/z or z/P_w.
 """
 
 import pytest
 
 from skewdyck import genfunc
-from skewdyck.series import W_VAR, Series, WPoly, div, quadratic_power, shift_divide, shift_up
+from skewdyck.series import (
+    W_VAR,
+    WPOLY,
+    Series,
+    WPoly,
+    div,
+    quadratic_power,
+    shift_divide,
+    shift_up,
+)
 
 ORDERS = [*range(41), 200]
 
@@ -101,6 +113,29 @@ def _variable_and_root(delta):
     return Form({1: 1}, {}, {0: 1}, delta), Form({}, {0: 1}, {0: 1}, delta)
 
 
+def _ladder_ratio(den0, base, den1):
+    """The ratio -den1/den0 that :func:`genfunc._ladder` builds from the
+    base 1/den0 and den1: level 1 of den0/(den0 + den1 u)."""
+    return genfunc._ladder((den0,), base, den1, 1, 1)[0]
+
+
+def _w_ratio(sign, den1):
+    """The ratio of the ladder over sign P + den1 u, base sign/P."""
+
+    def made(order):
+        b = genfunc.kernel_bundle(order + 2)
+        inv_p = genfunc._closed_form(b.W, order, *genfunc._INV_P)
+        return _ladder_ratio(sign * b.P.truncate(order), sign * inv_p, den1)
+
+    return made
+
+
+def _red_ratio(order):
+    G = genfunc.dual_blue_g0(order)
+    Pw = Series.one(order, WPOLY) - shift_up(G, 2)
+    return _ladder_ratio(-Pw, genfunc._closed_form(G, order, *genfunc._RED_BASE), genfunc._ZU)
+
+
 def _compose():
     """{name: (form, root builder, genfunc's series at an order)}."""
     out = {}
@@ -126,8 +161,10 @@ def _compose():
         form = getattr(genfunc, name)
         return lambda order: genfunc._closed_form(w_root(order + form[3]), order, *form)
 
-    for name, form in (("_INV_P", 1 / P), ("_BAD_ROOT", z / P), ("_Q_OVER_Z", Q / z)):
-        out[name] = form, w_root, transcribed(name)
+    out["_INV_P"] = 1 / P, w_root, transcribed("_INV_P")
+    # the ladders' ratios: z/P, the bad root, over zu - P and Q/z over P - z(2-z^2)u
+    out["ratio[primal]"] = z / P, w_root, _w_ratio(-1, genfunc._ZU)
+    out["ratio[dual]"] = Q / z, w_root, _w_ratio(1, genfunc._DUAL_U)
     # u := 1 in the level totals: (P - 2 + z^2)/(zu - P) and
     # (P + 1 - 2z^2 - W)/(P - z(2 - z^2)u)
     out["primal_open_ended"] = (P - 2 + z2) / (z - P), w_root, genfunc.primal_open_ended
@@ -151,10 +188,10 @@ def _compose():
         return genfunc._kernel_root(n, WPoly((-4, -2)), WPoly((0, 4, 1)))
 
     out["dual_blue_g0"] = (1 - Pw) / (z * z), red_root, genfunc.dual_blue_g0
-    for name, form in (("_RED_BASE", -1 / Pw), ("_RED_RATIO", z / Pw)):
-        out[name] = form, red_root, lambda order, name=name: genfunc._closed_form(
-            genfunc.dual_blue_g0(order), order, *getattr(genfunc, name)
-        )
+    out["_RED_BASE"] = -1 / Pw, red_root, lambda order: genfunc._closed_form(
+        genfunc.dual_blue_g0(order), order, *genfunc._RED_BASE
+    )
+    out["ratio[red]"] = z / Pw, red_root, _red_ratio
 
     # in x = z^2: d/dw at w = 1 of the axis series (1 - wx - W_w)/(2x), with
     # dW_w/dw = (dD_w/dw)/(2W_w) = (-2x + 6x^2)/(2R) at w = 1, R = sqrt(1 - 6x + 5x^2)
@@ -187,11 +224,10 @@ _FORMS = _compose()
 def test_every_transcribed_form_is_composed():
     names = {name.split("[")[0] for name in _FORMS}
     assert names == {
-        "_INV_P", "_BAD_ROOT", "_Q_OVER_Z", "_RED_BASE", "_RED_RATIO", "_CLASSICAL_AXIS",
-        "_BOUNDARY", "_RED_SLICES", "primal_open_ended", "dual_open_ended",
-        "average_red_series", "dual_blue_g0",
+        "_INV_P", "_RED_BASE", "ratio", "_CLASSICAL_AXIS", "_BOUNDARY", "_RED_SLICES",
+        "primal_open_ended", "dual_open_ended", "average_red_series", "dual_blue_g0",
     }
-    assert len(_FORMS) == 3 + 2 + 4 + 3 + 2 + 1 + 1 + 5
+    assert len(_FORMS) == 2 + 3 + 2 + 4 + 3 + 1 + 1 + 5
     assert len(genfunc._CLASSICAL_AXIS) == 4 and len(genfunc._BOUNDARY) == 3
     assert len(genfunc._RED_SLICES) == 5
 

@@ -179,8 +179,8 @@ def test_constructors_hold_integers_only():
         made += genfunc.dual_levels(0, 6, cls, order=30)
     made += [genfunc.negative_axis_series(cls, 24) for cls in genfunc.NEGATIVE_AXIS_CLASSES]
     made += [*genfunc.negative_boundary_series(24), genfunc.average_red_series(12)]
-    for k in range(5):
-        made += [genfunc.red_w_power_slice(k, 12), w_slice(genfunc.red_axis_x(order=24), k)]
+    axis = genfunc.even_to_x(genfunc.dual_blue_g0(24))
+    made += [s for k in range(5) for s in (genfunc.red_w_power_slice(k, 12), w_slice(axis, k))]
     assert all(type(c) is int for s in made for c in s.coeffs)
     red = [genfunc.dual_blue_g0(14)]
     for cls in genfunc.PRIMAL_CLASSES:
@@ -227,14 +227,14 @@ def test_truncation_is_the_lower_order():
                 assert list(map(type, cut.coeffs)) == list(map(type, want.coeffs)), (top, n)
 
 
-# the exported genfunc constructors, and red_axis_x, which the tests read;
-# read through getattr, because the package resolves its exports on access
+# the exported genfunc constructors, read through getattr, because the
+# package resolves its exports on access
 _CONSTRUCTORS = sorted(
     name
     for name in skewdyck.__all__
     if inspect.isfunction(obj := getattr(skewdyck, name)) and obj.__module__ == genfunc.__name__
     and name != "substitution_identity_check"
-) + ["red_axis_x"]
+)
 _INTS = ("order", "j", "lo", "hi", "k")
 
 
@@ -244,7 +244,7 @@ def test_constructor_sample_is_whole():
         "dual_open_ended", "kernel_bundle", "negative_axis_series",
         "negative_boundary_series", "negative_level_series", "negative_levels",
         "primal_level_series", "primal_levels", "primal_open_ended",
-        "red_level_series", "red_w_power_slice", "red_axis_x",
+        "red_level_series", "red_w_power_slice",
     ]
 
 
@@ -269,8 +269,8 @@ def test_constructors_reject_bad_ints_by_name(name, data):
     assert not any(isinstance(args[p], float) for p in _INTS if p in args), args
     if isinstance(made, genfunc.KernelBundle):
         made = (made.W, made.P, made.Q)
-    want = args["order"] // 2 if name == "red_axis_x" else args["order"]
-    assert all(s.order == want for s in (made if isinstance(made, (list, tuple)) else [made]))
+    made = made if isinstance(made, (list, tuple)) else [made]
+    assert all(s.order == args["order"] for s in made)
 
 
 @pytest.mark.parametrize(
@@ -373,11 +373,8 @@ def test_negative_total_builds_boundary_once(monkeypatch, j):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("lo", [-3, 0])
-def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
-    # one division per closed form: the boundary's f0, g0 and h0, 1/P and
-    # the bad root z/P, which both signs read, and Q/z, the ratio of the
-    # levels below the axis; the bad root is built once
+def _count_divisions(monkeypatch):
+    """Count genfunc's series divisions and record the closed forms read."""
     calls, forms = [], []
     real_div, real_form = genfunc.div, genfunc._closed_form
 
@@ -391,9 +388,33 @@ def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
 
     monkeypatch.setattr(genfunc, "div", counting_div)
     monkeypatch.setattr(genfunc, "_closed_form", counting_form)
+    return calls, forms
+
+
+@pytest.mark.parametrize(
+    "make, form",
+    [
+        pytest.param(lambda: genfunc.primal_levels(0, 3, order=10), "_INV_P", id="primal"),
+        pytest.param(lambda: genfunc.dual_levels(0, 3, order=10), "_INV_P", id="dual"),
+        pytest.param(lambda: genfunc.red_level_series(3, order=10), "_RED_BASE", id="red"),
+    ],
+)
+def test_each_ladder_reads_one_closed_form(monkeypatch, make, form):
+    # a ladder divides once, for its base; its ratio is den1 times the base
+    calls, forms = _count_divisions(monkeypatch)
+    make()
+    assert forms == [getattr(genfunc, form)] and len(calls) == 1
+
+
+@pytest.mark.parametrize("lo", [-3, 0])
+def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
+    # one division per closed form: the boundary's f0, g0 and h0, and 1/P,
+    # the base of both signs; the bad root z/P is z times it, and each
+    # ratio is den1 times the base, so either sign divides 4 times
+    calls, forms = _count_divisions(monkeypatch)
     genfunc.negative_levels(lo, 3, order=10)
-    assert len(calls) == len(forms) == (6 if lo < 0 else 5)
-    assert forms.count(genfunc._BAD_ROOT) == 1
+    assert len(calls) == len(forms) == 4
+    assert forms.count(genfunc._INV_P) == 1
 
 
 @pytest.mark.parametrize(
@@ -479,64 +500,67 @@ _ONE, _Z = Series.one(8), Series.z(8)
     [
         # 1/(1 - zu): level j is z^j
         pytest.param(
-            (_ONE,), _ONE, -_Z, 0, 4, [Series.from_dict({j: 1}, 8) for j in range(5)],
+            (_ONE,), _ONE, {1: -1}, 0, 4, [Series.from_dict({j: 1}, 8) for j in range(5)],
             id="geometric",
         ),
         # (2 + 5zu)/(1 - zu): level j >= 1 is 2z^j + 5z z^(j-1) = 7z^j
         pytest.param(
-            (2 * _ONE, 5 * _Z), _ONE, -_Z, 1, 3, [Series.from_dict({j: 7}, 8) for j in (1, 2, 3)],
-            id="numerator-shift",
+            (2 * _ONE, 5 * _Z), _ONE, {1: -1}, 1, 3,
+            [Series.from_dict({j: 7}, 8) for j in (1, 2, 3)], id="numerator-shift",
         ),
         # den0 = z has no inverse
-        pytest.param((_Z,), _Z, _Z, 0, 0, NonUnitError, id="non-unit-den0"),
+        pytest.param((_Z,), _Z, {1: 1}, 0, 0, NonUnitError, id="non-unit-den0"),
     ],
 )
 def test_ladder_expansion(num, den0, den1, lo, hi, want):
-    # the ladder takes base = 1/den0 and ratio = -den1/den0, here built by
-    # the generic series division
-    def rungs():
-        base = div(Series.one(den0.order), den0)
-        return base, -(den1 * base)
+    # the ladder takes base = 1/den0, here built by the generic series
+    # division, and den1
+    def ladder():
+        return genfunc._ladder(num, div(Series.one(den0.order), den0), den1, lo, hi)
 
     if want is NonUnitError:
         with pytest.raises(NonUnitError):
-            genfunc._ladder(num, *rungs(), lo, hi)
+            ladder()
     else:
-        assert genfunc._ladder(num, *rungs(), lo, hi) == want
+        assert ladder() == want
 
 
 def _generic_rungs(order):
-    """The ladders' (base, ratio) pairs by the generic construction: for
-    den0 + den1 u, base = div(1, den0) and ratio = -den1 base."""
+    """The first rungs base, ratio base and ratio^2 base of each ladder by
+    the generic construction: for den0 + den1 u, base = div(1, den0) and
+    ratio = -den1 base."""
     b = genfunc.kernel_bundle(order)
     one, z, z2 = Series.one(order), Series.z(order), shift_up(Series.one(order), 2)
     red_p = Series.one(order, WPOLY) - shift_up(genfunc.dual_blue_g0(order), 2)
-    pairs = {}
+    rungs = {}
     for name, unit, den0, den1 in (
         ("primal", one, -b.P, z),
         ("dual", one, b.P, -(z * (2 * one - z2))),
         ("red", Series.one(order, WPOLY), -red_p, Series.z(order, WPOLY)),
     ):
         base = div(unit, den0)
-        pairs[name] = base, -(den1 * base)
-    return pairs
+        ratio = -(den1 * base)
+        rungs[name] = [base, ratio * base, ratio * (ratio * base)]
+    return rungs
 
 
 @pytest.mark.parametrize("order", [*range(41), 200])
 def test_ladder_rungs_are_the_generic_construction(order):
+    # the ladder of num = 1 over den0 + den1 u from the closed-form base
     b, G = genfunc.kernel_bundle(order + 2), genfunc.dual_blue_g0(order)
-    closed = {
-        "primal": (-genfunc._closed_form(b.W, order, *genfunc._INV_P),
-                   genfunc._closed_form(b.W, order, *genfunc._BAD_ROOT)),
-        "dual": (genfunc._closed_form(b.W, order, *genfunc._INV_P),
-                 genfunc._closed_form(b.W, order, *genfunc._Q_OVER_Z)),
-        "red": (genfunc._closed_form(G, order, *genfunc._RED_BASE),
-                genfunc._closed_form(G, order, *genfunc._RED_RATIO)),
+    inv_p = genfunc._closed_form(b.W, order, *genfunc._INV_P)
+    ladders = {
+        "primal": (-inv_p, genfunc._ZU),
+        "dual": (inv_p, genfunc._DUAL_U),
+        "red": (genfunc._closed_form(G, order, *genfunc._RED_BASE), genfunc._ZU),
     }
-    for name, pair in _generic_rungs(order).items():
-        assert closed[name] == pair, name
-        types = [[type(c) for c in s.coeffs] for s in (*closed[name], *pair)]
-        assert types[:2] == types[2:], name
+    for name, want in _generic_rungs(order).items():
+        base, den1 = ladders[name]
+        got = genfunc._ladder((Series.one(order, base.ring),), base, den1, 0, 2)
+        assert got == want, name
+        assert [[type(c) for c in s.coeffs] for s in got] == [
+            [type(c) for c in s.coeffs] for s in want
+        ], name
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 8])
@@ -588,7 +612,7 @@ def test_red_classes_match_color_dp():
 
 
 def test_substitution_identities():
-    checks = genfunc.substitution_identity_check(genfunc.red_axis_x(order=40))
+    checks = genfunc.substitution_identity_check(genfunc.even_to_x(genfunc.dual_blue_g0(40)))
     assert len(checks) == 2
     assert all(c.ok for c in checks), checks
 
@@ -596,7 +620,7 @@ def test_substitution_identities():
 @pytest.mark.parametrize("n", range(9))
 def test_substitution_check_names_first_wrong_coefficient(n):
     # a constant bump survives w := 1, so both weights must fail at x^n
-    s = genfunc.red_axis_x(order=16)
+    s = genfunc.even_to_x(genfunc.dual_blue_g0(16))
     checks = genfunc.substitution_identity_check(s + Series.from_dict({n: 1}, s.order, s.ring))
     assert [c.name for c in checks] == ["substitution weight 2+w", "substitution weight 3"]
     assert not any(c.ok for c in checks)
@@ -613,7 +637,7 @@ def test_average_red_series():
 
 def test_average_red_series_builds_no_bundle(monkeypatch):
     # sqrt(1-6x+5x^2) comes straight from the root recurrence, and the
-    # derivative route (red_axis_x) is verify's closed-derivative:red
+    # derivative route (the w-marked axis) is verify's closed-derivative:red
     orders = []
 
     def counting(order=genfunc.DEFAULT_ORDER):
@@ -629,7 +653,7 @@ def test_average_red_series_builds_no_bundle(monkeypatch):
 @pytest.mark.parametrize("k", range(5))
 def test_w_power_slices(k):
     closed = genfunc.red_w_power_slice(k, order=20)
-    sliced = w_slice(genfunc.red_axis_x(order=40), k)
+    sliced = w_slice(genfunc.even_to_x(genfunc.dual_blue_g0(40)), k)
     assert closed == sliced
 
 
@@ -659,23 +683,23 @@ def test_blue_marked_dual_axis():
 
 @pytest.mark.parametrize("order", [*range(41), 120])
 def test_red_axis_closed_form_is_the_ladder_level(order):
-    # red_axis_x reads dual_blue_g0's closed form; level 0 of the red
+    # the red checks read dual_blue_g0's closed form in x; level 0 of the red
     # ladder is the second route to the same series
     ladder = genfunc.even_to_x(genfunc.red_level_series(0, order=order))
-    closed = genfunc.red_axis_x(order=order)
+    closed = genfunc.even_to_x(genfunc.dual_blue_g0(order))
     assert closed == ladder and closed.order == ladder.order == order // 2
     assert [type(c) for c in closed.coeffs] == [type(c) for c in ladder.coeffs]
 
 
 def test_red_axis_inverts_no_series(monkeypatch):
-    want = genfunc.red_axis_x(order=40)
+    want = genfunc.even_to_x(genfunc.dual_blue_g0(40))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("red_axis_x reached the ladder or a series inverse")
+        raise AssertionError("the red axis reached the ladder or a series inverse")
 
     for name in ("red_level_series", "div"):
         monkeypatch.setattr(genfunc, name, refuse)
-    assert genfunc.red_axis_x(order=40) == want
+    assert genfunc.even_to_x(genfunc.dual_blue_g0(40)) == want
 
 
 # -- negative territory ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the brute-force path enumeration oracle."""
 
+import re
 from collections import Counter
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import colored_count, last_class
 from skewdyck import formulas, genfunc
-from skewdyck.dp import dp_table
+from skewdyck.dp import check_recursions, dp_table
 from skewdyck.paths import (
     BOUNDED,
     DUAL,
@@ -158,6 +159,18 @@ def test_a_bool_is_no_int(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [genfunc.even_to_x, genfunc.substitution_identity_check, check_recursions],
+    ids=lambda call: call.__name__,
+)
+@pytest.mark.parametrize("value", ["x", None, 3])
+def test_readers_refuse_a_wrong_type(call, value):
+    # a ValueError that names what was expected, not an AttributeError
+    with pytest.raises(ValueError, match=r"^expected a (Series|CountTable), got "):
+        call(value)
+
+
 def test_count_table_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nonsense'"):
         CountTable("nonsense", 3, ())
@@ -171,6 +184,25 @@ def test_count_table_rejects_a_wrong_number_of_entries():
     with pytest.raises(ValueError, match="^max_length 1 needs 2 entries, got 3$"):
         CountTable(DUAL, 1, entries)
     assert CountTable(DUAL, 2, entries) == count_table(DUAL, 2)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # no column at either length
+        (((), ()), "entries[0] needs 3 columns of 1 counts"),
+        # one column where three classes need one each
+        ((((1,),), ((1,),)), "entries[0] needs 3 columns"),
+        # the right columns at length 0, but two counts where length 1 has one level
+        ((((1,),) * 3, ((0, 0),) * 3), "entries[1] needs 3 columns of 1 counts"),
+    ],
+    ids=["no-columns", "one-column", "wide-columns"],
+)
+def test_count_table_rejects_entries_of_the_wrong_shape(entries, message):
+    # one column per class and one count per level of levels(n), checked
+    # before any lookup (the second table once raised IndexError on a count)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CountTable(BOUNDED, 1, entries)
 
 
 @pytest.mark.parametrize("call", [is_valid, render_ascii, reverse_dual])

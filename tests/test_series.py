@@ -267,6 +267,15 @@ def test_w_homomorphisms():
         specialize_w(Series.one(2, RATIONAL), 1)
 
 
+def test_from_dict_refuses_a_negative_power():
+    # powers above the order are dropped; a power below 0 is no term of a series
+    assert Series.from_dict({1: 2, 5: 7}, 3) == Series([0, 2, 0, 0])
+    with pytest.raises(ValueError, match="^power -1 is negative; a series has none$"):
+        Series.from_dict({-1: 3}, 4)
+    with pytest.raises(ValueError, match="power -2"):
+        Series.from_dict({0: 1, -2: W_VAR}, 4, WPOLY)
+
+
 def test_z_at_order_zero_is_zero():
     assert Series.z(0) == Series.zero(0)
     assert Series.z(0, WPOLY) == Series.zero(0, WPOLY)

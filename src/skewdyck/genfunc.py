@@ -7,10 +7,9 @@ no root is ever materialized as a series.  A closed form that divides is
 multiplied through by conjugates (PQ = z^2(2-z^2), P + Q = 1 + z^2,
 W^2 = (1-z^2)(1-5z^2)) until it reads (a + bR)/(z^s d), R = W or a root in
 x = z^2, with polynomials a, b and d; :func:`_closed_form` reads it and
-divides only by d.  That is the module's only division: each ladder, too,
-reads its base 1/den0 as such a form (``_INV_P`` and ``_RED_BASE``), and
-its ratio -den1/den0 is the kernel's u-coefficient den1, a polynomial,
-times that base, so no series is ever inverted.
+divides only by d.  A ladder of levels (:func:`_ladder`) divides by its
+kernel's u-free part den0 (-P, P or -P_w), whose constant term is -1 or 1,
+so no series is ever inverted.
 
 A family's classes share one denominator, linear in u, so a level's total
 has the sum of the class numerators as its numerator (:func:`_with_total`).
@@ -131,8 +130,8 @@ def _closed_form(root, order, a, b, den, shift=0):
 
     The one reader of the package's rationalized closed forms.  Its only
     division is by the polynomial ``den``, whose constant term is a nonzero
-    int (1 + w for the red ladder), so a wrong form raises
-    :class:`ExactnessError`, there or in the exact division by z^shift.
+    int, so a wrong form raises :class:`ExactnessError`, there or in the
+    exact division by z^shift.
     """
     n = order + shift
     r = root.truncate(n).coeffs
@@ -161,43 +160,33 @@ def _check_args(order, family=None, cls=None, classes=None, **levels):
         raise ValueError(f"unknown class {cls!r}; expected one of {classes}")
 
 
-def _ladder(num, base, den1, lo, hi):
+def _ladder(num, den0, den1, lo, hi):
     """[u^j] of num(u)/(den0 + den1 u) for j = lo..hi (0 <= lo), as a list,
-    given base = 1/den0 and the polynomial den1 as {power: coefficient}.
+    given the series den0 and the polynomial den1 as {power: coefficient}.
 
     Every kernel-method solution here has a denominator linear in u, so
-    its levels form a ladder: 1/(den0 + den1 u) = base sum_t ratio^t u^t,
-    ratio = -den1 base, and level j is L_j = sum_i num_i base ratio^(j-i).
-    Hence L_0 = num_0 base and L_(j+1) = ratio L_j + num_(j+1) base
-    (num_i = 0 past the given parts): one series product per level, and
-    only the current level is kept.  For the bounded family (num/(zu - P))
-    this is level j = -num z^j / P^(j+1) (Prodinger, "The kernel method: a
-    collection of examples", Sem. Lothar. Combin. 50 (2004) B50f).  The
-    callers read base with :func:`_closed_form`, so a ladder divides once.
+    its levels solve den0 L_j = num_j - den1 L_(j-1), with L_(-1) = 0 and
+    num_j = 0 past the given parts: one exact division by den0 per level,
+    and only the current level is kept.  For the bounded family
+    (num/(zu - P)) this is level j = -num z^j / P^(j+1) (Prodinger, "The
+    kernel method: a collection of examples", Sem. Lothar. Combin. 50
+    (2004) B50f).  Each den0 here, -P, P or -P_w, has constant term -1 or
+    1, so every division is exact.
     """
-    ratio = -(Series.from_dict(den1, base.order, base.ring) * base)
-    level = num[0] * base
-    out = []
+    minus_den1 = Series.from_dict({p: -c for p, c in den1.items()}, den0.order, den0.ring)
+    level, out = Series.zero(den0.order, den0.ring), []
     for j in range(hi + 1):
+        rest = minus_den1 * level
+        level = div(num[j] + rest if j < len(num) else rest, den0)
         if j >= lo:
             out.append(level)
-        if j < hi:
-            level = ratio * level
-            if j + 1 < len(num):
-                level = level + num[j + 1] * base
     return out
 
 
-# The ladders' bases 1/den0 as W-linear forms (a, b, den, shift) of
-# (a + bR)/(z^shift den), and their kernels' u-coefficients den1.  zu - P
-# has base -1/P and P - z(2-z^2)u has 1/P: by PQ = z^2(2-z^2),
-# 1/P = Q/(z^2(2-z^2)) with Q = (1+z^2-W)/2.  zu - P_w has base -1/P_w, a
-# form over R = G, the axis series (1-wz^2-W_w)/(2z^2) of dual_blue_g0: by
-# P_w Q_w = z^2(1+w-wz^2), with Q_w = (1+wz^2-W_w)/2 = z^2(w+G),
-# 1/P_w = (w+G)/(1+w-wz^2).
+# The kernels' u-coefficients den1, and 1/P as a W-linear form (a, b, den,
+# shift) of (a + bW)/(z^shift den): by PQ = z^2(2-z^2), 1/P = Q/(z^2(2-z^2))
+# with Q = (1+z^2-W)/2.  z/P is the bad root that negative_levels reads.
 _INV_P = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2)
-_RED_DEN = {0: 1 + W_VAR, 2: -W_VAR}
-_RED_BASE = ({0: -W_VAR}, {0: -1}, _RED_DEN, 0)
 _ZU = {1: 1}  # den1 of zu - P and zu - P_w
 _DUAL_U = {1: -2, 3: 1}  # den1 of P - z(2-z^2)u
 
@@ -227,12 +216,11 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     Level j is [u^j] of num/(zu - P), that is -num z^j / P^(j+1), with the
     class numerators -(1+z^2+W)/2 = -P, (-1+z^2+W)/2 = P - 1 and
     (-1+3z^2+W)/2 = P - 1 + z^2 (:func:`_bounded_numerators`).  All levels
-    come from one bundle and one ladder, base -1/P and ratio z/P (den1 = z).
+    come from one bundle and one ladder, den0 = -P and den1 = z.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order + 2)
-    num = _bounded_numerators(bundle.P.truncate(order), 1)[cls]
-    return _ladder(num, -_closed_form(bundle.W, order, *_INV_P), _ZU, lo, hi)
+    P = _bundle(bundle, order, order).P.truncate(order)
+    return _ladder(_bounded_numerators(P, 1)[cls], -P, _ZU, lo, hi)
 
 
 def primal_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -268,12 +256,11 @@ def red_level_series(j, cls="total", order=DEFAULT_ORDER):
     h: w(-1+(2+w)z^2+W_w)/2 = w(P_w - 1 + z^2).
     (The h numerator carries a prefactor w -- every h-path has a red edge
     -- and the w := 1 specialization recovers the plain class forms.)
-    The ladder's base -1/P_w is a form over G too, and its ratio is z/P_w.
+    The ladder divides by den0 = -P_w, whose constant term is -1.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, j=j)
-    G = dual_blue_g0(order)
-    num = _bounded_numerators(Series.one(order, WPOLY) - shift_up(G, 2), W_VAR)[cls]
-    return _ladder(num, _closed_form(G, order, *_RED_BASE), _ZU, j, j)[0]
+    Pw = Series.one(order, WPOLY) - shift_up(dual_blue_g0(order), 2)
+    return _ladder(_bounded_numerators(Pw, W_VAR)[cls], -Pw, _ZU, j, j)[0]
 
 
 def even_to_x(s):
@@ -376,15 +363,15 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     A(u) = (1-zu)P/D, B(u) = (1-2z^2-W)/D, C(u) = zPu/D with
     D = P - z(2-z^2)u, and the total from the sum of their numerators.
     It equals front * z^j * S^(j+1), front = (3-3z^2-W)/(2(2-z^2)), S = Q/z^2.
-    The ladder's base is 1/P and its ratio Q/z (den1 = -z(2-z^2)).
+    The ladder divides by den0 = P, with den1 = -z(2-z^2).
     """
     _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order + 2)
+    bundle = _bundle(bundle, order, order)
     W, P = bundle.W.truncate(order), bundle.P.truncate(order)
     one, z, z2 = _units(order)
     zp, zero = z * P, Series.zero(order, RATIONAL)
     num = _with_total({"a": (P, -zp), "b": (one - 2 * z2 - W,), "c": (zero, zp)})[cls]
-    return _ladder(num, _closed_form(bundle.W, order, *_INV_P), _DUAL_U, lo, hi)
+    return _ladder(num, P, _DUAL_U, lo, hi)
 
 
 def dual_level_series(j, cls="total", order=DEFAULT_ORDER, bundle=None):
@@ -508,20 +495,22 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
     root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) substituted for the
     cancelled factor.  Each sign runs one ladder: levels j >= 0 that of
-    :func:`primal_levels`, levels j < 0 that of :func:`dual_levels`.  1/P
-    is built once, and the bad root z/P is z times it.
+    :func:`primal_levels`, levels j < 0 that of :func:`dual_levels`.  Only
+    the levels below the axis read the bad root, z times the form 1/P, so
+    only they need a bundle of order + 2.
     """
     _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order + 2)
+    bundle = _bundle(bundle, order, order + 2 if lo < 0 else order)
     boundary = negative_boundary_series(order=order, bundle=bundle)
-    inv_p = _closed_form(bundle.W, order, *_INV_P)
+    P = bundle.P.truncate(order)
     out = []
     if lo < 0:
-        below = _negative_numerators(order, boundary, shift_up(inv_p, 1))[cls]
-        out += reversed(_ladder(below, inv_p, _DUAL_U, max(-hi, 1), -lo))
+        s1 = shift_up(_closed_form(bundle.W, order, *_INV_P), 1)
+        below = _negative_numerators(order, boundary, s1)[cls]
+        out += reversed(_ladder(below, P, _DUAL_U, max(-hi, 1), -lo))
     if hi >= 0:
         above = _negative_numerators(order, boundary, None)[cls]
-        out += _ladder(above, -inv_p, _ZU, max(lo, 0), hi)
+        out += _ladder(above, -P, _ZU, max(lo, 0), hi)
     return out
 
 

@@ -34,5 +34,5 @@ SEQUENCES = {
 def get_sequence(seq_id):
     try:
         return SEQUENCES[seq_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise ValueError(f"unknown sequence id {seq_id!r}; known: {sorted(SEQUENCES)}")

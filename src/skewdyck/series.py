@@ -5,12 +5,13 @@ single marker variable ``w`` with integer coefficients (:class:`WPoly`),
 tagged ``RATIONAL`` (a name kept from when it held rationals) and ``WPOLY``.
 Every series counted here has integer coefficients, so every division is
 exact: :func:`half` and :func:`quadratic_power` divide each coefficient
-by an integer, :func:`div` by the divisor's constant term (an integer, or
-a w-polynomial such as 2 + 2w, by long division in w), and a remainder
-raises :class:`ExactnessError`.  A :class:`Series` carries an
-explicit truncation order N: coefficients of z^0..z^N are exact, everything
-beyond is unknown.  Operations never report a coefficient they cannot
-guarantee; where an order cannot be preserved it shrinks.
+by an integer, :func:`div` by the divisor's constant term (an integer,
+also in the w ring, where a constant term of degree >= 1 in w raises
+:class:`NonUnitError`), and a remainder raises :class:`ExactnessError`.
+A :class:`Series` carries an explicit truncation order N: coefficients of
+z^0..z^N are exact, everything beyond is unknown.  Operations never report
+a coefficient they cannot guarantee; where an order cannot be preserved it
+shrinks.
 
 All values are immutable; all operations are pure functions.
 """
@@ -143,38 +144,14 @@ def _int(x):
 
 
 def _divide_exactly(c, d):
-    """c / d for a nonzero d, an int or a :class:`WPoly`, and c an int or
-    a :class:`WPoly` (a :class:`WPoly` when d is one); a remainder raises
-    :class:`ExactnessError`.  A d of degree >= 1 in w divides c by long
-    division from the top power of w."""
-    if isinstance(d, WPoly):
-        if len(d.coeffs) > 1:
-            return _long_divide(c.coeffs, d.coeffs)
-        d = d.coeffs[0]
+    """c / d for a nonzero int d, and c an int or a :class:`WPoly`; a
+    remainder raises :class:`ExactnessError`."""
     if isinstance(c, WPoly):
         return WPoly._trusted([_divide_exactly(x, d) for x in c.coeffs])
     q, r = divmod(c, d)
     if r:
         raise ExactnessError(f"{c} is not divisible by {d}")
     return q
-
-
-def _long_divide(cs, ds):
-    """The :class:`WPoly` with coefficients q, q * ds = cs, for coefficient
-    tuples ``cs`` and ``ds`` (len(ds) >= 2); a remainder raises
-    :class:`ExactnessError`."""
-    rest, m = list(cs), len(ds) - 1
-    q = [0] * max(len(rest) - m, 0)
-    for k in reversed(range(len(q))):
-        if rest[k + m]:
-            q[k], r = divmod(rest[k + m], ds[m])
-            if r:
-                break
-            for i, d in enumerate(ds):
-                rest[k + i] -= q[k] * d
-    if any(rest):
-        raise ExactnessError(f"{WPoly(cs)} is not divisible by {WPoly(ds)}")
-    return WPoly._trusted(q)
 
 
 class WPoly:
@@ -359,9 +336,12 @@ class Series:
 
     @classmethod
     def from_dict(cls, powers, order, ring=RATIONAL):
-        """Series from a {power >= 0: coefficient} polynomial, cut at z^order."""
+        """Series from a {power >= 0: coefficient} polynomial, cut at z^order;
+        ``order`` and each power must be ints (:func:`check_int`)."""
+        check_int("order", order)
         cs = [0] * (order + 1)
         for p, c in powers.items():
+            check_int("power", p)
             if p < 0:
                 raise ValueError(f"power {p} is negative; a series has none")
             if p <= order:
@@ -436,24 +416,35 @@ class Series:
 def _quotient(a, b):
     """q with q*b = a to truncation, each q_k divided exactly by b(0).
 
-    b(0) is an int, or in the w ring a :class:`WPoly`; a zero b(0) raises
-    :class:`NonUnitError`.  Only b's nonzero terms are walked, so dividing
-    by a polynomial costs O(terms) ring steps per coefficient.
+    b(0) is a nonzero int, or in the w ring a constant :class:`WPoly`; any
+    other b(0) raises :class:`NonUnitError`.  Each nonzero q_k is taken
+    off the rest of a along b's nonzero terms only, so dividing by a
+    polynomial costs O(terms) ring steps per coefficient, and the zero
+    coefficients of a level below its first power cost nothing.  Every
+    q_k is a ring element already, so the result skips the constructor's
+    per-coefficient coercion, most of the cost of a short division.
     """
     d = b.coeffs[0]
+    if isinstance(d, WPoly):
+        if len(d.coeffs) > 1:
+            raise NonUnitError(f"constant term {d} is no unit: it has degree >= 1 in w")
+        d = d.coeff(0)
     if not d:
         raise NonUnitError("division by a series with a zero constant term")
     n = min(a.order, b.order)
     terms = [(i, c) for i, c in enumerate(b.coeffs[1 : n + 1], 1) if c]
-    out = []
-    for k in range(n + 1):
-        acc = a.coeffs[k]
-        for i, c in terms:
-            if i > k:
-                break
-            acc = acc - c * out[k - i]
-        out.append(_divide_exactly(acc, d))
-    return Series(out, a.ring)
+    out = list(a.coeffs[: n + 1])
+    for k, acc in enumerate(out):
+        if acc:
+            q = out[k] = _divide_exactly(acc, d)
+            for i, c in terms:
+                if i > n - k:
+                    break
+                out[k + i] = out[k + i] - c * q
+    quotient = object.__new__(Series)
+    object.__setattr__(quotient, "coeffs", tuple(out))
+    object.__setattr__(quotient, "ring", a.ring)
+    return quotient
 
 
 def div(a, b):

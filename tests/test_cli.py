@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewdyck
-from skewdyck import cli, dp, formulas, genfunc, paths
+from skewdyck import cli, dp, formulas, genfunc, paths, refs
 from skewdyck.dp import dp_table
 from skewdyck.paths import DUAL, PathWord
 from skewdyck.series import WPOLY, W_VAR, ExactnessError, Series, WPoly
@@ -284,6 +285,15 @@ def test_oeis_unknown_id_usage_error():
     assert run_cli("oeis", "A000001").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "seq_id", ["A000001", [], {"A002212": 1}, None], ids=["unknown", "list", "dict", "none"]
+)
+def test_unknown_sequence_id_is_a_value_error(seq_id):
+    # an unhashable id, too, is an unknown one, as a family is for paths.family_spec
+    with pytest.raises(ValueError, match=f"^unknown sequence id {re.escape(repr(seq_id))}; known: "):
+        refs.get_sequence(seq_id)
+
+
 def test_verify_small_pass():
     res = run_cli(
         "verify", "--max-brute-length", "6", "--order", "8", "--family", "primal"
@@ -455,7 +465,8 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
 
 def _bump_inv_p(monkeypatch):
     """Add 1 at z^6 of the series ``_closed_form`` reads for ``_INV_P``, the
-    base of the primal, dual and negative ladders."""
+    1/P whose z-multiple is the bad root of the levels below the axis (and
+    the classical f0, which no check reads)."""
     real = genfunc._closed_form
 
     def faulty(root, order, *form):
@@ -465,20 +476,38 @@ def _bump_inv_p(monkeypatch):
     monkeypatch.setattr(genfunc, "_closed_form", faulty)
 
 
+def _bump_bundle_p(monkeypatch):
+    """Add 1 at z^6 of the P of every ``kernel_bundle``, the den0 of every
+    unmarked ladder."""
+    real = genfunc.kernel_bundle
+
+    def faulty(order=genfunc.DEFAULT_ORDER):
+        b = real(order)
+        return genfunc.KernelBundle(b.order, b.W, b.P + Series.from_dict({6: 1}, b.order), b.Q)
+
+    monkeypatch.setattr(genfunc, "kernel_bundle", faulty)
+
+
 @pytest.mark.parametrize(
     "inject, lines",
     [
         pytest.param(
             _bump_inv_p,
-            [
-                "FAIL dp-closed:primal first mismatch at j=0 z^6: closed 11 != dp 10",
-                "FAIL dp-closed:dual first mismatch at j=0 z^6: closed 11 != dp 10",
-                "FAIL dp-closed:unbounded first mismatch at j=-6 z^12: closed 6616 != dp 6360",
-                "FAIL closed-explicit:primal first mismatch at j=0 z^6: explicit 10 != closed 11",
-                "FAIL closed-explicit:dual first mismatch at j=0 z^6: explicit 10 != closed 11",
-                "FAIL reference:A002212 first mismatch at term 3: computed 11 != expected 10",
-            ],
+            ["FAIL dp-closed:unbounded first mismatch at j=-4 z^12: closed 5553 != dp 5569"],
             id="inv-p",
+        ),
+        pytest.param(
+            _bump_bundle_p,
+            [
+                "FAIL dp-closed:primal first mismatch at j=0 z^6: closed 8 != dp 10",
+                "FAIL dp-closed:dual first mismatch at j=0 z^8: closed 35 != dp 36",
+                "FAIL dp-closed:unbounded first mismatch at j=-6 z^12: closed 6104 != dp 6360",
+                "FAIL closed-explicit:primal first mismatch at j=0 z^6: explicit 10 != closed 8",
+                "FAIL closed-explicit:dual first mismatch at j=0 z^8: explicit 36 != closed 35",
+                "FAIL kernel-identities P*Q != z^2(2-z^2)",
+                "FAIL reference:A002212 first mismatch at term 3: computed 8 != expected 10",
+            ],
+            id="bundle-p",
         ),
         pytest.param(
             lambda monkeypatch: monkeypatch.setattr(genfunc, "_DUAL_U", {1: -2, 3: 2}),
@@ -492,9 +521,9 @@ def _bump_inv_p(monkeypatch):
     ],
 )
 def test_verify_sees_a_fault_in_a_shared_form(inject, lines, monkeypatch, capsys):
-    # a base is shared by the ladders that read it, and a ladder's ratio is
-    # den1 times its base: a fault in either reaches every check that reads
-    # one of those ladders, and no other
+    # a form, or a kernel's den0 or den1, is shared by the ladders that read
+    # it: a fault in one reaches every check that reads it, through one of
+    # those ladders or (for the bundle's P) directly, and no other
     inject(monkeypatch)
     assert cli.main(["verify", "--order", "12", "--max-brute-length", "6"]) == 1
     out = capsys.readouterr().out.splitlines()

@@ -315,9 +315,9 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         assert make(*args, order=order, bundle=bundle) == make(*args, order=order)
     if name.startswith("dual"):
         # every dual class, the total too, reads a bundle of exactly the
-        # order + 2: the ladder's base 1/P divides by z^2
+        # order: the ladder divides by P itself
         for j in range(21):
-            exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(18))
+            exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(16))
             assert exact == make(j, *args[1:], order=16), j
 
 
@@ -327,12 +327,14 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         ("primal_level_series", (0,), 30, 10),
         ("dual_level_series", (3,), 16, 15),
         ("dual_level_series", (3, "a"), 16, 15),
-        ("negative_level_series", (1,), 16, 16),
+        ("negative_level_series", (-1,), 16, 16),
         ("negative_boundary_series", (), 16, 15),
-        # the level constructors read a bundle of order + 2
-        ("primal_level_series", (0,), 16, 17),
-        ("dual_level_series", (3, "c"), 16, 17),
+        # the ladders read a bundle of the order, and the levels below the
+        # axis one of order + 2, for the bad root z/P
+        ("primal_level_series", (0,), 16, 15),
+        ("dual_level_series", (3, "c"), 16, 15),
         ("negative_level_series", (-1,), 16, 17),
+        ("negative_level_series", (1,), 16, 15),
     ],
 )
 def test_too_short_bundle_rejected(name, args, order, bundle_order):
@@ -392,29 +394,30 @@ def _count_divisions(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, form",
+    "make",
     [
-        pytest.param(lambda: genfunc.primal_levels(0, 3, order=10), "_INV_P", id="primal"),
-        pytest.param(lambda: genfunc.dual_levels(0, 3, order=10), "_INV_P", id="dual"),
-        pytest.param(lambda: genfunc.red_level_series(3, order=10), "_RED_BASE", id="red"),
+        pytest.param(lambda: genfunc.primal_levels(0, 3, order=10), id="primal"),
+        pytest.param(lambda: genfunc.dual_levels(0, 3, order=10), id="dual"),
+        pytest.param(lambda: genfunc.red_level_series(3, order=10), id="red"),
     ],
 )
-def test_each_ladder_reads_one_closed_form(monkeypatch, make, form):
-    # a ladder divides once, for its base; its ratio is den1 times the base
+def test_each_ladder_reads_one_closed_form(monkeypatch, make):
+    # a ladder reads no closed form: it divides each of its levels 0..3 by
+    # its kernel's den0 once
     calls, forms = _count_divisions(monkeypatch)
     make()
-    assert forms == [getattr(genfunc, form)] and len(calls) == 1
+    assert forms == [] and len(calls) == 4
 
 
 @pytest.mark.parametrize("lo", [-3, 0])
 def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
-    # one division per closed form: the boundary's f0, g0 and h0, and 1/P,
-    # the base of both signs; the bad root z/P is z times it, and each
-    # ratio is den1 times the base, so either sign divides 4 times
+    # one division per closed form: the boundary's f0, g0 and h0, and, only
+    # below the axis, 1/P for the bad root z/P; then one per level of each
+    # ladder, 0..3 above the axis and 0..3 below it
     calls, forms = _count_divisions(monkeypatch)
     genfunc.negative_levels(lo, 3, order=10)
-    assert len(calls) == len(forms) == 4
-    assert forms.count(genfunc._INV_P) == 1
+    assert forms == [*genfunc._BOUNDARY, *[genfunc._INV_P] * (lo < 0)]
+    assert len(calls) == len(forms) + 4 + 4 * (lo < 0)
 
 
 @pytest.mark.parametrize(
@@ -513,16 +516,11 @@ _ONE, _Z = Series.one(8), Series.z(8)
     ],
 )
 def test_ladder_expansion(num, den0, den1, lo, hi, want):
-    # the ladder takes base = 1/den0, here built by the generic series
-    # division, and den1
-    def ladder():
-        return genfunc._ladder(num, div(Series.one(den0.order), den0), den1, lo, hi)
-
     if want is NonUnitError:
         with pytest.raises(NonUnitError):
-            ladder()
+            genfunc._ladder(num, den0, den1, lo, hi)
     else:
-        assert ladder() == want
+        assert genfunc._ladder(num, den0, den1, lo, hi) == want
 
 
 def _generic_rungs(order):
@@ -546,17 +544,17 @@ def _generic_rungs(order):
 
 @pytest.mark.parametrize("order", [*range(41), 200])
 def test_ladder_rungs_are_the_generic_construction(order):
-    # the ladder of num = 1 over den0 + den1 u from the closed-form base
-    b, G = genfunc.kernel_bundle(order + 2), genfunc.dual_blue_g0(order)
-    inv_p = genfunc._closed_form(b.W, order, *genfunc._INV_P)
+    # the ladder of num = 1 over each family's den0 + den1 u
+    P = genfunc.kernel_bundle(order).P
+    Pw = Series.one(order, WPOLY) - shift_up(genfunc.dual_blue_g0(order), 2)
     ladders = {
-        "primal": (-inv_p, genfunc._ZU),
-        "dual": (inv_p, genfunc._DUAL_U),
-        "red": (genfunc._closed_form(G, order, *genfunc._RED_BASE), genfunc._ZU),
+        "primal": (-P, genfunc._ZU),
+        "dual": (P, genfunc._DUAL_U),
+        "red": (-Pw, genfunc._ZU),
     }
     for name, want in _generic_rungs(order).items():
-        base, den1 = ladders[name]
-        got = genfunc._ladder((Series.one(order, base.ring),), base, den1, 0, 2)
+        den0, den1 = ladders[name]
+        got = genfunc._ladder((Series.one(order, den0.ring),), den0, den1, 0, 2)
         assert got == want, name
         assert [[type(c) for c in s.coeffs] for s in got] == [
             [type(c) for c in s.coeffs] for s in want

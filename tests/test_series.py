@@ -1,6 +1,7 @@
 """Unit and property tests for the exact truncated-series kernel."""
 
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,30 +201,30 @@ def test_inexact_division_raises():
     assert half(Series([2, -4, 0])) == Series([1, -2, 0])
     with pytest.raises(NonUnitError):
         div(one, Series([0, 1, 0, 0]))
-    with pytest.raises(ExactnessError):  # 1/w is no w-polynomial
+    with pytest.raises(NonUnitError, match="constant term w "):  # 1/w is no w-polynomial
         div(Series.one(1, WPOLY), Series([W_VAR, 1], WPOLY))
 
 
 @pytest.mark.parametrize("c", [1, 2], ids=["1+w", "2+2w"])
 def test_w_ring_division_by_a_polynomial_constant(c):
-    # c(1 + w - wz^2), c = 1 and 2: the red ladder divides by c = 2
+    # c(1 + w - wz^2): a constant term of degree >= 1 in w is no unit, and
+    # the error names it
     d = c * (1 + W_VAR)
     b = Series.from_dict({0: d, 2: -c * W_VAR}, 3, WPOLY)
     q = Series([W_VAR * W_VAR - 3, 7 * W_VAR, 0, WPoly((1, 0, 0, 5))], WPOLY)
-    assert div(q * b, b) == q
-    assert _divide_exactly(WPoly((-6, -7, 0, 2)) * d, d) == WPoly((-6, -7, 0, 2))
-    assert _divide_exactly(WPoly(), d) == WPoly()
+    with pytest.raises(NonUnitError, match=re.escape(f"constant term {d} is no unit")):
+        div(q * b, b)
 
 
 def test_w_ring_inexact_division_raises():
+    # the w ring divides by an int constant term, coefficient by coefficient
     one = Series.one(2, WPOLY)
-    for d in (1 + W_VAR, 2 + 2 * W_VAR):
+    for d in (2, -2):
+        assert div(2 * one, Series([d, 0, 0], WPOLY)) == (2 // d) * one
         with pytest.raises(ExactnessError):
             div(one, Series([d, 1, 0], WPOLY))
-        with pytest.raises(ExactnessError):  # neither divides w
+        with pytest.raises(ExactnessError):  # w/2 is no integer polynomial
             div(Series([W_VAR, 0, 0], WPOLY), Series([d, 1, 0], WPOLY))
-    with pytest.raises(ExactnessError):  # (2 + 2w)/(2 + 2w) = 1, but 1 + 2w is not over 2 + 2w
-        div(Series([2 + 2 * W_VAR, 1 + 2 * W_VAR], WPOLY), Series([2 + 2 * W_VAR, 0], WPOLY))
     with pytest.raises(NonUnitError):
         div(one, Series([WPoly(), 1 + W_VAR, 0], WPOLY))
 
@@ -265,6 +266,16 @@ def test_w_homomorphisms():
     assert w_derivative(s) == Series([WPoly(), WPoly.const(1), 2 * w], WPOLY)
     with pytest.raises(RingMismatchError):
         specialize_w(Series.one(2, RATIONAL), 1)
+
+
+@pytest.mark.parametrize(
+    "powers, order, name",
+    [({1.5: 1}, 3, "power"), ({1: 1}, "3", "order"), ({True: 1}, 3, "power"), ({}, 2.0, "order")],
+    ids=["float-power", "str-order", "bool-power", "float-order"],
+)
+def test_from_dict_refuses_a_power_or_order_that_is_no_int(powers, order, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        Series.from_dict(powers, order)
 
 
 def test_from_dict_refuses_a_negative_power():

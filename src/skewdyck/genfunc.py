@@ -110,17 +110,17 @@ def kernel_bundle(order=DEFAULT_ORDER):
     return KernelBundle(order=order, W=W, P=P, Q=Q)
 
 
-def _bundle(bundle, order, need):
-    """``bundle``, or a new one of order ``need`` (what ``order`` coefficients
-    need) when none is given; a shorter bundle, or one that is no
-    :class:`KernelBundle`, is refused."""
+def _bundle(bundle, order):
+    """``bundle`` cut at z^order, or a new one of that order when none is
+    given; a shorter bundle, or one that is no :class:`KernelBundle`, is
+    refused."""
     if bundle is None:
-        return kernel_bundle(need)
+        return kernel_bundle(order)
     if not isinstance(bundle, KernelBundle):
         raise ValueError(f"bundle must be a KernelBundle, got {bundle!r}")
-    if bundle.order < need:
-        raise ValueError(f"bundle order {bundle.order} too short for order {order}; need {need}")
-    return bundle
+    if bundle.order < order:
+        raise ValueError(f"bundle order {bundle.order} too short for order {order}")
+    return KernelBundle(order, *(s.truncate(order) for s in (bundle.W, bundle.P, bundle.Q)))
 
 
 def _closed_form(root, order, a, b, den, shift=0):
@@ -183,10 +183,6 @@ def _ladder(num, den0, den1, lo, hi):
     return out
 
 
-# The kernels' u-coefficients den1, and 1/P as a W-linear form (a, b, den,
-# shift) of (a + bW)/(z^shift den): by PQ = z^2(2-z^2), 1/P = Q/(z^2(2-z^2))
-# with Q = (1+z^2-W)/2.  z/P is the bad root that negative_levels reads.
-_INV_P = ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2)
 _ZU = {1: 1}  # den1 of zu - P and zu - P_w
 _DUAL_U = {1: -2, 3: 1}  # den1 of P - z(2-z^2)u
 
@@ -219,7 +215,7 @@ def primal_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     come from one bundle and one ladder, den0 = -P and den1 = z.
     """
     _check_args(order, "bounded", cls, PRIMAL_CLASSES, lo=lo, hi=hi)
-    P = _bundle(bundle, order, order).P.truncate(order)
+    P = _bundle(bundle, order).P
     return _ladder(_bounded_numerators(P, 1)[cls], -P, _ZU, lo, hi)
 
 
@@ -366,8 +362,8 @@ def dual_levels(lo, hi, cls="total", order=DEFAULT_ORDER, bundle=None):
     The ladder divides by den0 = P, with den1 = -z(2-z^2).
     """
     _check_args(order, "dual", cls, DUAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order)
-    W, P = bundle.W.truncate(order), bundle.P.truncate(order)
+    bundle = _bundle(bundle, order)
+    W, P = bundle.W, bundle.P
     one, z, z2 = _units(order)
     zp, zero = z * P, Series.zero(order, RATIONAL)
     num = _with_total({"a": (P, -zp), "b": (one - 2 * z2 - W,), "c": (zero, zp)})[cls]
@@ -421,9 +417,9 @@ NEGATIVE_AXIS_CLASSES = ("f0", "g0", "h0", "sum")
 
 
 # The W-linear forms (a, b, den, shift) of (a + bW)/(z^shift den) below the
-# axis.  The classical f0 is the bad root over z, that is 1/P.
+# axis.  The classical f0 is 1/P = Q/(z^2(2-z^2)), which no ladder reads.
 _CLASSICAL_AXIS = {
-    "f0": _INV_P,
+    "f0": ({0: 1, 2: 1}, {0: -1}, {0: 4, 2: -2}, 2),
     "g0": ({0: 1, 2: -4, 4: 2, 6: 1}, {0: -1, 2: 1, 4: -1}, {0: 8, 2: -8, 4: 2}, 4),
     "h0": ({0: 1, 2: -5, 4: 4, 6: -2}, {0: -1, 2: 2}, {0: 8, 2: -8, 4: 2}, 4),
     "sum": ({0: 1, 2: -3, 4: 2}, {0: -1}, {0: 4, 2: -2}, 4),
@@ -477,7 +473,7 @@ def negative_boundary_series(order=DEFAULT_NEGATIVE_ORDER, bundle=None):
     state-diagram walk counts exactly.
     """
     _check_args(order)
-    W = _bundle(bundle, order, order).W
+    W = _bundle(bundle, order).W
     return tuple(_closed_form(W, order, *form) for form in _BOUNDARY)
 
 
@@ -495,18 +491,18 @@ def negative_levels(lo, hi, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=No
     A/B/C branch over the shared denominator P - z(2-z^2)u, with the bad
     root z/P = Q/(z(2-z^2)) = (1+z^2-W)/(2z(2-z^2)) substituted for the
     cancelled factor.  Each sign runs one ladder: levels j >= 0 that of
-    :func:`primal_levels`, levels j < 0 that of :func:`dual_levels`.  Only
-    the levels below the axis read the bad root, z times the form 1/P, so
-    only they need a bundle of order + 2.
+    :func:`primal_levels`, levels j < 0 that of :func:`dual_levels`.  The
+    levels below the axis read z times the bad root, z^2/P, by one more
+    division by P, so every level reads a bundle of the order.
     """
     _check_args(order, cls=cls, classes=PRIMAL_CLASSES, lo=lo, hi=hi)
-    bundle = _bundle(bundle, order, order + 2 if lo < 0 else order)
+    bundle = _bundle(bundle, order)
     boundary = negative_boundary_series(order=order, bundle=bundle)
-    P = bundle.P.truncate(order)
+    P = bundle.P
     out = []
     if lo < 0:
-        s1 = shift_up(_closed_form(bundle.W, order, *_INV_P), 1)
-        below = _negative_numerators(order, boundary, s1)[cls]
+        zs = div(_units(order)[2], P)
+        below = _negative_numerators(order, boundary, zs)[cls]
         out += reversed(_ladder(below, P, _DUAL_U, max(-hi, 1), -lo))
     if hi >= 0:
         above = _negative_numerators(order, boundary, None)[cls]
@@ -520,21 +516,22 @@ def negative_level_series(j, cls="total", order=DEFAULT_NEGATIVE_ORDER, bundle=N
     return negative_levels(j, j, cls, order, bundle)[0]
 
 
-def _negative_numerators(order, boundary, s1):
+def _negative_numerators(order, boundary, zs):
     """The numerator parts of :func:`negative_levels` to z^order, per class
-    of ``PRIMAL_CLASSES``, as a dict: over zu - P when the bad root ``s1``
-    is None (levels >= 0), else over the dual denominator (levels < 0)."""
+    of ``PRIMAL_CLASSES``, as a dict: over zu - P when ``zs`` is None
+    (levels >= 0), else over the dual denominator (levels < 0), with
+    ``zs`` = z^2/P, z times the bad root z/P."""
     one, z, z2 = _units(order)
     f0, g0, h0 = boundary
     z2f, z2g, z2h = z2 * f0, z2 * g0, z2 * h0
-    if s1 is None:
+    if zs is None:
         z2s = z2f + z2g + z2h
         nums = {"f": (z2s - f0,), "g": (-z2s,), "h": (-(z2g + z2h),)}
     else:
-        zs = z * s1
-        # the g and h parts share c = s1 z^2 - z^3 (f0 + g0) + z (g0 - h0) and s1 c
-        c = shift_up(s1, 2) - shift_up(z, 2) * (f0 + g0) + z * (g0 - h0)
-        sc = s1 * c
+        # the g and h parts share c = z c1 and (z/P) c = zs c1, with
+        # c1 = zs - z^2 (f0 + g0) + g0 - h0
+        c1 = zs - z2f - z2g + g0 - h0
+        c, sc = shift_up(c1, 1), zs * c1
         nums = {
             "f": (one + 2 * z2f + z2g + z2h - 2 * zs, z * -2),
             "g": (-(sc - zs + z2f - g0 + z2h), z - c, -z2),

@@ -303,6 +303,15 @@ class Series:
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "ring", ring)
 
+    @classmethod
+    def _trusted(cls, coeffs, ring):
+        """A series from ring elements the package computed itself: the
+        per-coefficient coercion is skipped."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", tuple(coeffs))
+        object.__setattr__(series, "ring", ring)
+        return series
+
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
@@ -349,9 +358,9 @@ class Series:
         return cls(cs, ring)
 
     def truncate(self, order):
-        if order > self.order:
-            raise SeriesError(f"cannot extend order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1], self.ring)
+        if not 0 <= order <= self.order:
+            raise SeriesError(f"cannot cut a series of order {self.order} at z^{order}")
+        return Series._trusted(self.coeffs[: order + 1], self.ring)
 
     # -- ring plumbing ------------------------------------------------
 
@@ -373,28 +382,22 @@ class Series:
 
     def __add__(self, other):
         self._check(other)
-        n = min(self.order, other.order)
-        return Series(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.ring
-        )
+        return Series._trusted([a + b for a, b in zip(self.coeffs, other.coeffs)], self.ring)
 
     def __sub__(self, other):
         self._check(other)
-        n = min(self.order, other.order)
-        return Series(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], self.ring
-        )
+        return Series._trusted([a - b for a, b in zip(self.coeffs, other.coeffs)], self.ring)
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.ring)
+        return Series._trusted([-c for c in self.coeffs], self.ring)
 
     def __mul__(self, other):
         if isinstance(other, (int, WPoly)):
             s = _COERCE[self.ring](other)
-            return Series([c * s for c in self.coeffs], self.ring)
+            return Series._trusted([c * s for c in self.coeffs], self.ring)
         self._check(other)
         n = min(self.order, other.order)
-        out = [_COERCE[self.ring](0) for _ in range(n + 1)]
+        out = [_COERCE[self.ring](0)] * (n + 1)
         for i in range(n + 1):
             a = self.coeffs[i]
             if not a:
@@ -403,7 +406,7 @@ class Series:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return Series(out, self.ring)
+        return Series._trusted(out, self.ring)
 
     __rmul__ = __mul__
 
@@ -422,7 +425,8 @@ def _quotient(a, b):
     polynomial costs O(terms) ring steps per coefficient, and the zero
     coefficients of a level below its first power cost nothing.  Every
     q_k is a ring element already, so the result skips the constructor's
-    per-coefficient coercion, most of the cost of a short division.
+    per-coefficient coercion (:meth:`Series._trusted`), most of the cost
+    of a short division.
     """
     d = b.coeffs[0]
     if isinstance(d, WPoly):
@@ -441,10 +445,7 @@ def _quotient(a, b):
                 if i > n - k:
                     break
                 out[k + i] = out[k + i] - c * q
-    quotient = object.__new__(Series)
-    object.__setattr__(quotient, "coeffs", tuple(out))
-    object.__setattr__(quotient, "ring", a.ring)
-    return quotient
+    return Series._trusted(out, a.ring)
 
 
 def div(a, b):
@@ -458,7 +459,7 @@ def div(a, b):
 def half(a):
     """a / 2, coefficient by coefficient; an odd coefficient raises
     :class:`ExactnessError`."""
-    return Series([_divide_exactly(c, 2) for c in a.coeffs], a.ring)
+    return Series._trusted([_divide_exactly(c, 2) for c in a.coeffs], a.ring)
 
 
 def quadratic_power(count, a, b, p=1, q=2):
@@ -501,7 +502,7 @@ def shift_divide(a, k):
             raise ExactnessError(
                 f"division by z^{k}: coefficient of z^{i} is {a.coeffs[i]}, not 0"
             )
-    return Series(a.coeffs[k:], a.ring)
+    return Series._trusted(a.coeffs[k:], a.ring)
 
 
 def shift_up(a, k):
@@ -510,7 +511,7 @@ def shift_up(a, k):
         raise ValueError("shift_up needs k >= 0")
     zero = _COERCE[a.ring](0)
     cs = [zero] * min(k, a.order + 1) + list(a.coeffs)
-    return Series(cs[: a.order + 1], a.ring)
+    return Series._trusted(cs[: a.order + 1], a.ring)
 
 
 # -- ring homomorphisms on WPOLY series -------------------------------

@@ -463,17 +463,17 @@ def test_verify_fail_lines(check, monkeypatch, capsys):
     assert lines[-1] == "OVERALL FAIL"
 
 
-def _bump_inv_p(monkeypatch):
-    """Add 1 at z^6 of the series ``_closed_form`` reads for ``_INV_P``, the
-    1/P whose z-multiple is the bad root of the levels below the axis (and
-    the classical f0, which no check reads)."""
-    real = genfunc._closed_form
+def _bump_bad_root(monkeypatch):
+    """Add 1 at z^6 of the z^2/P, z times the bad root z/P, that
+    ``_negative_numerators`` reads for the levels below the axis."""
+    real = genfunc._negative_numerators
 
-    def faulty(root, order, *form):
-        s = real(root, order, *form)
-        return s + Series.from_dict({6: 1}, s.order, s.ring) if form == genfunc._INV_P else s
+    def faulty(order, boundary, zs):
+        if zs is not None:
+            zs = zs + Series.from_dict({6: 1}, zs.order, zs.ring)
+        return real(order, boundary, zs)
 
-    monkeypatch.setattr(genfunc, "_closed_form", faulty)
+    monkeypatch.setattr(genfunc, "_negative_numerators", faulty)
 
 
 def _bump_bundle_p(monkeypatch):
@@ -492,9 +492,9 @@ def _bump_bundle_p(monkeypatch):
     "inject, lines",
     [
         pytest.param(
-            _bump_inv_p,
-            ["FAIL dp-closed:unbounded first mismatch at j=-4 z^12: closed 5553 != dp 5569"],
-            id="inv-p",
+            _bump_bad_root,
+            ["FAIL dp-closed:unbounded first mismatch at j=-6 z^12: closed 6296 != dp 6360"],
+            id="bad-root",
         ),
         pytest.param(
             _bump_bundle_p,
@@ -521,9 +521,10 @@ def _bump_bundle_p(monkeypatch):
     ],
 )
 def test_verify_sees_a_fault_in_a_shared_form(inject, lines, monkeypatch, capsys):
-    # a form, or a kernel's den0 or den1, is shared by the ladders that read
-    # it: a fault in one reaches every check that reads it, through one of
-    # those ladders or (for the bundle's P) directly, and no other
+    # the bad root below the axis, or a kernel's den0 or den1, is shared by
+    # the ladders that read it: a fault in one reaches every check that reads
+    # it, through one of those ladders or (for the bundle's P) directly, and
+    # no other
     inject(monkeypatch)
     assert cli.main(["verify", "--order", "12", "--max-brute-length", "6"]) == 1
     out = capsys.readouterr().out.splitlines()

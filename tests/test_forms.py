@@ -2,7 +2,7 @@
 
 genfunc reads every divided closed form as (a + bR)/(z^s d), with
 polynomials a, b and d and a kernel root R, and keeps each form as dicts
-derived outside the package (``_INV_P``, ``_CLASSICAL_AXIS`` and the rest).
+derived outside the package (``_CLASSICAL_AXIS``, ``_BOUNDARY`` and the rest).
 Here a test-side :class:`Form` composes each one from z, R and the kernel
 half-root P = (1 + wz^2 + R)/2 (w = 1 for W) with +, -, x and division
 through the conjugate, and the two are compared as series.  The composed
@@ -147,11 +147,6 @@ def _compose():
     def w_root(n):
         return genfunc._kernel_root(n, -6, 5)
 
-    def transcribed(name):
-        form = getattr(genfunc, name)
-        return lambda order: genfunc._closed_form(w_root(order + form[3]), order, *form)
-
-    out["_INV_P"] = 1 / P, w_root, transcribed("_INV_P")
     # the ladders' ratios: z/P, the bad root, over zu - P and Q/z over P - z(2-z^2)u
     out["ratio[primal]"] = z / P, w_root, _w_ratio(-1, genfunc._ZU)
     out["ratio[dual]"] = Q / z, w_root, _w_ratio(1, genfunc._DUAL_U)
@@ -210,10 +205,10 @@ _FORMS = _compose()
 def test_every_transcribed_form_is_composed():
     names = {name.split("[")[0] for name in _FORMS}
     assert names == {
-        "_INV_P", "ratio", "_CLASSICAL_AXIS", "_BOUNDARY", "_RED_SLICES",
+        "ratio", "_CLASSICAL_AXIS", "_BOUNDARY", "_RED_SLICES",
         "primal_open_ended", "dual_open_ended", "average_red_series", "dual_blue_g0",
     }
-    assert len(_FORMS) == 1 + 2 + 2 + 4 + 3 + 1 + 1 + 5
+    assert len(_FORMS) == 2 + 2 + 4 + 3 + 1 + 1 + 5
     assert len(genfunc._CLASSICAL_AXIS) == 4 and len(genfunc._BOUNDARY) == 3
     assert len(genfunc._RED_SLICES) == 5
 

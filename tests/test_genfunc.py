@@ -306,19 +306,29 @@ def test_closed_forms_build_no_bundle(monkeypatch, name, args):
         ("negative_level_series", (1,)),
         ("negative_level_series", (-2, "g")),
         ("negative_boundary_series", ()),
+        ("negative_levels", (-12, 12)),
     ],
 )
 def test_given_bundle_yields_exactly_the_order(name, args):
     make = getattr(genfunc, name)
     bundle = genfunc.kernel_bundle(24)
     for order in (0, 5, 16):
-        assert make(*args, order=order, bundle=bundle) == make(*args, order=order)
+        want = make(*args, order=order)
+        assert make(*args, order=order, bundle=bundle) == want
+        assert make(*args, order=order, bundle=genfunc.kernel_bundle(order)) == want
     if name.startswith("dual"):
         # every dual class, the total too, reads a bundle of exactly the
         # order: the ladder divides by P itself
         for j in range(21):
             exact = make(j, *args[1:], order=16, bundle=genfunc.kernel_bundle(16))
             assert exact == make(j, *args[1:], order=16), j
+    if name == "negative_levels":
+        # the levels below the axis read the bad root by one more division
+        # by P, so every class reads a bundle of exactly the order
+        for cls in genfunc.PRIMAL_CLASSES:
+            for order in range(41):
+                exact = make(*args, cls, order=order, bundle=genfunc.kernel_bundle(order))
+                assert exact == make(*args, cls, order=order), (cls, order)
 
 
 @pytest.mark.parametrize(
@@ -327,19 +337,20 @@ def test_given_bundle_yields_exactly_the_order(name, args):
         ("primal_level_series", (0,), 30, 10),
         ("dual_level_series", (3,), 16, 15),
         ("dual_level_series", (3, "a"), 16, 15),
-        ("negative_level_series", (-1,), 16, 16),
+        ("negative_level_series", (-1,), 16, 15),
         ("negative_boundary_series", (), 16, 15),
-        # the ladders read a bundle of the order, and the levels below the
-        # axis one of order + 2, for the bad root z/P
+        # every level constructor refuses a bundle one short of its order
         ("primal_level_series", (0,), 16, 15),
         ("dual_level_series", (3, "c"), 16, 15),
-        ("negative_level_series", (-1,), 16, 17),
+        ("negative_levels", (-3, 3), 16, 15),
         ("negative_level_series", (1,), 16, 15),
+        ("primal_levels", (0, 3), 16, 15),
+        ("dual_levels", (0, 3), 16, 15),
     ],
 )
 def test_too_short_bundle_rejected(name, args, order, bundle_order):
     bundle = genfunc.kernel_bundle(bundle_order)
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(ValueError, match=f"too short for order {order}$"):
         getattr(genfunc, name)(*args, order=order, bundle=bundle)
 
 
@@ -411,13 +422,14 @@ def test_each_ladder_reads_one_closed_form(monkeypatch, make):
 
 @pytest.mark.parametrize("lo", [-3, 0])
 def test_negative_levels_divide_by_the_bad_root_once(monkeypatch, lo):
-    # one division per closed form: the boundary's f0, g0 and h0, and, only
-    # below the axis, 1/P for the bad root z/P; then one per level of each
-    # ladder, 0..3 above the axis and 0..3 below it
+    # one division per closed form, the boundary's f0, g0 and h0, and one per
+    # level of the ladder above the axis, 0..3; below it, one more division
+    # by P for z times the bad root z/P, and one per level -1..-3 and the
+    # ladder's level 0
     calls, forms = _count_divisions(monkeypatch)
     genfunc.negative_levels(lo, 3, order=10)
-    assert forms == [*genfunc._BOUNDARY, *[genfunc._INV_P] * (lo < 0)]
-    assert len(calls) == len(forms) + 4 + 4 * (lo < 0)
+    assert forms == list(genfunc._BOUNDARY)
+    assert len(calls) == 3 + 4 + (1 + 4) * (lo < 0)
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,30 @@ def test_wpoly_results_match_the_checked_constructor(xs, ys, c, d):
         WPoly((1.5,))
 
 
+def _typed(s):
+    """A series' coefficients with their types, and those of a WPoly's."""
+    return [(type(c), c.coeffs if isinstance(c, WPoly) else c) for c in s.coeffs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(integers, min_size=7, max_size=7), st.lists(integers, min_size=7, max_size=7), integers)
+def test_series_results_match_the_checked_constructor(xs, ys, c):
+    # arithmetic builds its results without the per-coefficient coercion;
+    # in either ring each must equal the coercing constructor's series,
+    # coefficient types (int, or WPoly over ints) included
+    for ring, lift in ((RATIONAL, int), (WPOLY, lambda x: WPoly((x, 1 - x)))):
+        a, b = Series(map(lift, xs), ring), Series(map(lift, [1] + ys[1:]), ring)
+        even = Series([2 * lift(x) for x in xs], ring)
+        low = Series([0, 0, *map(lift, xs[2:])], ring)
+        results = [
+            a + b, a - b, -a, a * b, a * c, c * a, a * lift(c), a.truncate(3),
+            half(even), shift_divide(low, 2), shift_up(a, 3), div(a, b),
+        ]
+        for got in results:
+            assert _typed(got) == _typed(Series(got.coeffs, ring)), got
+            assert all(type(k) is int for x in got.coeffs for k in getattr(x, "coeffs", (x,)))
+
+
 class TestSeriesBasics:
     def test_coeff_beyond_order_raises(self):
         s = Series.one(3)
@@ -154,8 +178,10 @@ class TestSeriesBasics:
             Series.one(3, ring)
 
     def test_truncate_cannot_extend(self):
-        with pytest.raises(SeriesError):
-            Series.one(3).truncate(5)
+        # nor cut below z^0: a series keeps at least its constant term
+        for order in (5, -1, -2):
+            with pytest.raises(SeriesError):
+                Series.one(3).truncate(order)
 
     def test_immutable(self):
         s = Series.one(3)
